@@ -13,6 +13,7 @@ the process entry point; the manifest records whether it was applied.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,15 +27,7 @@ SCHEMA_VERSION = 1
 
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-_TASK_KEYS = {"pruning_preset", "task_preset", "pre_limit", "k", "preselector",
-              "selection_mode", "loss_mode", "beta", "task_type"}
-_TRAIN_KEYS = {"learning_rate", "warmup_ratio", "hidden_dropout",
-               "attention_dropout", "num_steps", "batch_size", "seed",
-               "precision", "weight_decay"}
 _DATA_KEYS = {"source", "path", "spec"}
-_SPEC_KEYS = {"seed", "n_examples", "min_rows", "max_rows", "min_cols", "max_cols",
-              "min_cell_tokens", "max_cell_tokens", "vocab_size",
-              "distractor_ratio", "task_type"}
 _EVAL_KEYS = {"source", "path", "spec", "bucket_edges", "oracle"}
 _TOP_KEYS = {"schema_version", "task", "train", "data", "eval"}
 
@@ -45,19 +38,28 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def load_config(path) -> dict:
+    """Read a strict-JSON config; section keys are the dataclasses' fields."""
+    from .synth import GeneratorSpec
+    from .training import DoTConfig, TrainConfig
+
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare schema_version {SCHEMA_VERSION}")
     _check_keys(cfg, _TOP_KEYS, "top level")
-    _check_keys(cfg.get("task", {}), _TASK_KEYS, "task")
-    _check_keys(cfg.get("train", {}), _TRAIN_KEYS, "train")
+    _check_keys(cfg.get("task", {}), _field_names(DoTConfig), "task")
+    _check_keys(cfg.get("train", {}), _field_names(TrainConfig), "train")
     for section in ("data", "eval"):
         if section in cfg:
             allowed = _DATA_KEYS if section == "data" else _EVAL_KEYS
             _check_keys(cfg[section], allowed, section)
-            _check_keys(cfg[section].get("spec", {}), _SPEC_KEYS, f"{section}.spec")
+            _check_keys(cfg[section].get("spec", {}), _field_names(GeneratorSpec),
+                        f"{section}.spec")
     return cfg
 
 
@@ -162,7 +164,7 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
 
     def dot_loss(params):
         out = tr.dot_forward(model, ex, selection_override=frozen)
-        return tr.loss_j_dot(out, ex, beta=1.0)
+        return tr.compute_loss(model, out, ex)
 
     dot_err = T.gradient_check(dot_loss, model.parameters(), eps=3e-4,
                                max_entries_per_param=entries_per_param)
@@ -344,13 +346,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _bucket_accuracy(model, examples, edges):
-    from . import synth
-    from . import training as tr
+def _bucket_accuracy(examples, correct_flags, edges) -> dict[str, float]:
+    """Accuracy per linearized-length bucket; empty buckets are absent."""
+    import numpy as np
 
-    buckets = synth.bucketize(examples, edges=edges)
-    return {label: tr.evaluate(model, members).accuracy
-            for label, members in sorted(buckets.items())}
+    from . import synth
+    from .tables import linearized_length
+
+    buckets: dict[str, list[bool]] = {}
+    for ex, ok in zip(examples, correct_flags):
+        buckets.setdefault(synth.bucket_label(linearized_length(ex), edges), []).append(ok)
+    return {label: float(np.mean(flags)) for label, flags in sorted(buckets.items())}
 
 
 def write_histogram(out_dir, gaps: list[float], bins: int = 20) -> str:
@@ -398,7 +404,7 @@ def cmd_eval(args) -> int:
         "n_examples": report_obj.n_examples,
         "mean_answer_score_gap": report_obj.mean_answer_score_gap,
         "answer_pruned_rate": report_obj.answer_pruned_rate,
-        "bucket_accuracy": _bucket_accuracy(model, examples, edges),
+        "bucket_accuracy": _bucket_accuracy(examples, report_obj.correct_flags, edges),
         "oracle_scores": bool(args.oracle),
     }
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -465,7 +471,7 @@ def cmd_gen(args) -> int:
     from . import synth, tables
 
     spec_kw = json.loads(args.spec) if args.spec else {}
-    _check_keys(spec_kw, _SPEC_KEYS, "generator spec")
+    _check_keys(spec_kw, _field_names(synth.GeneratorSpec), "generator spec")
     if args.seed is not None:
         spec_kw["seed"] = args.seed
     spec = synth.GeneratorSpec(**spec_kw)

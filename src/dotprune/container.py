@@ -9,6 +9,7 @@ Writing the same arrays and header twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -46,22 +47,49 @@ def save_tensors(path, named: dict[str, np.ndarray], header: dict | None = None)
             fh.write(data)
 
 
+def _read(fh, n: int, path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ContractError(f"{path} is truncated")
+    return data
+
+
+def _read_json(fh, n: int, path):
+    try:
+        return json.loads(_read(fh, n, path).decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as e:
+        raise ContractError(f"{path}: corrupt JSON record ({e})") from None
+
+
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Inverse of ``save_tensors``; any malformed or truncated file raises
+    ``ContractError``."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ContractError(f"{path} is not a tensor container")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4, path))
         if version != VERSION:
             raise ContractError(f"unsupported container version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (hlen,) = struct.unpack("<Q", _read(fh, 8, path))
+        header = _read_json(fh, hlen, path)
+        if not isinstance(header, dict):
+            raise ContractError(f"{path}: header is not a JSON object")
+        (count,) = struct.unpack("<I", _read(fh, 4, path))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (dlen,) = struct.unpack("<Q", fh.read(8))
-            desc = json.loads(fh.read(dlen).decode("utf-8"))
-            (blen,) = struct.unpack("<Q", fh.read(8))
-            raw = fh.read(blen)
-            arr = np.frombuffer(raw, dtype=desc["dtype"]).reshape(desc["shape"]).copy()
-            tensors[desc["name"]] = arr
+            (dlen,) = struct.unpack("<Q", _read(fh, 8, path))
+            desc = _read_json(fh, dlen, path)
+            try:
+                name, dtype, shape = desc["name"], desc["dtype"], tuple(desc["shape"])
+                if not isinstance(name, str) or dtype not in _DTYPES or not all(
+                        isinstance(d, int) and d >= 0 for d in shape):
+                    raise ValueError
+            except (KeyError, TypeError, ValueError):
+                raise ContractError(f"{path}: bad tensor descriptor {desc!r}") from None
+            (blen,) = struct.unpack("<Q", _read(fh, 8, path))
+            if blen != np.dtype(dtype).itemsize * math.prod(shape):
+                raise ContractError(f"{path}: tensor {name!r} has {blen} bytes "
+                                    f"for shape {list(shape)}")
+            raw = _read(fh, blen, path)
+            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return header, tensors

@@ -14,14 +14,15 @@ vector of nonpositive log-probabilities. Three application modes exist:
 * ``symmetric``: both. This realizes exact hard-drop equivalence and is
   what padding and the verification harness use.
 
-Model-size presets and the closed-form parameter count mirror the standard
-compact BERT family the sizes are borrowed from.
+The scorer and the task model are both ``Tower``s: an encoder plus a
+one-unit linear head. Model-size presets and the closed-form parameter
+count mirror the standard compact BERT family the sizes are borrowed from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -191,15 +192,8 @@ class EncoderWeights:
     pooler_b: T.Tensor | None = None
 
     def named_tensors(self) -> dict[str, T.Tensor]:
-        out = {
-            "word": self.word, "position": self.position,
-            "type_segment": self.type_segment, "type_binary": self.type_binary,
-            "type_relation": self.type_relation, "type_column": self.type_column,
-            "type_row": self.type_row, "type_rank": self.type_rank,
-            "type_inv_rank": self.type_inv_rank,
-            "emb_ln_gain": self.emb_ln_gain, "emb_ln_bias": self.emb_ln_bias,
-            "pooler_w": self.pooler_w, "pooler_b": self.pooler_b,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("config", "layers")}
         for i, lw in enumerate(self.layers):
             for name, t in vars(lw).items():
                 out[f"layer{i}.{name}"] = t
@@ -209,85 +203,131 @@ class EncoderWeights:
         return list(self.named_tensors().values())
 
 
-def init_weights(config: EncoderConfig, dtype=np.float32) -> EncoderWeights:
-    """Fresh weights: truncated normal (std 0.02), zero biases, unit gains."""
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every runtime tensor, in the order ``init_weights``
+    draws them; checkpoints are checked against the same table."""
     h, hi = config.hidden, config.intermediate
-
-    def mat(*shape):
-        return T.Tensor(truncated_normal(rng, shape, dtype=dtype), requires_grad=True)
-
-    def zeros(*shape):
-        return T.Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return T.Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    layers = [
-        LayerWeights(
-            wq=mat(h, h), bq=zeros(h), wk=mat(h, h), bk=zeros(h),
-            wv=mat(h, h), bv=zeros(h), wo=mat(h, h), bo=zeros(h),
-            ln1_gain=ones(h), ln1_bias=zeros(h),
-            w_inter=mat(h, hi), b_inter=zeros(hi),
-            w_out=mat(hi, h), b_out=zeros(h),
-            ln2_gain=ones(h), ln2_bias=zeros(h),
-        )
-        for _ in range(config.num_layers)
-    ]
-    return EncoderWeights(
-        config=config,
-        word=mat(config.vocab_size, h),
-        position=mat(config.max_input, h),
-        type_segment=mat(3, h), type_binary=mat(2, h), type_relation=mat(10, h),
-        type_column=mat(256, h), type_row=mat(256, h), type_rank=mat(256, h),
-        type_inv_rank=mat(256, h),
-        emb_ln_gain=ones(h), emb_ln_bias=zeros(h),
-        layers=layers,
-        pooler_w=mat(h, h), pooler_b=zeros(h),
+    layer = {
+        "wq": (h, h), "bq": (h,), "wk": (h, h), "bk": (h,), "wv": (h, h), "bv": (h,),
+        "wo": (h, h), "bo": (h,), "ln1_gain": (h,), "ln1_bias": (h,),
+        "w_inter": (h, hi), "b_inter": (hi,), "w_out": (hi, h), "b_out": (h,),
+        "ln2_gain": (h,), "ln2_bias": (h,),
+    }
+    shapes = {f"layer{i}.{name}": shape
+              for i in range(config.num_layers) for name, shape in layer.items()}
+    shapes.update(
+        word=(config.vocab_size, h), position=(config.max_input, h),
+        type_segment=(3, h), type_binary=(2, h), type_relation=(10, h),
+        type_column=(256, h), type_row=(256, h), type_rank=(256, h),
+        type_inv_rank=(256, h), emb_ln_gain=(h,), emb_ln_bias=(h,),
+        pooler_w=(h, h), pooler_b=(h,),
     )
+    return shapes
 
 
-def _validate_bias(bias: np.ndarray, n_keys: int) -> None:
-    if bias.shape != (n_keys,):
-        raise ContractError(f"bias length {bias.shape} != key count {n_keys}")
-    finite = np.isfinite(bias)
-    if (bias[finite] > 0).any():
-        raise ContractError("attention bias entries must be <= 0 (log-probabilities)")
-    if np.isnan(bias).any() or np.isposinf(bias).any():
-        raise ContractError("attention bias must be <= 0 or -inf")
+def init_arrays(config: EncoderConfig, dtype=np.float32) -> dict[str, np.ndarray]:
+    """Fresh values: truncated normal (std 0.02) matrices, zero biases, unit gains."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+
+    def init(name, shape):
+        if len(shape) == 2:
+            return truncated_normal(rng, shape, dtype=dtype)
+        return np.full(shape, 1.0 if name.endswith("gain") else 0.0, dtype=dtype)
+
+    return {name: init(name, shape) for name, shape in tensor_shapes(config).items()}
 
 
-def biased_attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
-                     bias: T.Tensor | np.ndarray | None,
-                     mode: str = "key") -> T.Tensor:
-    """Scaled dot-product attention with an additive per-token bias.
+def weights_from_arrays(config: EncoderConfig, arrays: dict[str, np.ndarray]
+                        ) -> EncoderWeights:
+    """Trainable weights over ``arrays``, keyed as in ``tensor_shapes``."""
+    t = {name: T.Tensor(arrays[name], requires_grad=True) for name in tensor_shapes(config)}
+    layers = [LayerWeights(**{f.name: t[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
+              for i in range(config.num_layers)]
+    return EncoderWeights(config=config, layers=layers,
+                          **{k: v for k, v in t.items() if not k.startswith("layer")})
 
-    ``q``, ``k``, ``v`` are (..., n, d) with matching leading dims; ``bias``
-    is a length-n vector of values in (-inf, 0]. Rows that end up fully
-    masked produce all-zero outputs rather than an error, which is the
-    convention that makes a symmetric -inf bias equal to deleting tokens.
+
+def init_weights(config: EncoderConfig, dtype=np.float32) -> EncoderWeights:
+    """Fresh trainable weights, deterministic in ``config.seed``."""
+    return weights_from_arrays(config, init_arrays(config, dtype))
+
+
+@dataclass
+class Tower:
+    """An encoder plus a one-unit linear head, read per token or on the pooled
+    CLS vector. The scorer and the task model are both towers."""
+
+    encoder: EncoderWeights
+    head_w: T.Tensor
+    head_b: T.Tensor
+
+    def parameters(self) -> list[T.Tensor]:
+        return self.encoder.parameters() + [self.head_w, self.head_b]
+
+    @staticmethod
+    def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+        return tensor_shapes(config) | {"head_w": (config.hidden, 1), "head_b": (1,)}
+
+    @classmethod
+    def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray]) -> "Tower":
+        return cls(encoder=weights_from_arrays(config, arrays),
+                   head_w=T.Tensor(arrays["head_w"], requires_grad=True),
+                   head_b=T.Tensor(arrays["head_b"], requires_grad=True))
+
+
+def init_tower(config: EncoderConfig, head_seed: int, dtype=np.float32) -> Tower:
+    """Fresh tower; the head draws from its own stream seeded by ``head_seed``."""
+    rng = np.random.Generator(np.random.PCG64(head_seed))
+    arrays = init_arrays(config, dtype)
+    arrays["head_w"] = truncated_normal(rng, (config.hidden, 1), dtype=dtype)
+    arrays["head_b"] = np.zeros(1, dtype=dtype)
+    return Tower.from_arrays(config, arrays)
+
+
+def attention_bias(bias: T.Tensor | np.ndarray | None, n_keys: int, dtype,
+                   mode: str) -> T.Tensor | None:
+    """Check ``mode`` and ``bias`` once for a whole stack of attention layers.
+
+    ``bias`` is a length-``n_keys`` vector of values in (-inf, 0]. NumPy
+    biases are converted to ``dtype``, the dtype of the attention scores;
+    tensors pass through unchanged so gradients reach whatever built them.
     """
     if mode not in BIAS_MODES:
         raise ContractError(f"unknown bias mode {mode!r}")
-    d_k = q.shape[-1]
-    scores = T.mul(T.matmul(q, T.permute(k, _swap_last_two(k))), 1.0 / math.sqrt(d_k))
-    if bias is not None:
-        bias_t = bias if isinstance(bias, T.Tensor) else T.Tensor(
-            np.asarray(bias, dtype=scores.dtype))
-        _validate_bias(bias_t.data, k.shape[-2])
-        n = bias_t.data.shape[0]
-        if mode in ("key", "symmetric"):
-            scores = T.add(scores, T.reshape(bias_t, (1,) * (len(scores.shape) - 1) + (n,)))
-        if mode in ("query", "symmetric"):
-            scores = T.add(scores, T.reshape(bias_t, (1,) * (len(scores.shape) - 2) + (n, 1)))
-    probs = T.softmax_rows(scores, on_empty="zeros")
-    return T.matmul(probs, v)
+    if bias is None:
+        return None
+    bias_t = bias if isinstance(bias, T.Tensor) else T.Tensor(np.asarray(bias, dtype=dtype))
+    data = bias_t.data
+    if data.shape != (n_keys,):
+        raise ContractError(f"bias length {data.shape} != key count {n_keys}")
+    finite = np.isfinite(data)
+    if (data[finite] > 0).any():
+        raise ContractError("attention bias entries must be <= 0 (log-probabilities)")
+    if np.isnan(data).any() or np.isposinf(data).any():
+        raise ContractError("attention bias must be <= 0 or -inf")
+    return bias_t
 
 
-def _swap_last_two(t: T.Tensor) -> tuple[int, ...]:
-    axes = list(range(len(t.shape)))
+def attention_probs(q: T.Tensor, k: T.Tensor, bias: T.Tensor | None,
+                    mode: str = "key") -> T.Tensor:
+    """Softmax of the scaled, biased scores QK^T / sqrt(d).
+
+    ``q`` and ``k`` are (..., n, d) with matching leading dims; ``bias`` comes
+    from ``attention_bias``. Rows that end up fully masked become all-zero
+    rows rather than an error, which is the convention that makes a
+    symmetric -inf bias equal to deleting tokens.
+    """
+    axes = list(range(len(k.shape)))
     axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+    scores = T.mul(T.matmul(q, T.permute(k, tuple(axes))), 1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        lead = (1,) * (len(scores.shape) - 2)
+        n = bias.shape[0]
+        if mode in ("key", "symmetric"):
+            scores = T.add(scores, T.reshape(bias, lead + (1, n)))
+        if mode in ("query", "symmetric"):
+            scores = T.add(scores, T.reshape(bias, lead + (n, 1)))
+    return T.softmax_rows(scores, on_empty="zeros")
 
 
 def _dropout(x: T.Tensor, rate: float, rng: np.random.Generator | None) -> T.Tensor:
@@ -345,17 +385,10 @@ def forward(weights: EncoderWeights, seq: TokenizedSequence,
     n = len(seq)
     if n > cfg.max_input:
         raise InputTooLongError(f"sequence length {n} exceeds max_input {cfg.max_input}")
-    if mode not in BIAS_MODES:
-        raise ContractError(f"unknown bias mode {mode!r}")
-
-    bias_t: T.Tensor | None = None
-    if bias is not None:
-        bias_t = bias if isinstance(bias, T.Tensor) else T.Tensor(np.asarray(bias))
-        _validate_bias(bias_t.data, n)
+    bias_t = attention_bias(bias, n, weights.word.dtype, mode)
 
     x = embed(weights, seq, train_rng)
     heads, d = cfg.num_heads, cfg.head_dim
-    inv_sqrt_d = 1.0 / math.sqrt(d)
 
     def split_heads(t: T.Tensor) -> T.Tensor:
         return T.permute(T.reshape(t, (n, heads, d)), (1, 0, 2))
@@ -364,13 +397,7 @@ def forward(weights: EncoderWeights, seq: TokenizedSequence,
         q = split_heads(T.add(T.matmul(x, lw.wq), lw.bq))
         k = split_heads(T.add(T.matmul(x, lw.wk), lw.bk))
         v = split_heads(T.add(T.matmul(x, lw.wv), lw.bv))
-        scores = T.mul(T.matmul(q, T.permute(k, (0, 2, 1))), inv_sqrt_d)
-        if bias_t is not None:
-            if mode in ("key", "symmetric"):
-                scores = T.add(scores, T.reshape(bias_t, (1, 1, n)))
-            if mode in ("query", "symmetric"):
-                scores = T.add(scores, T.reshape(bias_t, (1, n, 1)))
-        probs = T.softmax_rows(scores, on_empty="zeros")
+        probs = attention_probs(q, k, bias_t, mode)
         if trace is not None:
             trace.attention_probs.append(probs.data.copy())
         probs = _dropout(probs, cfg.attention_dropout, train_rng)
@@ -385,16 +412,3 @@ def forward(weights: EncoderWeights, seq: TokenizedSequence,
     cls = T.take_rows(x, np.array([0]))
     pooled = T.tanh(T.add(T.matmul(cls, weights.pooler_w), weights.pooler_b))
     return x, pooled
-
-
-def cast_weights(weights: EncoderWeights, dtype) -> EncoderWeights:
-    """Copy of the weights in another precision (for dual-precision checks)."""
-
-    def cast(t: T.Tensor) -> T.Tensor:
-        return T.Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
-
-    layers = [LayerWeights(**{k: cast(v) for k, v in vars(lw).items()})
-              for lw in weights.layers]
-    fields = {k: cast(v) for k, v in vars(weights).items()
-              if isinstance(v, T.Tensor)}
-    return replace(weights, layers=layers, **fields)

@@ -25,28 +25,6 @@ from .tables import TokenizedSequence
 
 
 @dataclass
-class PruningWeights:
-    """Scoring tower: an encoder plus a per-token sigmoid head."""
-
-    encoder: enc.EncoderWeights
-    head_w: T.Tensor
-    head_b: T.Tensor
-
-    def parameters(self) -> list[T.Tensor]:
-        return self.encoder.parameters() + [self.head_w, self.head_b]
-
-
-def init_pruning_weights(config: enc.EncoderConfig, dtype=np.float32) -> PruningWeights:
-    rng = np.random.Generator(np.random.PCG64(config.seed + 101))
-    return PruningWeights(
-        encoder=enc.init_weights(config, dtype=dtype),
-        head_w=T.Tensor(enc.truncated_normal(rng, (config.hidden, 1), dtype=dtype),
-                        requires_grad=True),
-        head_b=T.Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-    )
-
-
-@dataclass
 class PruningScores:
     """Per-token log-probabilities aligned with a sequence.
 
@@ -81,7 +59,7 @@ class Selection:
             raise ContractError("selection exceeds its budget")
 
 
-def score_tokens(weights: PruningWeights, seq: TokenizedSequence,
+def score_tokens(weights: enc.Tower, seq: TokenizedSequence,
                  train_rng: np.random.Generator | None = None) -> PruningScores:
     """Score every token with log P(relevant); differentiable."""
     hidden, _ = enc.forward(weights.encoder, seq, train_rng=train_rng)
@@ -168,23 +146,13 @@ def compact(seq: TokenizedSequence, selection: Selection) -> TokenizedSequence:
     return seq.subsequence(selection.kept_indices, keep_positions=True)
 
 
-def build_bias(selection: Selection, scores: PruningScores,
-               mode: str = "soft") -> T.Tensor | np.ndarray:
-    """Bias vector for the task encoder.
+def build_bias(selection: Selection, scores: PruningScores) -> T.Tensor:
+    """Soft bias for the task encoder over the compacted sequence.
 
-    ``soft``: over the compacted sequence, the kept table tokens carry their
-    scores (gradient flows back into the scorer) and the question span
-    carries zero. ``hard``: over the uncompacted sequence, dropped positions
-    carry -inf; used only by the equivalence harness.
+    Kept table tokens carry their scores (gradient flows back into the
+    scorer) and the question span carries zero.
     """
     seq = scores.seq
-    if mode == "hard":
-        bias = np.zeros(len(seq))
-        dropped = set(range(len(seq))) - set(selection.kept_indices)
-        bias[sorted(dropped)] = -np.inf
-        return bias
-    if mode != "soft":
-        raise ContractError(f"unknown bias mode {mode!r}")
     kept = list(selection.kept_indices)
     keep_mask = np.array([1.0 if seq.segment_ids[i] == 1 else 0.0 for i in kept])
     gathered = T.take_rows(T.reshape(scores.log_probs, (len(seq), 1)), kept)

@@ -12,11 +12,9 @@ punctuation stripped) so vocabularies are built from the corpus itself.
 
 from __future__ import annotations
 
-import csv
 import json
 import string
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import BudgetError, ContractError, InputTooLongError
 
@@ -404,21 +402,3 @@ def read_jsonl(path) -> list[Example]:
             if line:
                 out.append(example_from_dict(json.loads(line)))
     return out
-
-
-def read_csv_with_questions(table_csv, questions_path) -> list[Example]:
-    """One unlabeled Example per question line, all against the CSV table.
-
-    First CSV row is the header. Questions file holds one question per line.
-    Returned examples carry label=None and no answer coords only in the
-    sense of being unsupervised; they are encoded with a dummy label of 0
-    so downstream plumbing treats them as classification inputs.
-    """
-    with open(table_csv, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ContractError(f"{table_csv} is empty")
-    table = Table.make(rows[0], rows[1:])
-    questions = [q.strip() for q in Path(questions_path).read_text(encoding="utf-8").splitlines()
-                 if q.strip()]
-    return [Example(q, table, label=0) for q in questions]

@@ -263,18 +263,6 @@ def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _node(out, (a,), back)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, tuple(tensors), back)
-
-
 def take_rows(a: Tensor, indices) -> Tensor:
     """Gather rows along axis 0; the workhorse behind embedding lookups."""
     a = _as_tensor(a)
@@ -287,9 +275,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
         return (ga,)
 
     return _node(out, (a,), back)
-
-
-embedding_lookup = take_rows
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -344,19 +329,14 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out, (a,), back)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Stable logistic function: no overflowing exp on either side of zero."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def back(g):
-        return (g * out * (1.0 - out),)
-
-    return _node(out, (a,), back)
+    return out
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
@@ -368,11 +348,7 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
     def back(g):
         # d/dx log sigmoid(x) = sigmoid(-x)
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = np.exp(-x[pos]) / (1.0 + np.exp(-x[pos]))
-        s[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
-        return (g * s,)
+        return (g * _sigmoid(-x),)
 
     return _node(out, (a,), back)
 
@@ -434,32 +410,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _node(out, (x, gain, bias), back)
 
 
-def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
-    """Mean over rows of -sum(target * log_softmax(logits)).
-
-    ``target`` must hold nonnegative rows each summing to 1.
-    """
-    logits = _as_tensor(logits)
-    target = _as_tensor(target, logits.dtype)
-    if logits.shape != target.shape:
-        raise ShapeError(f"cross_entropy shape mismatch: {logits.shape} vs {target.shape}")
-    t = target.data
-    if (t < -1e-9).any() or not np.allclose(t.sum(axis=-1), 1.0, atol=1e-6):
-        raise ContractError("cross_entropy target rows must be a distribution")
-    z = logits.data
-    zmax = z.max(axis=-1, keepdims=True)
-    logsumexp = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
-    log_probs = z - logsumexp
-    n_rows = int(np.prod(z.shape[:-1])) if z.ndim > 1 else 1
-    out = np.asarray(-(t * log_probs).sum() / n_rows, dtype=logits.dtype)
-    probs = np.exp(log_probs)
-
-    def back(g):
-        return ((probs - t) * (g / n_rows), None)
-
-    return _node(out, (logits, target), back)
-
-
 def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
     """Mean binary cross-entropy against 0/1 targets, stable in the logits.
 
@@ -480,11 +430,7 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
     out = np.asarray(loss.sum() / n, dtype=logits.dtype)
 
     def back(g):
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
+        s = _sigmoid(x)
         grad = (1.0 - y) * s - pos_weight * y * (1.0 - s)
         return (grad * (g / n),)
 

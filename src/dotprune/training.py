@@ -37,18 +37,6 @@ PRESELECTORS = ("cc", "hem")
 SELECTION_MODES = ("token", "column")
 TASK_TYPES = ("cell_selection", "classification")
 
-# Published fine-tuning settings per benchmark; desk-scale runs train from
-# scratch and want larger rates, so these are reference presets only.
-BENCHMARK_TRAIN_PRESETS = {
-    "wikisql": dict(learning_rate=6e-5, warmup_ratio=0.14, hidden_dropout=0.1,
-                    attention_dropout=0.1, num_steps=50_000),
-    "tabfact": dict(learning_rate=2e-5, warmup_ratio=0.05, hidden_dropout=0.07,
-                    attention_dropout=0.0, num_steps=80_000),
-    "wikitq": dict(learning_rate=1.9e-5, warmup_ratio=0.19, hidden_dropout=0.1,
-                   attention_dropout=0.1, num_steps=50_000),
-}
-
-
 @dataclass(frozen=True)
 class DoTConfig:
     pruning_preset: str = "mini"
@@ -121,23 +109,11 @@ class TrainConfig:
 
 
 @dataclass
-class TaskWeights:
-    """Task tower: encoder plus a token head or a CLS head."""
-
-    encoder: enc.EncoderWeights
-    head_w: T.Tensor
-    head_b: T.Tensor
-
-    def parameters(self) -> list[T.Tensor]:
-        return self.encoder.parameters() + [self.head_w, self.head_b]
-
-
-@dataclass
 class DoTModel:
     config: DoTConfig
     vocab: Vocabulary
-    pruning: pr.PruningWeights
-    task: TaskWeights
+    pruning: enc.Tower
+    task: enc.Tower
 
     def parameters(self) -> list[T.Tensor]:
         return self.pruning.parameters() + self.task.parameters()
@@ -164,16 +140,9 @@ def build_model(config: DoTConfig, vocab: Vocabulary, dtype=np.float32,
         config.task_preset, vocab_size=len(vocab), max_input=config.pre_limit,
         seed=seed + 1, hidden_dropout=hidden_dropout,
         attention_dropout=attention_dropout)
-    rng = np.random.Generator(np.random.PCG64(seed + 202))
-    task = TaskWeights(
-        encoder=enc.init_weights(task_cfg, dtype=dtype),
-        head_w=T.Tensor(enc.truncated_normal(rng, (task_cfg.hidden, 1), dtype=dtype),
-                        requires_grad=True),
-        head_b=T.Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-    )
     return DoTModel(config=config, vocab=vocab,
-                    pruning=pr.init_pruning_weights(pruning_cfg, dtype=dtype),
-                    task=task)
+                    pruning=enc.init_tower(pruning_cfg, pruning_cfg.seed + 101, dtype),
+                    task=enc.init_tower(task_cfg, seed + 202, dtype))
 
 
 @dataclass
@@ -250,7 +219,7 @@ def dot_forward(model: DoTModel, example: Example,
                                       pre_seq, cfg.k)
 
     compact_seq = pr.compact(pre_seq, selection)
-    bias = pr.build_bias(selection, clipped, "soft")
+    bias = pr.build_bias(selection, clipped)
     if detach_bias:
         bias = bias.detach()
     hidden, pooled = enc.forward(model.task.encoder, compact_seq, bias=bias,
@@ -318,40 +287,19 @@ def _pruning_scalar_loss(outputs: DotOutputs, example: Example,
     return T.bce_with_logits(outputs.scores.logits, targets, pos_weight=pos_weight)
 
 
-def loss_j_dot(outputs: DotOutputs, example: Example, beta: float,
-               pos_weight: float = 1.0) -> T.Tensor:
-    """Joint loss: beta times the task scalar loss, bias path live."""
-    return T.mul(_task_scalar_loss(outputs, example, pos_weight), float(beta))
-
-
-def loss_p_dot(outputs: DotOutputs, example: Example, beta: float,
-               pos_weight: float = 1.0) -> T.Tensor:
-    """Detached-bias task loss plus the auxiliary relevance loss."""
-    if not outputs.bias_detached:
-        raise ContractError("P loss requires dot_forward(detach_bias=True)")
-    task = _task_scalar_loss(outputs, example, pos_weight)
-    return T.mul(T.add(task, _pruning_scalar_loss(outputs, example, pos_weight)),
-                 float(beta))
-
-
-def loss_pj_dot(outputs: DotOutputs, example: Example, beta: float,
-                pruning_loss_weight: float = 1.0,
-                pos_weight: float = 1.0) -> T.Tensor:
-    """Joint loss plus the auxiliary relevance loss."""
-    task = _task_scalar_loss(outputs, example, pos_weight)
-    aux = T.mul(_pruning_scalar_loss(outputs, example, pos_weight),
-                float(pruning_loss_weight))
-    return T.mul(T.add(task, aux), float(beta))
-
-
 def compute_loss(model: DoTModel, outputs: DotOutputs, example: Example) -> T.Tensor:
-    mode, beta = model.config.loss_mode, model.config.beta
-    pw = model.config.positive_weight
-    if mode == "J":
-        return loss_j_dot(outputs, example, beta, pos_weight=pw)
-    if mode == "P":
-        return loss_p_dot(outputs, example, beta, pos_weight=pw)
-    return loss_pj_dot(outputs, example, beta, pos_weight=pw)
+    """beta times the task loss, plus the relevance loss in P and PJ modes.
+
+    J and PJ keep the bias path live; P requires a detached bias, so the
+    scorer learns from the relevance loss alone.
+    """
+    cfg = model.config
+    if cfg.loss_mode == "P" and not outputs.bias_detached:
+        raise ContractError("P loss requires dot_forward(detach_bias=True)")
+    loss = _task_scalar_loss(outputs, example, cfg.positive_weight)
+    if cfg.loss_mode != "J":
+        loss = T.add(loss, _pruning_scalar_loss(outputs, example, cfg.positive_weight))
+    return T.mul(loss, float(cfg.beta))
 
 
 def answer_score_gap(scores: pr.PruningScores, selection: pr.Selection,
@@ -598,42 +546,44 @@ def save_checkpoint(path, model: DoTModel) -> None:
         named[f"{prefix}.head_b"] = tower.head_b.data
     header = {
         "kind": "dot_model",
-        "config": vars(model.config) | {},
+        "config": vars(model.config),
         "vocab": model.vocab.tokens(),
-        "pruning_config": _config_dict(model.pruning.encoder.config),
-        "task_config": _config_dict(model.task.encoder.config),
+        "pruning_config": vars(model.pruning.encoder.config),
+        "task_config": vars(model.task.encoder.config),
     }
     save_tensors(path, named, header)
 
 
-def _config_dict(cfg: enc.EncoderConfig) -> dict:
-    return {k: getattr(cfg, k) for k in (
-        "num_layers", "hidden", "num_heads", "intermediate", "vocab_size",
-        "max_input", "hidden_dropout", "attention_dropout", "seed")}
-
-
 def load_checkpoint(path) -> DoTModel:
+    """Rebuild a model from ``save_checkpoint`` output, strictly.
+
+    Every tensor of both towers must be present with its expected shape and
+    one shared dtype, and nothing else may be stored.
+    """
     header, tensors = load_tensors(path)
     if header.get("kind") != "dot_model":
         raise ContractError(f"{path} is not a model checkpoint")
-    config = DoTConfig(**header["config"])
-    vocab = Vocabulary(header["vocab"][4:])  # reserved entries re-added by ctor
-    pruning_cfg = enc.EncoderConfig(**header["pruning_config"])
-    task_cfg = enc.EncoderConfig(**header["task_config"])
-    dtype = tensors["task.head_w"].dtype.type
-    pruning = pr.init_pruning_weights(pruning_cfg, dtype=dtype)
-    task_enc = enc.init_weights(task_cfg, dtype=dtype)
-    rng = np.random.Generator(np.random.PCG64(0))
-    task = TaskWeights(encoder=task_enc,
-                       head_w=T.Tensor(enc.truncated_normal(rng, (task_cfg.hidden, 1),
-                                                            dtype=dtype),
-                                       requires_grad=True),
-                       head_b=T.Tensor(np.zeros(1, dtype=dtype), requires_grad=True))
-    model = DoTModel(config=config, vocab=vocab, pruning=pruning, task=task)
-    for prefix, tower in (("pruning", model.pruning), ("task", model.task)):
-        named = tower.encoder.named_tensors()
-        for k, t in named.items():
-            t.data = tensors[f"{prefix}.{k}"].astype(dtype)
-        tower.head_w.data = tensors[f"{prefix}.head_w"].astype(dtype)
-        tower.head_b.data = tensors[f"{prefix}.head_b"].astype(dtype)
-    return model
+    try:
+        config = DoTConfig(**header["config"])
+        vocab = Vocabulary(header["vocab"][4:])  # reserved entries re-added by ctor
+        configs = {prefix: enc.EncoderConfig(**header[f"{prefix}_config"])
+                   for prefix in ("pruning", "task")}
+    except (KeyError, TypeError) as e:
+        raise ContractError(f"{path}: malformed checkpoint header ({e!r})") from None
+    towers = {}
+    for prefix, cfg in configs.items():
+        arrays = {}
+        for name, shape in enc.Tower.tensor_shapes(cfg).items():
+            arr = tensors.pop(f"{prefix}.{name}", None)
+            if arr is None or arr.shape != shape:
+                found = "missing" if arr is None else f"of shape {arr.shape}"
+                raise ContractError(f"{path}: tensor {prefix}.{name} is {found}, "
+                                    f"expected shape {shape}")
+            arrays[name] = arr
+        towers[prefix] = enc.Tower.from_arrays(cfg, arrays)
+    if tensors:
+        raise ContractError(f"{path}: unexpected tensors {sorted(tensors)}")
+    dtypes = {p.dtype for tower in towers.values() for p in tower.parameters()}
+    if len(dtypes) != 1:
+        raise ContractError(f"{path}: mixed tensor dtypes {sorted(map(str, dtypes))}")
+    return DoTModel(config=config, vocab=vocab, **towers)

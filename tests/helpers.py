@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from dotprune import encoder as enc
 from dotprune import tables as tb
+from dotprune import training as tr
 
 
 def random_example(rng, n_rows=2, n_cols=2, cell_tokens=2, vocab_words=12,
@@ -43,3 +45,15 @@ def drop_bias(seq, drop):
     bias = np.zeros(len(seq))
     bias[list(drop)] = -np.inf
     return bias
+
+
+def tiny_model(dataset, dot_config=None, dtype=np.float64, seed=0,
+               hidden=16, layers=2):
+    """A DoTModel with hand-sized towers, bypassing the published presets."""
+    cfg = dot_config or tr.DoTConfig(pre_limit=48, k=10)
+    vocab = tb.Vocabulary.from_examples(dataset)
+    enc_kw = dict(num_layers=layers, hidden=hidden, num_heads=2, intermediate=2 * hidden,
+                  vocab_size=len(vocab), max_input=cfg.pre_limit)
+    return tr.build_model(cfg, vocab, dtype=dtype, seed=seed,
+                          pruning_config=enc.EncoderConfig(seed=seed, **enc_kw),
+                          task_config=enc.EncoderConfig(seed=seed + 1, **enc_kw))

@@ -1,8 +1,8 @@
 """Acceptance battery. One test per criterion, one printed line per verdict.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. The training-based
-criteria (7, 8, 9) dominate the runtime; expect the full battery to take
-tens of minutes on a small machine.
+Run with ``pytest tests/test_acceptance.py -v -s``. The battery holds
+criteria 1-6 and 10; there are no criteria 7-9. It takes about a minute on
+a small machine.
 """
 
 import itertools

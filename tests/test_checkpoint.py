@@ -1,0 +1,97 @@
+"""Strict checkpoint files: exact names, shapes and dtypes, no stray errors."""
+
+import numpy as np
+import pytest
+
+from dotprune import container
+from dotprune import encoder as enc
+from dotprune import synth
+from dotprune import training as tr
+from dotprune.errors import ContractError
+from helpers import tiny_model
+
+
+def tiny_data():
+    return synth.generate(synth.GeneratorSpec(seed=3, n_examples=2, min_rows=1, max_rows=2,
+                                              min_cols=2, max_cols=2, max_cell_tokens=1,
+                                              vocab_size=20))
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, tiny_model(tiny_data(), dtype=np.float32, hidden=4, layers=1))
+    return path
+
+
+def rewrite(path, edit):
+    """Load the raw container, apply ``edit`` to its tensor dict, save it back."""
+    header, tensors = container.load_tensors(path)
+    edit(tensors)
+    container.save_tensors(path, tensors, header)
+
+
+def test_load_makes_no_random_draws(checkpoint, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random values")
+
+    monkeypatch.setattr(enc, "truncated_normal", no_draws)
+    model = tr.load_checkpoint(checkpoint)
+    assert model.task.head_w.shape == (4, 1)
+
+
+def test_resaving_a_loaded_checkpoint_is_byte_identical(checkpoint, tmp_path):
+    again = tmp_path / "again.ckpt"
+    tr.save_checkpoint(again, tr.load_checkpoint(checkpoint))
+    assert again.read_bytes() == checkpoint.read_bytes()
+
+
+def test_loaded_tensors_are_trainable_and_keep_dtype(checkpoint):
+    model = tr.load_checkpoint(checkpoint)
+    params = model.parameters()
+    assert all(p.requires_grad and p.data.dtype == np.float32 for p in params)
+    assert all(p.data.flags.writeable for p in params)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda t: t.pop("task.layer0.wq"), "missing"),
+    (lambda t: t.update({"task.extra": np.zeros(2, np.float32)}), "unexpected"),
+    (lambda t: t.update({"task.renamed_wq": t.pop("task.layer0.wq")}), "missing"),
+    (lambda t: t.update({"pruning.head_w": np.zeros((5, 1), np.float32)}), "shape"),
+    (lambda t: t.update({"task.head_b": t["task.head_b"].astype(np.float64)}), "mixed"),
+], ids=["missing", "extra", "renamed", "reshaped", "mixed_dtype"])
+def test_load_checkpoint_is_strict(checkpoint, edit, match):
+    rewrite(checkpoint, edit)
+    with pytest.raises(ContractError, match=match):
+        tr.load_checkpoint(checkpoint)
+
+
+def test_load_tensors_rejects_every_truncation(tmp_path):
+    path = tmp_path / "t.ckpt"
+    container.save_tensors(path, {"a": np.arange(3, dtype=np.float32),
+                                  "b": np.ones((2, 2))}, {"kind": "test"})
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ContractError):
+            container.load_tensors(cut)
+
+
+def test_load_tensors_rejects_unknown_descriptor_dtype(tmp_path):
+    path = tmp_path / "t.ckpt"
+    container.save_tensors(path, {"a": np.arange(3, dtype=np.float32)})
+    blob = path.read_bytes()
+    assert blob.count(b'"<f4"') == 1
+    path.write_bytes(blob.replace(b'"<f4"', b'"<i4"'))
+    with pytest.raises(ContractError, match="descriptor"):
+        container.load_tensors(path)
+
+
+def test_load_tensors_rejects_corrupt_header(tmp_path):
+    path = tmp_path / "t.ckpt"
+    container.save_tensors(path, {}, {"kind": "test"})
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b'{"kind"', b'\xff"kind"'))
+    with pytest.raises(ContractError):
+        container.load_tensors(path)

@@ -182,3 +182,105 @@ def test_cmd_verify_small(tmp_path, capsys):
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     assert set(report["suites"]) == {"gradients", "hard_drop_equivalence",
                                      "parameter_count"}
+
+
+def test_config_reaches_every_dataclass_field(tmp_path, monkeypatch):
+    from dotprune import training as tr
+
+    task = dict(TINY_TASK, positive_weight=3.0)
+    train = dict(TINY_TRAIN, pruning_lr_scale=0.5, exploration_noise=0.2, grad_clip=None)
+    cfg = write_config(tmp_path / "train.json", task=task, train=train, data=TINY_DATA)
+    seen = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(dot_config, train_config, dataset):
+        seen["dot"], seen["train"] = dot_config, train_config
+        raise Captured
+
+    monkeypatch.setattr(tr, "train", capture)
+    with pytest.raises(Captured):
+        cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert seen["dot"].positive_weight == 3.0
+    assert seen["train"].pruning_lr_scale == 0.5
+    assert seen["train"].exploration_noise == 0.2
+    assert seen["train"].grad_clip is None
+
+
+@pytest.mark.parametrize("section", ["train", "data.spec", "eval.spec"])
+def test_load_config_rejects_unknown_keys_in_every_section(tmp_path, section):
+    sections = {"task": TINY_TASK, "train": dict(TINY_TRAIN),
+                "data": json.loads(json.dumps(TINY_DATA)),
+                "eval": json.loads(json.dumps(TINY_DATA))}
+    target = sections
+    for part in section.split("."):
+        target = target[part]
+    target["bogus"] = 1
+    path = write_config(tmp_path / "c.json", **sections)
+    with pytest.raises(ConfigError, match="bogus"):
+        cli.load_config(path)
+
+
+@pytest.fixture
+def eval_inputs(tmp_path):
+    """A tiny saved model, a JSONL set spanning several length buckets, and a
+    config whose bucket edges split that set."""
+    import numpy as np
+
+    import helpers
+    from dotprune import synth, tables
+    from dotprune import training as tr
+
+    examples = synth.generate(synth.GeneratorSpec(
+        seed=5, n_examples=10, min_rows=1, max_rows=4, min_cols=2, max_cols=3,
+        max_cell_tokens=1, vocab_size=24))
+    lengths = sorted(tables.linearized_length(ex) for ex in examples)
+    edges = [lengths[3], lengths[6]]
+    model = helpers.tiny_model(examples, tr.DoTConfig(pre_limit=48, k=12),
+                               dtype=np.float32, hidden=8, layers=1)
+    ckpt = tmp_path / "model.ckpt"
+    tr.save_checkpoint(ckpt, model)
+    data = tmp_path / "data.jsonl"
+    tables.write_jsonl(data, examples)
+    cfg = write_config(tmp_path / "eval.json", eval={"bucket_edges": edges})
+    return ckpt, data, cfg, edges
+
+
+def run_eval(tmp_path, ckpt, data, cfg):
+    out = tmp_path / "eval"
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                   "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    return json.loads((out / "report.json").read_text())
+
+
+def test_eval_runs_one_forward_pass_per_example(tmp_path, eval_inputs, monkeypatch, capsys):
+    from dotprune import training as tr
+
+    ckpt, data, cfg, _ = eval_inputs
+    calls = []
+    original = tr.dot_forward
+
+    def counting(model, example, *args, **kwargs):
+        calls.append(id(example))
+        return original(model, example, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "dot_forward", counting)
+    report = run_eval(tmp_path, ckpt, data, cfg)
+    assert len(calls) == report["n_examples"] == 10
+    assert len(set(calls)) == 10
+
+
+def test_eval_bucket_accuracy_matches_per_bucket_evaluate(tmp_path, eval_inputs, capsys):
+    from dotprune import synth, tables
+    from dotprune import training as tr
+
+    ckpt, data, cfg, edges = eval_inputs
+    report = run_eval(tmp_path, ckpt, data, cfg)
+    model = tr.load_checkpoint(ckpt)
+    buckets = synth.bucketize(tables.read_jsonl(data), edges=edges)
+    assert len(buckets) >= 2
+    expected = {label: tr.evaluate(model, members).accuracy
+                for label, members in buckets.items()}
+    assert report["bucket_accuracy"] == expected

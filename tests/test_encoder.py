@@ -60,10 +60,16 @@ def _plain_attention(q, k, v):
     return (ex / ex.sum(axis=-1, keepdims=True)) @ v
 
 
+def _attend(q, k, v, bias, mode="key"):
+    """Single-head attention through the encoder's own probability path."""
+    bias_t = enc.attention_bias(bias, k.shape[-2], q.dtype, mode)
+    return T.matmul(enc.attention_probs(q, k, bias_t, mode), v)
+
+
 def test_biased_attention_zero_bias_is_unbiased():
     rng = np.random.default_rng(0)
     q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
-    out = enc.biased_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), np.zeros(3))
+    out = _attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), np.zeros(3))
     np.testing.assert_allclose(out.data, _plain_attention(q, k, v), atol=1e-12)
 
 
@@ -72,20 +78,20 @@ def test_biased_attention_single_query_weights():
     q = T.Tensor(np.zeros((1, 2)))
     k = T.Tensor(np.zeros((2, 2)))
     v = T.Tensor(np.eye(2))
-    out = enc.biased_attention(q, k, v, np.array([0.0, np.log(0.5)]))
+    out = _attend(q, k, v, np.array([0.0, np.log(0.5)]))
     np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_biased_attention_rejects_positive_bias():
     q = T.Tensor(np.zeros((1, 2)))
     with pytest.raises(ContractError):
-        enc.biased_attention(q, q, q, np.array([0.1]))
+        _attend(q, q, q, np.array([0.1]))
 
 
 def test_biased_attention_rejects_wrong_length():
     q = T.Tensor(np.zeros((2, 2)))
     with pytest.raises(ContractError):
-        enc.biased_attention(q, q, q, np.zeros(3))
+        _attend(q, q, q, np.zeros(3))
 
 
 def test_biased_attention_symmetric_drop_equals_reduced_set():
@@ -93,8 +99,7 @@ def test_biased_attention_symmetric_drop_equals_reduced_set():
     q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
     bias = np.zeros(5)
     bias[2] = -np.inf
-    full = enc.biased_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), bias,
-                                mode="symmetric").data
+    full = _attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), bias, mode="symmetric").data
     keep = [0, 1, 3, 4]
     reduced = _plain_attention(q[keep], k[keep], v[keep])
     assert np.max(np.abs(full[keep] - reduced)) < 1e-9
@@ -202,7 +207,7 @@ def test_forward_precision_agreement():
     seq = helpers.random_sequence(rng)
     cfg = enc.preset("mini", vocab_size=40, max_input=64, seed=1)
     w64 = enc.init_weights(cfg, dtype=np.float64)
-    w32 = enc.cast_weights(w64, np.float32)
+    w32 = enc.init_weights(cfg, dtype=np.float32)
     with T.no_grad():
         h64, _ = enc.forward(w64, seq)
         h32, _ = enc.forward(w32, seq)
@@ -228,7 +233,7 @@ def test_single_attention_layer_gradient_check():
 
     def f(params):
         qq, kk, vv, bb = params
-        out = enc.biased_attention(qq, kk, vv, bb)
+        out = _attend(qq, kk, vv, bb)
         return T.tensor_sum(T.mul(out, out))
 
     assert T.gradient_check(f, [q, k, v, bias], eps=1e-5) < 1e-4

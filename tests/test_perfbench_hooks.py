@@ -1,0 +1,56 @@
+"""The benchmark's tracer and FLOP cross-check still fit the package.
+
+``perfbench/`` wraps module attributes that the pipeline looks up at call
+time and counts the FLOPs of every ``tensor.matmul``. A rename of a wrapped
+function, or a GEMM that bypasses ``tensor.matmul``, fails here.
+"""
+
+import pathlib
+
+import numpy as np
+import pytest
+
+from dotprune import encoder, pruning, tables, tensor, training
+from dotprune import synth
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = {"tensor": tensor, "encoder": encoder, "pruning": pruning, "tables": tables,
+           "synth": synth, "training": training}
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import flops
+    import tracer
+
+    return tracer, flops
+
+
+def test_tracer_wraps_the_pipeline_and_flops_match_matmuls(perfbench):
+    import helpers
+
+    tracer_mod, flops = perfbench
+    examples = synth.generate(synth.GeneratorSpec(seed=2, n_examples=1, min_rows=2,
+                                                  max_rows=2, max_cell_tokens=1,
+                                                  vocab_size=20))
+    model = helpers.tiny_model(examples, dtype=np.float32, hidden=8, layers=1)
+    tracer = tracer_mod.Tracer()
+    tracer.install_pipeline(MODULES, per_example_ops=False)
+    try:
+        tracer.register_model(model)
+        out = training.dot_forward(model, examples[0])
+        training.compute_loss(model, out, examples[0])
+    finally:
+        tracer.uninstall()
+    assert tracer_mod.unwrapped(MODULES)
+    names = {s.name for s in tracer.spans}
+    assert {"training.dot_forward", "encoder.scorer.forward", "encoder.task.forward",
+            "pruning.score_tokens", "pruning.build_bias",
+            "training.compute_loss"} <= names
+
+    seq = training.preselect(tables.linearize(examples[0], model.vocab), examples[0],
+                             model.config)
+    for weights in (model.pruning.encoder, model.task.encoder):
+        seen = flops.matmul_flops_seen(tensor, encoder, weights, seq)
+        assert seen == flops.encoder_forward_flops(weights.config, len(seq))

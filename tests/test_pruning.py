@@ -14,7 +14,7 @@ from dotprune.errors import BudgetError, ContractError
 def tiny_pruning(seed=0, dtype=np.float64):
     cfg = enc.EncoderConfig(num_layers=2, hidden=16, num_heads=2, intermediate=32,
                             vocab_size=40, max_input=40, seed=seed)
-    return pr.init_pruning_weights(cfg, dtype=dtype)
+    return enc.init_tower(cfg, cfg.seed + 101, dtype)
 
 
 def seq_with_scores(rng, values=None, **kw):
@@ -197,7 +197,7 @@ def test_build_bias_all_zero_scores_gives_zero_bias():
     seq = helpers.random_sequence(rng)
     scores = pr.constant_scores(seq, 0.0)
     sel = pr.select_top_k_tokens(scores, seq, len(seq))
-    bias = pr.build_bias(sel, scores, "soft")
+    bias = pr.build_bias(sel, scores)
     np.testing.assert_array_equal(bias.data, 0.0)
 
 
@@ -207,7 +207,7 @@ def test_build_bias_kept_token_carries_its_score():
     vals = np.full(len(seq), np.log(0.5))
     scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(vals), logits=T.Tensor(vals))
     sel = pr.select_top_k_tokens(scores, seq, len(seq))
-    bias = pr.build_bias(sel, scores, "soft")
+    bias = pr.build_bias(sel, scores)
     for j, i in enumerate(sel.kept_indices):
         if seq.segment_ids[i] == 1:
             assert bias.data[j] == pytest.approx(np.log(0.5))
@@ -223,27 +223,13 @@ def test_build_bias_soft_gradient_only_for_kept_tokens():
     qspan = seq.question_span()
     k = len(qspan) + max(1, len(seq.table_indices()) // 2)
     sel = pr.select_top_k_tokens(scores, seq, k)
-    bias = pr.build_bias(sel, scores, "soft")
+    bias = pr.build_bias(sel, scores)
     T.backward(T.tensor_sum(bias))
     g = scores.log_probs.grad
     kept_table = [i for i in sel.kept_indices if seq.segment_ids[i] == 1]
     dropped = set(range(len(seq))) - set(sel.kept_indices)
     assert all(g[i] != 0 for i in kept_table)
     assert all(g[i] == 0 for i in dropped)
-
-
-def test_build_bias_hard_marks_dropped_with_inf():
-    rng = np.random.default_rng(14)
-    seq, scores = seq_with_scores(rng)
-    qspan = seq.question_span()
-    sel = pr.select_top_k_tokens(scores, seq, len(qspan) + 1)
-    bias = pr.build_bias(sel, scores, "hard")
-    assert bias.shape == (len(seq),)
-    for i in range(len(seq)):
-        if i in sel.kept_indices:
-            assert bias[i] == 0.0
-        else:
-            assert np.isneginf(bias[i])
 
 
 def test_hard_drop_equivalence_empty_drop_is_zero():
@@ -289,7 +275,7 @@ def test_full_keep_with_zero_scores_reproduces_unpruned_forward():
     w = enc.init_weights(cfg, dtype=np.float64)
     scores = pr.constant_scores(seq, 0.0)
     sel = pr.select_top_k_tokens(scores, seq, len(seq))
-    bias = pr.build_bias(sel, scores, "soft")
+    bias = pr.build_bias(sel, scores)
     with T.no_grad():
         biased, _ = enc.forward(w, pr.compact(seq, sel), bias=bias)
         plain, _ = enc.forward(w, seq)

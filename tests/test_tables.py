@@ -227,17 +227,6 @@ def test_jsonl_round_trip(tmp_path):
     assert back == exs
 
 
-def test_csv_import_with_sidecar_questions(tmp_path):
-    csv_path = tmp_path / "table.csv"
-    csv_path.write_text("name,age\nann,3\nbo,5\n")
-    q_path = tmp_path / "questions.txt"
-    q_path.write_text("how old is ann\nhow old is bo\n")
-    exs = tb.read_csv_with_questions(csv_path, q_path)
-    assert len(exs) == 2
-    assert exs[0].table.header == ("name", "age")
-    assert exs[1].question == "how old is bo"
-
-
 def test_example_requires_exactly_one_supervision():
     t = tb.Table.make(["h"], [["x"]])
     with pytest.raises(ContractError):

@@ -101,18 +101,6 @@ def test_gelu_at_zero():
     assert T.gelu(T.Tensor([0.0])).data[0] == 0.0
 
 
-def test_cross_entropy_uniform_is_log_n():
-    n = 7
-    logits = T.Tensor(np.zeros((1, n)))
-    target = T.Tensor(np.full((1, n), 1.0 / n))
-    assert abs(T.cross_entropy(logits, target).item() - np.log(n)) < 1e-12
-
-
-def test_cross_entropy_rejects_unnormalized_target():
-    with pytest.raises(ContractError):
-        T.cross_entropy(T.Tensor(np.zeros((1, 3))), T.Tensor([[0.5, 0.2, 0.2]]))
-
-
 def test_adamw_single_step_decreases_weight():
     w = T.Tensor(np.array([1.0]), requires_grad=True)
     # f(w) = w^2, grad = 2w

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,27 +9,13 @@ from dotprune import synth
 from dotprune import tensor as T
 from dotprune import training as tr
 from dotprune.errors import ConfigError, ContractError, TrainingDivergedError
-from dotprune.tables import Vocabulary
+from helpers import tiny_model
 
 
-def tiny_model(dataset, dot_config=None, dtype=np.float64, seed=0,
-               hidden=16, layers=2):
-    """A DoTModel with hand-sized towers, bypassing the published presets."""
-    cfg = dot_config or tr.DoTConfig(pre_limit=48, k=10)
-    vocab = Vocabulary.from_examples(dataset)
-    enc_kw = dict(num_heads=2, intermediate=2 * hidden, vocab_size=len(vocab),
-                  max_input=cfg.pre_limit)
-    p_cfg = enc.EncoderConfig(num_layers=layers, hidden=hidden, seed=seed, **enc_kw)
-    t_cfg = enc.EncoderConfig(num_layers=layers, hidden=hidden, seed=seed + 1, **enc_kw)
-    rng = np.random.Generator(np.random.PCG64(seed + 202))
-    task = tr.TaskWeights(
-        encoder=enc.init_weights(t_cfg, dtype=dtype),
-        head_w=T.Tensor(enc.truncated_normal(rng, (hidden, 1), dtype=dtype),
-                        requires_grad=True),
-        head_b=T.Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-    )
-    return tr.DoTModel(config=cfg, vocab=vocab,
-                       pruning=pr.init_pruning_weights(p_cfg, dtype=dtype), task=task)
+def loss_of(model, out, ex, mode="J", beta=1.0):
+    """``compute_loss`` under the given loss mode and beta."""
+    model.config = dataclasses.replace(model.config, loss_mode=mode, beta=beta)
+    return tr.compute_loss(model, out, ex)
 
 
 def lookup_data(n=8, seed=0, **kw):
@@ -93,7 +81,7 @@ def test_loss_j_perfect_logits_near_zero():
     for j, v in zip(out.kept_table_slots, forced):
         logits[j] = v
     out.token_logits = T.Tensor(logits)
-    assert tr.loss_j_dot(out, ex, beta=1.0).item() < 1e-12
+    assert loss_of(model, out, ex).item() < 1e-12
 
 
 def test_loss_j_gradient_reaches_pruning_weights():
@@ -101,7 +89,7 @@ def test_loss_j_gradient_reaches_pruning_weights():
     model = tiny_model(data)
     ex = data[0]
     out = tr.dot_forward(model, ex)
-    loss = tr.loss_j_dot(out, ex, beta=1.0)
+    loss = loss_of(model, out, ex)
     T.zero_grads(model.parameters())
     T.backward(loss, params=model.parameters())
     head_grad = np.abs(model.pruning.head_w.grad).max()
@@ -113,7 +101,7 @@ def test_loss_j_beta_zero_gives_zero_loss_and_grads():
     model = tiny_model(data)
     ex = data[0]
     out = tr.dot_forward(model, ex)
-    loss = tr.loss_j_dot(out, ex, beta=0.0)
+    loss = loss_of(model, out, ex, beta=0.0)
     assert loss.item() == 0.0
     T.zero_grads(model.parameters())
     T.backward(loss, params=model.parameters())
@@ -126,7 +114,7 @@ def test_j_gradients_flow_only_through_bias():
     model = tiny_model(data)
     ex = data[0]
     out = tr.dot_forward(model, ex, detach_bias=True)
-    loss = tr.loss_j_dot(out, ex, beta=1.0)
+    loss = loss_of(model, out, ex)
     T.zero_grads(model.parameters())
     T.backward(loss, params=model.parameters())
     assert all(np.all(p.grad == 0) for p in model.pruning_parameters())
@@ -139,7 +127,7 @@ def test_loss_p_requires_detached_bias():
     ex = data[0]
     out = tr.dot_forward(model, ex)
     with pytest.raises(ContractError):
-        tr.loss_p_dot(out, ex, beta=1.0)
+        loss_of(model, out, ex, "P")
 
 
 def test_loss_p_task_term_detached_but_aux_term_reaches_scorer():
@@ -147,7 +135,7 @@ def test_loss_p_task_term_detached_but_aux_term_reaches_scorer():
     model = tiny_model(data)
     ex = data[0]
     out = tr.dot_forward(model, ex, detach_bias=True)
-    loss = tr.loss_p_dot(out, ex, beta=1.0)
+    loss = loss_of(model, out, ex, "P")
     T.zero_grads(model.parameters())
     T.backward(loss, params=model.parameters())
     assert np.abs(model.pruning.head_w.grad).max() > 0.0
@@ -173,8 +161,8 @@ def test_p_equals_pj_value_when_bias_zero_everywhere():
     override = lambda s: pr.constant_scores(s, 0.0)
     detached = tr.dot_forward(model, ex, detach_bias=True, scores_override=override)
     attached = tr.dot_forward(model, ex, detach_bias=False, scores_override=override)
-    p = tr.loss_p_dot(detached, ex, beta=0.7).item()
-    pj = tr.loss_pj_dot(attached, ex, beta=0.7).item()
+    p = loss_of(model, detached, ex, "P", 0.7).item()
+    pj = loss_of(model, attached, ex, "PJ", 0.7).item()
     assert abs(p - pj) < 1e-12
 
 
@@ -191,34 +179,25 @@ def test_pj_gradient_is_sum_of_both_paths():
         T.backward(loss_fn(out), params=model.parameters())
         return [p.grad.copy() for p in model.pruning_parameters()]
 
-    g_pj = grads_of(lambda o: tr.loss_pj_dot(o, ex, 1.0), detach=False)
-    g_j = grads_of(lambda o: tr.loss_j_dot(o, ex, 1.0), detach=False)
-    g_p = grads_of(lambda o: tr.loss_p_dot(o, ex, 1.0), detach=True)
+    g_pj = grads_of(lambda o: loss_of(model, o, ex, "PJ"), detach=False)
+    g_j = grads_of(lambda o: loss_of(model, o, ex, "J"), detach=False)
+    g_p = grads_of(lambda o: loss_of(model, o, ex, "P"), detach=True)
     assert any(np.abs(g).max() > 0 for g in g_j)
     assert any(np.abs(g).max() > 0 for g in g_p)
     for a, b, c in zip(g_pj, g_j, g_p):
         np.testing.assert_allclose(a, b + c, atol=1e-12)
 
 
-def test_benchmark_train_presets():
-    p = tr.BENCHMARK_TRAIN_PRESETS
-    assert p["wikisql"] == dict(learning_rate=6e-5, warmup_ratio=0.14,
-                                hidden_dropout=0.1, attention_dropout=0.1,
-                                num_steps=50_000)
-    assert p["tabfact"]["num_steps"] == 80_000
-    assert p["wikitq"]["learning_rate"] == 1.9e-5
-    for preset in p.values():
-        tr.TrainConfig(**preset)  # all presets are valid configs
-
-
-def test_pj_reduces_to_j_with_zero_pruning_weight():
+def test_pj_is_j_plus_beta_times_pruning_term():
     data = lookup_data()
     model = tiny_model(data)
     ex = data[0]
     out = tr.dot_forward(model, ex)
-    pj = tr.loss_pj_dot(out, ex, beta=1.3, pruning_loss_weight=0.0).item()
-    j = tr.loss_j_dot(out, ex, beta=1.3).item()
-    assert abs(pj - j) < 1e-12
+    pj = loss_of(model, out, ex, "PJ", 1.3).item()
+    j = loss_of(model, out, ex, "J", 1.3).item()
+    aux = tr._pruning_scalar_loss(out, ex).item()
+    assert aux > 0.0
+    assert abs(pj - (j + 1.3 * aux)) < 1e-12
 
 
 def test_pj_loss_finite_at_score_floor():
@@ -229,7 +208,7 @@ def test_pj_loss_finite_at_score_floor():
     ex = data[0]
     out = tr.dot_forward(model, ex)
     assert (out.scores.values >= tr.SCORE_FLOOR).all()
-    assert np.isfinite(tr.loss_pj_dot(out, ex, beta=1.0).item())
+    assert np.isfinite(loss_of(model, out, ex, "PJ").item())
 
 
 def test_answer_score_gap_uniform_scores_zero():
