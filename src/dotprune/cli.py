@@ -33,6 +33,8 @@ _TOP_KEYS = {"schema_version", "task", "train", "data", "eval"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
@@ -48,10 +50,13 @@ def load_config(path) -> dict:
     from .training import DoTConfig, TrainConfig
 
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as e:
+            raise ConfigError(f"{path} is not valid JSON ({e})") from None
+    _check_keys(cfg, _TOP_KEYS, "top level")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare schema_version {SCHEMA_VERSION}")
-    _check_keys(cfg, _TOP_KEYS, "top level")
     _check_keys(cfg.get("task", {}), _field_names(DoTConfig), "task")
     _check_keys(cfg.get("train", {}), _field_names(TrainConfig), "train")
     for section in ("data", "eval"):
@@ -100,6 +105,8 @@ def _dataset_from_section(section: dict):
 
     source = section.get("source", "synthetic")
     if source == "jsonl":
+        if "path" not in section:
+            raise ConfigError("a jsonl data source needs a path")
         return tables.read_jsonl(section["path"])
     if source == "synthetic":
         return synth.generate(synth.GeneratorSpec(**section.get("spec", {})))
@@ -377,6 +384,8 @@ def cmd_eval(args) -> int:
     from . import training as tr
 
     cfg = load_config(args.config) if args.config else {"schema_version": 1}
+    if not (args.dataset or "eval" in cfg or "data" in cfg):
+        raise ConfigError("eval needs --dataset or a config with an eval or data section")
     out_dir = args.out or "eval"
     os.makedirs(out_dir, exist_ok=True)
     model = tr.load_checkpoint(args.checkpoint)

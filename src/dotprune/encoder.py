@@ -51,8 +51,6 @@ class EncoderConfig:
     intermediate: int
     vocab_size: int = DEFAULT_VOCAB_SIZE
     max_input: int = 1024
-    hidden_dropout: float = 0.0
-    attention_dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -327,29 +325,14 @@ def attention_probs(q: T.Tensor, k: T.Tensor, bias: T.Tensor | None,
             scores = T.add(scores, T.reshape(bias, lead + (1, n)))
         if mode in ("query", "symmetric"):
             scores = T.add(scores, T.reshape(bias, lead + (n, 1)))
-    return T.softmax_rows(scores, on_empty="zeros")
-
-
-def _dropout(x: T.Tensor, rate: float, rng: np.random.Generator | None) -> T.Tensor:
-    if rate <= 0.0 or rng is None:
-        return x
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return T.mul(x, T.Tensor(mask))
-
-
-@dataclass
-class ForwardTrace:
-    """Optional per-layer attention probabilities captured during forward."""
-
-    attention_probs: list[np.ndarray] = field(default_factory=list)
+    return T.softmax_rows(scores)
 
 
 def _clip_ids(ids, cap=STRUCT_ID_CAP):
     return np.minimum(np.asarray(ids, dtype=np.int64), cap)
 
 
-def embed(weights: EncoderWeights, seq: TokenizedSequence,
-          train_rng: np.random.Generator | None = None) -> T.Tensor:
+def embed(weights: EncoderWeights, seq: TokenizedSequence) -> T.Tensor:
     """Sum word, position, and structural-type embeddings, then normalize."""
     cfg = weights.config
     positions = np.asarray(seq.effective_positions(), dtype=np.int64)
@@ -368,18 +351,15 @@ def embed(weights: EncoderWeights, seq: TokenizedSequence,
     x = T.add(x, T.take_rows(weights.type_binary, zeros))
     x = T.add(x, T.take_rows(weights.type_relation, zeros))
     x = T.add(x, T.take_rows(weights.type_inv_rank, zeros))
-    x = T.layer_norm(x, weights.emb_ln_gain, weights.emb_ln_bias)
-    return _dropout(x, cfg.hidden_dropout, train_rng)
+    return T.layer_norm(x, weights.emb_ln_gain, weights.emb_ln_bias)
 
 
 def forward(weights: EncoderWeights, seq: TokenizedSequence,
-            bias: T.Tensor | np.ndarray | None = None, mode: str = "key",
-            train_rng: np.random.Generator | None = None,
-            trace: ForwardTrace | None = None) -> tuple[T.Tensor, T.Tensor]:
+            bias: T.Tensor | np.ndarray | None = None, mode: str = "key"
+            ) -> tuple[T.Tensor, T.Tensor]:
     """Run the encoder stack; returns (hidden states (n, H), pooled CLS (1, H)).
 
-    ``bias`` applies in every layer. Pass ``train_rng`` to enable dropout
-    with the config's rates; verification and evaluation leave it None.
+    ``bias`` applies in every layer.
     """
     cfg = weights.config
     n = len(seq)
@@ -387,7 +367,7 @@ def forward(weights: EncoderWeights, seq: TokenizedSequence,
         raise InputTooLongError(f"sequence length {n} exceeds max_input {cfg.max_input}")
     bias_t = attention_bias(bias, n, weights.word.dtype, mode)
 
-    x = embed(weights, seq, train_rng)
+    x = embed(weights, seq)
     heads, d = cfg.num_heads, cfg.head_dim
 
     def split_heads(t: T.Tensor) -> T.Tensor:
@@ -398,16 +378,11 @@ def forward(weights: EncoderWeights, seq: TokenizedSequence,
         k = split_heads(T.add(T.matmul(x, lw.wk), lw.bk))
         v = split_heads(T.add(T.matmul(x, lw.wv), lw.bv))
         probs = attention_probs(q, k, bias_t, mode)
-        if trace is not None:
-            trace.attention_probs.append(probs.data.copy())
-        probs = _dropout(probs, cfg.attention_dropout, train_rng)
         ctx = T.reshape(T.permute(T.matmul(probs, v), (1, 0, 2)), (n, cfg.hidden))
-        attn_out = _dropout(T.add(T.matmul(ctx, lw.wo), lw.bo), cfg.hidden_dropout,
-                            train_rng)
+        attn_out = T.add(T.matmul(ctx, lw.wo), lw.bo)
         x = T.layer_norm(T.add(x, attn_out), lw.ln1_gain, lw.ln1_bias)
         ff = T.matmul(T.gelu(T.add(T.matmul(x, lw.w_inter), lw.b_inter)), lw.w_out)
-        ff = _dropout(T.add(ff, lw.b_out), cfg.hidden_dropout, train_rng)
-        x = T.layer_norm(T.add(x, ff), lw.ln2_gain, lw.ln2_bias)
+        x = T.layer_norm(T.add(x, T.add(ff, lw.b_out)), lw.ln2_gain, lw.ln2_bias)
 
     cls = T.take_rows(x, np.array([0]))
     pooled = T.tanh(T.add(T.matmul(cls, weights.pooler_w), weights.pooler_b))

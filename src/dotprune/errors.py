@@ -13,10 +13,6 @@ class ContractError(DotpruneError, ValueError):
     """An input violates a documented precondition."""
 
 
-class DegenerateRowError(ContractError):
-    """A softmax row contains no finite entry."""
-
-
 class InputTooLongError(DotpruneError, ValueError):
     """A token sequence cannot fit the configured budget."""
 

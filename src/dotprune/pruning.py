@@ -49,7 +49,6 @@ class Selection:
     """An ordered subset of sequence positions within a token budget."""
 
     kept_indices: tuple[int, ...]
-    mode: str
     k: int
 
     def __post_init__(self):
@@ -59,10 +58,9 @@ class Selection:
             raise ContractError("selection exceeds its budget")
 
 
-def score_tokens(weights: enc.Tower, seq: TokenizedSequence,
-                 train_rng: np.random.Generator | None = None) -> PruningScores:
+def score_tokens(weights: enc.Tower, seq: TokenizedSequence) -> PruningScores:
     """Score every token with log P(relevant); differentiable."""
-    hidden, _ = enc.forward(weights.encoder, seq, train_rng=train_rng)
+    hidden, _ = enc.forward(weights.encoder, seq)
     logits = T.reshape(T.add(T.matmul(hidden, weights.head_w), weights.head_b),
                        (len(seq),))
     return PruningScores(seq=seq, log_probs=T.log_sigmoid(logits), logits=logits)
@@ -101,7 +99,7 @@ def select_top_k_tokens(scores: PruningScores, seq: TokenizedSequence,
     s = scores.values
     ranked = sorted(table, key=lambda i: (-s[i], i))
     kept = sorted(set(qspan) | set(ranked[:budget]))
-    return Selection(tuple(kept), mode="token", k=k)
+    return Selection(tuple(kept), k=k)
 
 
 def column_scores(scores: PruningScores, seq: TokenizedSequence) -> dict[int, float]:
@@ -138,7 +136,7 @@ def select_columns(col_scores: dict[int, float], seq: TokenizedSequence,
         if size <= budget:
             kept.update(members.get(c, ()))
             budget -= size
-    return Selection(tuple(sorted(kept)), mode="column", k=k)
+    return Selection(tuple(sorted(kept)), k=k)
 
 
 def compact(seq: TokenizedSequence, selection: Selection) -> TokenizedSequence:

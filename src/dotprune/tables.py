@@ -16,7 +16,7 @@ import json
 import string
 from dataclasses import dataclass
 
-from .errors import BudgetError, ContractError, InputTooLongError
+from .errors import ContractError, InputTooLongError
 
 PAD_ID = 0
 CLS_ID = 1
@@ -115,9 +115,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def tokens(self) -> list[str]:
         """All tokens in id order (reserved entries first)."""
@@ -223,19 +220,13 @@ def linearized_length(example: Example) -> int:
     return n
 
 
-def linearize(example: Example, vocab: Vocabulary,
-              max_len: int | None = None) -> TokenizedSequence:
+def linearize(example: Example, vocab: Vocabulary) -> TokenizedSequence:
     """Encode an example as [CLS] question [SEP] header cells.
 
-    Never truncates: if the result would exceed ``max_len`` the caller must
-    shorten it with ``cc_select`` or ``hem_select``; exceeding the budget
-    raises instead of silently dropping tokens.
+    Never truncates: budgets are enforced afterwards by ``cc_select`` or
+    ``hem_select``.
     """
     q_tokens = tokenize(example.question)
-    if max_len is not None and len(q_tokens) + 2 > max_len:
-        raise InputTooLongError(
-            f"question alone needs {len(q_tokens) + 2} tokens, budget is {max_len}")
-
     ids = [CLS_ID] + [vocab.id_of(t) for t in q_tokens] + [SEP_ID]
     seg = [0] * len(ids)
     col = [0] * len(ids)
@@ -252,10 +243,6 @@ def linearize(example: Example, vocab: Vocabulary,
             rank.append(min(j + 1, STRUCT_ID_CAP))
             origin.append(org)
 
-    if max_len is not None and len(ids) > max_len:
-        raise InputTooLongError(
-            f"sequence length {len(ids)} exceeds budget {max_len}; "
-            "apply cc_select or hem_select")
     return TokenizedSequence(tuple(ids), tuple(seg), tuple(col), tuple(row),
                              tuple(rank), tuple(origin))
 
@@ -380,12 +367,26 @@ def example_to_dict(ex: Example) -> dict:
     return rec
 
 
-def example_from_dict(rec: dict) -> Example:
-    table = Table.make(rec["header"], rec["rows"])
-    if "answers" in rec:
-        coords = frozenset((int(r), int(c)) for r, c in rec["answers"])
-        return Example(rec["question"], table, answer_coords=coords)
-    return Example(rec["question"], table, label=int(rec["label"]))
+def _list_of(value, kind) -> bool:
+    return type(value) is list and all(type(v) is kind for v in value)
+
+
+def example_from_dict(rec) -> Example:
+    """Inverse of ``example_to_dict``; a malformed record raises ``ContractError``."""
+    if type(rec) is not dict or not {"question", "header", "rows"} <= set(rec):
+        raise ContractError("example record is not an object with question, header, rows")
+    rows, answers = rec["rows"], rec.get("answers")
+    if not (type(rec["question"]) is str and _list_of(rec["header"], str)
+            and _list_of(rows, list) and all(_list_of(r, str) for r in rows)):
+        raise ContractError("example question, header and cells must be strings")
+    table = Table.make(rec["header"], rows)
+    if "answers" not in rec:
+        if type(rec.get("label")) is not int:
+            raise ContractError("example label must be an integer")
+        return Example(rec["question"], table, label=rec["label"])
+    if not (_list_of(answers, list) and all(len(a) == 2 and _list_of(a, int) for a in answers)):
+        raise ContractError("example answers must be [row, col] integer pairs")
+    return Example(rec["question"], table, answer_coords=frozenset(map(tuple, answers)))
 
 
 def write_jsonl(path, examples) -> None:
@@ -395,10 +396,15 @@ def write_jsonl(path, examples) -> None:
 
 
 def read_jsonl(path) -> list[Example]:
+    """One example per non-blank line; a bad line raises ``ContractError``
+    naming the file and line number."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(example_from_dict(json.loads(line)))
+                try:
+                    out.append(example_from_dict(json.loads(line)))
+                except ValueError as e:  # ContractError and JSONDecodeError alike
+                    raise ContractError(f"{path}, line {lineno}: {e}") from None
     return out

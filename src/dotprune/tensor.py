@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DegenerateRowError, ShapeError
+from .errors import ContractError, ShapeError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -47,10 +47,9 @@ class Tensor:
     parents and a backward closure; leaves record neither.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn", "name")
+    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None,
-                 name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
@@ -59,7 +58,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self.backward_fn: Callable | None = backward_fn
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,45 +70,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def detach(self) -> "Tensor":
         """Return a leaf sharing this tensor's values, cut from the graph."""
         return Tensor(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
-
-    # Operator sugar; all arithmetic routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other, self.dtype), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self.dtype), mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 def _as_tensor(x, dtype=None) -> Tensor:
@@ -287,12 +252,6 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _node(out, (a,), back)
 
 
-def mean(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    return mul(tensor_sum(a), 1.0 / n)
-
-
 def maximum_scalar(a: Tensor, floor: float) -> Tensor:
     """Elementwise max(a, floor); gradient passes only where a > floor."""
     a = _as_tensor(a)
@@ -353,13 +312,12 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), back)
 
 
-def softmax_rows(a: Tensor, on_empty: str = "error") -> Tensor:
+def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis.
 
-    Entries equal to -inf map to an exact 0. A row with no finite entry is
-    a contract violation (``on_empty="error"``); attention layers pass
-    ``on_empty="zeros"`` so fully masked rows become all-zero rows, which is
-    the convention that makes hard token drops exact.
+    Entries equal to -inf map to an exact 0, and a row with no finite entry
+    becomes an all-zero row: the convention that makes hard token drops
+    exact.
     """
     a = _as_tensor(a)
     x = a.data
@@ -368,8 +326,6 @@ def softmax_rows(a: Tensor, on_empty: str = "error") -> Tensor:
     rowmax = np.max(x, axis=-1, keepdims=True)
     empty = np.isneginf(rowmax)
     if empty.any():
-        if on_empty == "error":
-            raise DegenerateRowError("softmax_rows: a row is entirely -inf")
         rowmax = np.where(empty, 0.0, rowmax)
     ex = np.exp(x - rowmax)
     denom = ex.sum(axis=-1, keepdims=True)

@@ -74,8 +74,6 @@ class DoTConfig:
 class TrainConfig:
     learning_rate: float = 1e-3
     warmup_ratio: float = 0.1
-    hidden_dropout: float = 0.0
-    attention_dropout: float = 0.0
     num_steps: int = 200
     batch_size: int = 4
     seed: int = 0
@@ -123,9 +121,7 @@ class DoTModel:
 
 
 def build_model(config: DoTConfig, vocab: Vocabulary, dtype=np.float32,
-                seed: int = 0, hidden_dropout: float = 0.0,
-                attention_dropout: float = 0.0,
-                pruning_config: enc.EncoderConfig | None = None,
+                seed: int = 0, pruning_config: enc.EncoderConfig | None = None,
                 task_config: enc.EncoderConfig | None = None) -> DoTModel:
     """Construct both towers sized for the vocabulary and budgets.
 
@@ -135,11 +131,10 @@ def build_model(config: DoTConfig, vocab: Vocabulary, dtype=np.float32,
     """
     pruning_cfg = pruning_config or enc.preset(
         config.pruning_preset, vocab_size=len(vocab), max_input=config.pre_limit,
-        seed=seed, hidden_dropout=hidden_dropout, attention_dropout=attention_dropout)
+        seed=seed)
     task_cfg = task_config or enc.preset(
         config.task_preset, vocab_size=len(vocab), max_input=config.pre_limit,
-        seed=seed + 1, hidden_dropout=hidden_dropout,
-        attention_dropout=attention_dropout)
+        seed=seed + 1)
     return DoTModel(config=config, vocab=vocab,
                     pruning=enc.init_tower(pruning_cfg, pruning_cfg.seed + 101, dtype),
                     task=enc.init_tower(task_cfg, seed + 202, dtype))
@@ -169,7 +164,6 @@ def preselect(seq: TokenizedSequence, example: Example, config: DoTConfig
 
 
 def dot_forward(model: DoTModel, example: Example,
-                train_rng: np.random.Generator | None = None,
                 detach_bias: bool = False,
                 scores_override: Callable[[TokenizedSequence], pr.PruningScores] | None = None,
                 selection_override: pr.Selection | None = None,
@@ -192,7 +186,7 @@ def dot_forward(model: DoTModel, example: Example,
     if scores_override is not None:
         scores = scores_override(pre_seq)
     else:
-        scores = pr.score_tokens(model.pruning, pre_seq, train_rng=train_rng)
+        scores = pr.score_tokens(model.pruning, pre_seq)
     clipped = pr.PruningScores(seq=pre_seq,
                                log_probs=T.maximum_scalar(scores.log_probs, SCORE_FLOOR),
                                logits=scores.logits)
@@ -222,8 +216,7 @@ def dot_forward(model: DoTModel, example: Example,
     bias = pr.build_bias(selection, clipped)
     if detach_bias:
         bias = bias.detach()
-    hidden, pooled = enc.forward(model.task.encoder, compact_seq, bias=bias,
-                                 mode="key", train_rng=train_rng)
+    hidden, pooled = enc.forward(model.task.encoder, compact_seq, bias=bias, mode="key")
 
     kept_table_slots = [j for j, i in enumerate(selection.kept_indices)
                         if pre_seq.segment_ids[i] == 1]
@@ -355,30 +348,28 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     steps. ``stop_condition`` may end the run early (checked after
     ``step_callback``, every step). ``scores_override`` bypasses the scoring
     tower entirely (single-tower baselines); only the task tower trains.
+    A passed ``model`` must have been built for ``dot_config`` in the
+    precision of ``train_config``.
     """
     if not dataset:
         raise ContractError("dataset is empty")
     if model is None:
         vocab = Vocabulary.from_examples(dataset)
         model = build_model(dot_config, vocab, dtype=train_config.dtype,
-                            seed=train_config.seed,
-                            hidden_dropout=train_config.hidden_dropout,
-                            attention_dropout=train_config.attention_dropout)
-    if scores_override:
-        groups = [(model.task.parameters(), 1.0, {})]
-    elif train_config.pruning_lr_scale != 1.0:
-        groups = [(model.pruning.parameters(), train_config.pruning_lr_scale, {}),
-                  (model.task.parameters(), 1.0, {})]
-    else:
-        groups = [(model.parameters(), 1.0, {})]
+                            seed=train_config.seed)
+    if model.config != dot_config:
+        raise ContractError(f"model was built for {model.config}, not {dot_config}")
+    if any(p.dtype != train_config.dtype for p in model.parameters()):
+        raise ContractError(f"precision {train_config.precision!r} needs a "
+                            f"{np.dtype(train_config.dtype)} model")
+    groups = [(model.task.parameters(), 1.0, {})]
+    if scores_override is None:
+        groups.insert(0, (model.pruning.parameters(), train_config.pruning_lr_scale, {}))
     params = [p for g, _, _ in groups for p in g]
     data_rng = np.random.Generator(np.random.PCG64(train_config.seed + 1))
-    dropout_rng = (np.random.Generator(np.random.PCG64(train_config.seed + 2))
-                   if (train_config.hidden_dropout or train_config.attention_dropout)
-                   else None)
     explore_rng = np.random.Generator(np.random.PCG64(train_config.seed + 3))
     anneal_until = max(1.0, 0.6 * train_config.num_steps)
-    detach = dot_config.loss_mode == "P"
+    detach = model.config.loss_mode == "P"
 
     order: list[int] = []
     metrics: list[dict] = []
@@ -398,15 +389,14 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         gaps = []
         pruned = 0
         for ex in batch:
-            out = dot_forward(model, ex, train_rng=dropout_rng, detach_bias=detach,
+            out = dot_forward(model, ex, detach_bias=detach,
                               scores_override=scores_override, selection_noise=noise)
             losses.append(compute_loss(model, out, ex))
             gap = answer_score_gap(out.scores, out.selection, ex)
             if gap is not None:
                 gaps.append(gap)
             pruned += int(out.answer_pruned)
-        total = T.mul(losses[0] if len(losses) == 1 else _sum_losses(losses),
-                      1.0 / len(batch))
+        total = T.mul(_sum_losses(losses), 1.0 / len(batch))
         loss_val = float(total.data)
         if not np.isfinite(loss_val):
             raise TrainingDivergedError(
@@ -496,7 +486,7 @@ class EvalReport:
 
 def evaluate(model: DoTModel, examples: list[Example],
              scores_override=None) -> EvalReport:
-    """Denotation accuracy plus score-gap statistics, dropout disabled.
+    """Denotation accuracy plus score-gap statistics.
 
     ``scores_override(seq, example)`` replaces the learned scorer per
     example (oracle injection).
@@ -554,6 +544,15 @@ def save_checkpoint(path, model: DoTModel) -> None:
     save_tensors(path, named, header)
 
 
+def _encoder_config(path, stored: dict) -> enc.EncoderConfig:
+    """An encoder config from a checkpoint header. Older checkpoints also
+    store dropout rates; they load only when both rates are zero."""
+    dropout = {k: stored[k] for k in ("hidden_dropout", "attention_dropout") if k in stored}
+    if any(rate != 0.0 for rate in dropout.values()):
+        raise ContractError(f"{path}: dropout {dropout} is not supported")
+    return enc.EncoderConfig(**{k: v for k, v in stored.items() if k not in dropout})
+
+
 def load_checkpoint(path) -> DoTModel:
     """Rebuild a model from ``save_checkpoint`` output, strictly.
 
@@ -566,9 +565,9 @@ def load_checkpoint(path) -> DoTModel:
     try:
         config = DoTConfig(**header["config"])
         vocab = Vocabulary(header["vocab"][4:])  # reserved entries re-added by ctor
-        configs = {prefix: enc.EncoderConfig(**header[f"{prefix}_config"])
+        configs = {prefix: _encoder_config(path, header[f"{prefix}_config"])
                    for prefix in ("pruning", "task")}
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError) as e:
         raise ContractError(f"{path}: malformed checkpoint header ({e!r})") from None
     towers = {}
     for prefix, cfg in configs.items():

@@ -95,3 +95,28 @@ def test_load_tensors_rejects_corrupt_header(tmp_path):
     path.write_bytes(blob.replace(b'{"kind"', b'\xff"kind"'))
     with pytest.raises(ContractError):
         container.load_tensors(path)
+
+
+def set_stored_dropout(path, rates):
+    """Give both stored encoder configs the dropout keys older checkpoints carry."""
+    header, tensors = container.load_tensors(path)
+    for prefix in ("pruning", "task"):
+        header[f"{prefix}_config"].update(rates)
+    container.save_tensors(path, tensors, header)
+
+
+def test_checkpoint_with_zero_dropout_rates_loads(checkpoint):
+    expected = tr.load_checkpoint(checkpoint)
+    set_stored_dropout(checkpoint, {"hidden_dropout": 0.0, "attention_dropout": 0.0})
+    model = tr.load_checkpoint(checkpoint)
+    assert model.task.encoder.config == expected.task.encoder.config
+    assert all(np.array_equal(a.data, b.data)
+               for a, b in zip(model.parameters(), expected.parameters()))
+
+
+@pytest.mark.parametrize("rates", [{"hidden_dropout": 0.1, "attention_dropout": 0.0},
+                                   {"hidden_dropout": 0.0, "attention_dropout": 0.1}])
+def test_checkpoint_with_nonzero_dropout_rate_is_rejected(checkpoint, rates):
+    set_stored_dropout(checkpoint, rates)
+    with pytest.raises(ContractError, match="dropout"):
+        tr.load_checkpoint(checkpoint)

@@ -284,3 +284,40 @@ def test_eval_bucket_accuracy_matches_per_bucket_evaluate(tmp_path, eval_inputs,
     expected = {label: tr.evaluate(model, members).accuracy
                 for label, members in buckets.items()}
     assert report["bucket_accuracy"] == expected
+
+
+def test_load_config_rejects_non_json_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("schema_version = 1\n")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        cli.load_config(path)
+
+
+def test_load_config_rejects_non_object_top_level(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("[]")
+    with pytest.raises(ConfigError, match="top level"):
+        cli.load_config(path)
+
+
+def test_load_config_rejects_non_object_section(tmp_path):
+    path = write_config(tmp_path / "c.json", task=5)
+    with pytest.raises(ConfigError, match="task"):
+        cli.load_config(path)
+
+
+def test_jsonl_data_source_needs_a_path(tmp_path):
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN,
+                       data={"source": "jsonl"})
+    with pytest.raises(ConfigError, match="path"):
+        cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
+def test_eval_without_dataset_or_data_section_is_an_error(tmp_path, eval_inputs):
+    ckpt = eval_inputs[0]
+    no_data = write_config(tmp_path / "no_data.json", task=TINY_TASK)
+    for config in ([], ["--config", str(no_data)]):
+        with pytest.raises(ConfigError, match="--dataset"):
+            cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]
+                     + config)
+    assert not (tmp_path / "eval").exists()

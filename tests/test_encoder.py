@@ -174,31 +174,46 @@ def test_forward_rejects_too_long_sequence():
         enc.forward(w, seq)
 
 
-def test_attention_rows_sum_to_one():
+def record_attention(monkeypatch) -> list[np.ndarray]:
+    """Capture every layer's attention probabilities from ``enc.forward``."""
+    captured = []
+    original = enc.attention_probs
+
+    def recording(*args):
+        probs = original(*args)
+        captured.append(probs.data.copy())
+        return probs
+
+    monkeypatch.setattr(enc, "attention_probs", recording)
+    return captured
+
+
+def test_attention_rows_sum_to_one(monkeypatch):
     rng = np.random.default_rng(7)
     seq = helpers.random_sequence(rng)
     w = enc.init_weights(tiny_config(), dtype=np.float64)
-    trace = enc.ForwardTrace()
+    captured = record_attention(monkeypatch)
     with T.no_grad():
-        enc.forward(w, seq, trace=trace)
-    assert len(trace.attention_probs) == 2
-    for probs in trace.attention_probs:
+        enc.forward(w, seq)
+    assert len(captured) == 2
+    for probs in captured:
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def test_lowering_key_bias_strictly_lowers_received_mass():
+def test_lowering_key_bias_strictly_lowers_received_mass(monkeypatch):
     rng = np.random.default_rng(8)
     seq = helpers.random_sequence(rng)
     w = enc.init_weights(tiny_config(), dtype=np.float64)
     t = len(seq) - 1
+    captured = record_attention(monkeypatch)
     masses = []
     for s_t in (0.0, -0.5, -2.0):
         bias = np.zeros(len(seq))
         bias[t] = s_t
-        trace = enc.ForwardTrace()
+        captured.clear()
         with T.no_grad():
-            enc.forward(w, seq, bias=bias, mode="key", trace=trace)
-        masses.append(trace.attention_probs[0][:, :, t].sum())
+            enc.forward(w, seq, bias=bias, mode="key")
+        masses.append(captured[0][:, :, t].sum())
     assert masses[0] > masses[1] > masses[2]
 
 

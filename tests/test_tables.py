@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,16 +48,9 @@ def test_linearize_rank_ids_count_within_cell():
     assert list(seq.rank_ids[-2:]) == [1, 2]
 
 
-def test_linearize_question_too_long():
-    ex = tb.Example("a b c d", tb.Table.make(["h"], []), label=0)
-    with pytest.raises(InputTooLongError):
-        tb.linearize(ex, vocab_for(ex), max_len=5)
-
-
 def test_linearize_never_truncates_silently():
-    ex = tb.Example("a", tb.Table.make(["h"], [["x y z w"]]), label=0)
-    with pytest.raises(InputTooLongError, match="cc_select"):
-        tb.linearize(ex, vocab_for(ex), max_len=5)
+    ex = tb.Example("a b c", tb.Table.make(["h", "g"], [["x y z w"] * 2] * 40), label=0)
+    assert len(tb.linearize(ex, vocab_for(ex))) == tb.linearized_length(ex) == 327
 
 
 def test_linearize_is_stable():
@@ -235,3 +230,60 @@ def test_example_requires_exactly_one_supervision():
         tb.Example("q", t, answer_coords=frozenset({(0, 0)}), label=1)
     with pytest.raises(ContractError):
         tb.Example("q", t, answer_coords=frozenset({(5, 0)}))
+
+
+@pytest.mark.parametrize("line", [
+    '{"question": "q"}',
+    'not json',
+    '{"question": "q", "header": ["h"], "rows": [["x"]], "answers": [[0]]}',
+    '{"question": "q", "header": ["h"], "rows": [["x"]], "label": "x"}',
+    '[1, 2]',
+], ids=["missing_keys", "not_json", "short_answer", "string_label", "array"])
+def test_read_jsonl_names_file_and_line_of_bad_record(tmp_path, line):
+    path = tmp_path / "data.jsonl"
+    good = '{"question": "q", "header": ["h"], "rows": [["x"]], "label": 1}'
+    path.write_text(good + "\n\n" + line + "\n")
+    with pytest.raises(ContractError, match=r"data\.jsonl, line 3"):
+        tb.read_jsonl(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["question", "header", "rows", "answers", "label"])
+                      | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12)
+
+# records with the right keys and mostly the right shapes reach the checks
+# past the JSON level: ragged rows, out-of-range answers, bad labels
+record_like = st.fixed_dictionaries(
+    {"question": st.text(max_size=8) | json_values,
+     "header": st.lists(st.text(max_size=4), max_size=3) | json_values,
+     "rows": st.lists(st.lists(st.text(max_size=4), max_size=3), max_size=3) | json_values},
+    optional={"answers": st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=2)
+              | json_values,
+              "label": st.integers(-1, 2) | json_values})
+
+
+def assert_examples_or_contract_error(path):
+    try:
+        examples = tb.read_jsonl(path)
+    except ContractError:
+        return
+    assert all(isinstance(ex, tb.Example) for ex in examples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text())
+def test_read_jsonl_any_text_line_gives_examples_or_contract_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert_examples_or_contract_error(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values | record_like)
+def test_read_jsonl_any_json_value_gives_examples_or_contract_error(tmp_path_factory, value):
+    path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+    path.write_text(json.dumps(value) + "\n", encoding="utf-8")
+    assert_examples_or_contract_error(path)

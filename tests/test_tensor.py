@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotprune import tensor as T
-from dotprune.errors import ContractError, DegenerateRowError, ShapeError
+from dotprune.errors import ContractError, ShapeError
 
 
 def test_matmul_identity():
@@ -55,13 +55,8 @@ def test_softmax_matches_direct_formula():
     assert np.max(np.abs(out.data - expect)) < 1e-12
 
 
-def test_softmax_degenerate_row_raises():
-    with pytest.raises(DegenerateRowError):
-        T.softmax_rows(T.Tensor([[-np.inf, -np.inf]]))
-
-
 def test_softmax_empty_row_zeros_mode():
-    out = T.softmax_rows(T.Tensor([[-np.inf, -np.inf], [0.0, 0.0]]), on_empty="zeros")
+    out = T.softmax_rows(T.Tensor([[-np.inf, -np.inf], [0.0, 0.0]]))
     np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
     np.testing.assert_allclose(out.data[1], [0.5, 0.5])
 
@@ -196,7 +191,7 @@ def test_composed_graph_passes_gradient_check():
         h = T.layer_norm(ww, gg, bb)
         p = T.softmax_rows(h)
         s = T.log_sigmoid(T.tanh(p))
-        return T.mean(T.mul(s, s))
+        return T.mul(T.tensor_sum(T.mul(s, s)), 1.0 / s.data.size)
 
     assert T.gradient_check(f, [w, g, b], eps=1e-5) < 1e-4
 

@@ -316,7 +316,24 @@ def test_train_divergence_aborts_with_diagnostic():
     model = tiny_model(data)
     model.task.head_w.data[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError, match="step 1"):
-        tr.train(model.config, tr.TrainConfig(num_steps=3, batch_size=1),
+        tr.train(model.config, tr.TrainConfig(num_steps=3, batch_size=1, precision="f64"),
+                 data, model=model)
+
+
+def test_train_rejects_model_built_for_another_config():
+    data = lookup_data(n=4, seed=6)
+    model = tiny_model(data, tr.DoTConfig(pre_limit=48, k=10, loss_mode="J"))
+    with pytest.raises(ContractError, match="built for"):
+        tr.train(tr.DoTConfig(pre_limit=48, k=10, loss_mode="P"),
+                 tr.TrainConfig(num_steps=1, batch_size=1, precision="f64"),
+                 data, model=model)
+
+
+def test_train_rejects_model_in_another_precision():
+    data = lookup_data(n=4, seed=6)
+    model = tiny_model(data, dtype=np.float64)
+    with pytest.raises(ContractError, match="f32"):
+        tr.train(model.config, tr.TrainConfig(num_steps=1, batch_size=1, precision="f32"),
                  data, model=model)
 
 
