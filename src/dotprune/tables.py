@@ -375,18 +375,19 @@ def example_from_dict(rec) -> Example:
     """Inverse of ``example_to_dict``; a malformed record raises ``ContractError``."""
     if type(rec) is not dict or not {"question", "header", "rows"} <= set(rec):
         raise ContractError("example record is not an object with question, header, rows")
-    rows, answers = rec["rows"], rec.get("answers")
-    if not (type(rec["question"]) is str and _list_of(rec["header"], str)
+    question, header, rows = rec["question"], rec["header"], rec["rows"]
+    if not (type(question) is str and _list_of(header, str)
             and _list_of(rows, list) and all(_list_of(r, str) for r in rows)):
         raise ContractError("example question, header and cells must be strings")
-    table = Table.make(rec["header"], rows)
+    table = Table.make(header, rows)
     if "answers" not in rec:
         if type(rec.get("label")) is not int:
             raise ContractError("example label must be an integer")
-        return Example(rec["question"], table, label=rec["label"])
+        return Example(question, table, label=rec["label"])
+    answers = rec["answers"]
     if not (_list_of(answers, list) and all(len(a) == 2 and _list_of(a, int) for a in answers)):
         raise ContractError("example answers must be [row, col] integer pairs")
-    return Example(rec["question"], table, answer_coords=frozenset(map(tuple, answers)))
+    return Example(question, table, answer_coords=frozenset(map(tuple, answers)))
 
 
 def write_jsonl(path, examples) -> None:
