@@ -2,8 +2,8 @@
 
 Every run writes a manifest.json (config hash, seed, precision, thread
 count, commit) so outputs can be reproduced bit-exactly. Config files are
-strict JSON: a schema_version field is required and unknown keys anywhere
-are hard errors. Flags override file values.
+strict JSON: a schema_version field is required, and unknown keys or values
+of the wrong type anywhere are hard errors. Flags override file values.
 
 --threads is applied by exporting the BLAS thread-count environment
 variables before numpy loads, so it only takes effect when this module is
@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import time
+import typing
 
 from .errors import ConfigError
 
@@ -44,8 +45,29 @@ def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+def _check_fields(section: dict, cls, where: str) -> None:
+    """Keys must be fields of the dataclass ``cls`` and values of their types."""
+    _check_keys(section, _field_names(cls), where)
+    hints = typing.get_type_hints(cls)
+    for key, value in section.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if not _has_kind(value, kinds):
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ConfigError(f"config {where} key {key!r} must be {names}, got {value!r}")
+
+
+def _has_kind(value, kinds) -> bool:
+    """JSON true/false is not a number; an integer is also a float."""
+    if isinstance(value, bool):
+        return bool in kinds
+    if isinstance(value, int) and float in kinds:
+        return True
+    return type(value) in kinds
+
+
 def load_config(path) -> dict:
-    """Read a strict-JSON config; section keys are the dataclasses' fields."""
+    """Read a strict-JSON config; section keys are the dataclasses' fields
+    and their values must have the fields' types."""
     from .synth import GeneratorSpec
     from .training import DoTConfig, TrainConfig
 
@@ -57,14 +79,13 @@ def load_config(path) -> dict:
     _check_keys(cfg, _TOP_KEYS, "top level")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare schema_version {SCHEMA_VERSION}")
-    _check_keys(cfg.get("task", {}), _field_names(DoTConfig), "task")
-    _check_keys(cfg.get("train", {}), _field_names(TrainConfig), "train")
+    _check_fields(cfg.get("task", {}), DoTConfig, "task")
+    _check_fields(cfg.get("train", {}), TrainConfig, "train")
     for section in ("data", "eval"):
         if section in cfg:
             allowed = _DATA_KEYS if section == "data" else _EVAL_KEYS
             _check_keys(cfg[section], allowed, section)
-            _check_keys(cfg[section].get("spec", {}), _field_names(GeneratorSpec),
-                        f"{section}.spec")
+            _check_fields(cfg[section].get("spec", {}), GeneratorSpec, f"{section}.spec")
     return cfg
 
 
@@ -111,6 +132,13 @@ def _dataset_from_section(section: dict):
     if source == "synthetic":
         return synth.generate(synth.GeneratorSpec(**section.get("spec", {})))
     raise ConfigError(f"unknown data source {source!r}")
+
+
+def _eval_data_section(cfg: dict) -> dict | None:
+    """The eval section when it names a dataset; one holding only settings
+    such as bucket_edges names none."""
+    section = cfg.get("eval")
+    return section if section is not None and _DATA_KEYS & set(section) else None
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +367,7 @@ def cmd_train(args) -> int:
         "steps": len(result.metrics),
         "npe_s": result.npe_s,
     }
-    if "eval" in cfg:
+    if _eval_data_section(cfg) is not None:
         eval_set = _dataset_from_section(cfg["eval"])
         eval_report = tr.evaluate(result.model, eval_set)
         report["eval_accuracy"] = eval_report.accuracy
@@ -384,8 +412,10 @@ def cmd_eval(args) -> int:
     from . import training as tr
 
     cfg = load_config(args.config) if args.config else {"schema_version": 1}
-    if not (args.dataset or "eval" in cfg or "data" in cfg):
-        raise ConfigError("eval needs --dataset or a config with an eval or data section")
+    section = _eval_data_section(cfg) or cfg.get("data")
+    if not (args.dataset or section is not None):
+        raise ConfigError("eval needs --dataset, an eval section naming a dataset "
+                          f"({', '.join(sorted(_DATA_KEYS))}) or a data section")
     out_dir = args.out or "eval"
     os.makedirs(out_dir, exist_ok=True)
     model = tr.load_checkpoint(args.checkpoint)
@@ -393,7 +423,7 @@ def cmd_eval(args) -> int:
         from . import tables
         examples = tables.read_jsonl(args.dataset)
     else:
-        examples = _dataset_from_section(cfg.get("eval", cfg.get("data", {})))
+        examples = _dataset_from_section(section)
 
     override = None
     if args.oracle:
@@ -479,8 +509,11 @@ def cmd_params(args) -> int:
 def cmd_gen(args) -> int:
     from . import synth, tables
 
-    spec_kw = json.loads(args.spec) if args.spec else {}
-    _check_keys(spec_kw, _field_names(synth.GeneratorSpec), "generator spec")
+    try:
+        spec_kw = json.loads(args.spec) if args.spec else {}
+    except ValueError as e:
+        raise ConfigError(f"generator spec is not valid JSON ({e})") from None
+    _check_fields(spec_kw, synth.GeneratorSpec, "generator spec")
     if args.seed is not None:
         spec_kw["seed"] = args.seed
     spec = synth.GeneratorSpec(**spec_kw)

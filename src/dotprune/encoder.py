@@ -12,7 +12,10 @@ vector of nonpositive log-probabilities. Three application modes exist:
   token readable by everyone else, which is why one-sided masking is only
   an approximation of dropping the token.
 * ``symmetric``: both. This realizes exact hard-drop equivalence and is
-  what padding and the verification harness use.
+  what the verification harness uses.
+
+A batch of sequences runs as one padded stack (``forward_batch``); padded
+keys carry a -inf bias in every layer, which removes them exactly.
 
 The scorer and the task model are both ``Tower``s: an encoder plus a
 one-unit linear head. Model-size presets and the closed-form parameter
@@ -284,7 +287,8 @@ def init_tower(config: EncoderConfig, head_seed: int, dtype=np.float32) -> Tower
 
 def attention_bias(bias: T.Tensor | np.ndarray | None, n_keys: int, dtype,
                    mode: str) -> T.Tensor | None:
-    """Check ``mode`` and ``bias`` once for a whole stack of attention layers.
+    """Check ``mode`` and one sequence's ``bias`` once for a whole stack of
+    attention layers.
 
     ``bias`` is a length-``n_keys`` vector of values in (-inf, 0]. NumPy
     biases are converted to ``dtype``, the dtype of the attention scores;
@@ -306,21 +310,46 @@ def attention_bias(bias: T.Tensor | np.ndarray | None, n_keys: int, dtype,
     return bias_t
 
 
+def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tensor | None:
+    """One (B, n) bias for a batch padded to ``n`` tokens.
+
+    Row b holds example b's bias (zeros when it has none) followed by -inf
+    on its padded positions, so padding is removed exactly: the symmetric
+    -inf bias equals compaction. Query mode would leave padded keys
+    readable and is refused for a padded batch.
+    """
+    padded = any(m < n for m in lengths)
+    if padded and mode == "query":
+        raise ContractError("query-mode bias cannot mask padding; "
+                            "run sequences of unequal length one at a time")
+    checked = [attention_bias(None if biases is None else biases[b], m, dtype, mode)
+               for b, m in enumerate(lengths)]
+    if not padded and all(t is None for t in checked):
+        return None
+    pieces = []
+    for bias, m in zip(checked, lengths):
+        pieces.append(bias if bias is not None else T.Tensor(np.zeros(m, dtype=dtype)))
+        if m < n:
+            pieces.append(T.Tensor(np.full(n - m, -np.inf, dtype=dtype)))
+    return T.reshape(T.concat(pieces), (len(lengths), n))
+
+
 def attention_probs(q: T.Tensor, k: T.Tensor, bias: T.Tensor | None,
                     mode: str = "key") -> T.Tensor:
     """Softmax of the scaled, biased scores QK^T / sqrt(d).
 
-    ``q`` and ``k`` are (..., n, d) with matching leading dims; ``bias`` comes
-    from ``attention_bias``. Rows that end up fully masked become all-zero
-    rows rather than an error, which is the convention that makes a
-    symmetric -inf bias equal to deleting tokens.
+    ``q`` and ``k`` are (..., n, d) with matching leading dims. ``bias`` is
+    one sequence's (n,) vector from ``attention_bias`` or a batch's (B, n)
+    matrix from ``_padded_bias`` for (B, heads, n, d) inputs. Rows that end
+    up fully masked become all-zero rows rather than an error, which is the
+    convention that makes a symmetric -inf bias equal to deleting tokens.
     """
     axes = list(range(len(k.shape)))
     axes[-1], axes[-2] = axes[-2], axes[-1]
     scores = T.mul(T.matmul(q, T.permute(k, tuple(axes))), 1.0 / math.sqrt(q.shape[-1]))
     if bias is not None:
-        lead = (1,) * (len(scores.shape) - 2)
-        n = bias.shape[0]
+        lead = bias.shape[:-1] + (1,) * (len(scores.shape) - len(bias.shape) - 1)
+        n = bias.shape[-1]
         if mode in ("key", "symmetric"):
             scores = T.add(scores, T.reshape(bias, lead + (1, n)))
         if mode in ("query", "symmetric"):
@@ -328,25 +357,27 @@ def attention_probs(q: T.Tensor, k: T.Tensor, bias: T.Tensor | None,
     return T.softmax_rows(scores)
 
 
-def _clip_ids(ids, cap=STRUCT_ID_CAP):
-    return np.minimum(np.asarray(ids, dtype=np.int64), cap)
+def embed(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int) -> T.Tensor:
+    """Sum word, position, and structural-type embeddings, then normalize.
 
-
-def embed(weights: EncoderWeights, seq: TokenizedSequence) -> T.Tensor:
-    """Sum word, position, and structural-type embeddings, then normalize."""
+    Sequences are zero-padded to ``n`` tokens and stacked into (B*n, H) rows.
+    """
     cfg = weights.config
-    positions = np.asarray(seq.effective_positions(), dtype=np.int64)
-    if positions.size and positions.max() >= cfg.max_input:
+    ids = np.zeros((6, len(seqs), n), dtype=np.int64)
+    for b, s in enumerate(seqs):
+        ids[:, b, :len(s)] = (s.token_ids, s.effective_positions(), s.segment_ids,
+                              s.column_ids, s.row_ids, s.rank_ids)
+    token, position, segment, column, row, rank = ids.reshape(6, -1)
+    if position.size and position.max() >= cfg.max_input:
         raise InputTooLongError(
-            f"position id {positions.max()} exceeds max_input {cfg.max_input}")
-    n = len(seq)
-    zeros = np.zeros(n, dtype=np.int64)
-    x = T.take_rows(weights.word, np.asarray(seq.token_ids, dtype=np.int64))
-    x = T.add(x, T.take_rows(weights.position, positions))
-    x = T.add(x, T.take_rows(weights.type_segment, np.asarray(seq.segment_ids)))
-    x = T.add(x, T.take_rows(weights.type_column, _clip_ids(seq.column_ids)))
-    x = T.add(x, T.take_rows(weights.type_row, _clip_ids(seq.row_ids)))
-    x = T.add(x, T.take_rows(weights.type_rank, _clip_ids(seq.rank_ids)))
+            f"position id {position.max()} exceeds max_input {cfg.max_input}")
+    zeros = np.zeros_like(token)
+    x = T.take_rows(weights.word, token)
+    x = T.add(x, T.take_rows(weights.position, position))
+    x = T.add(x, T.take_rows(weights.type_segment, segment))
+    x = T.add(x, T.take_rows(weights.type_column, np.minimum(column, STRUCT_ID_CAP)))
+    x = T.add(x, T.take_rows(weights.type_row, np.minimum(row, STRUCT_ID_CAP)))
+    x = T.add(x, T.take_rows(weights.type_rank, np.minimum(rank, STRUCT_ID_CAP)))
     # parity channels, fed their default row
     x = T.add(x, T.take_rows(weights.type_binary, zeros))
     x = T.add(x, T.take_rows(weights.type_relation, zeros))
@@ -357,33 +388,58 @@ def embed(weights: EncoderWeights, seq: TokenizedSequence) -> T.Tensor:
 def forward(weights: EncoderWeights, seq: TokenizedSequence,
             bias: T.Tensor | np.ndarray | None = None, mode: str = "key"
             ) -> tuple[T.Tensor, T.Tensor]:
-    """Run the encoder stack; returns (hidden states (n, H), pooled CLS (1, H)).
+    """Run the encoder stack on one sequence; returns (hidden states (n, H),
+    pooled CLS (1, H)). ``bias`` applies in every layer.
 
-    ``bias`` applies in every layer.
+    This is the batch-of-one case of ``forward_batch``.
     """
+    return _forward_padded(weights, [seq], None if bias is None else [bias], mode)
+
+
+def forward_batch(weights: EncoderWeights, seqs: list[TokenizedSequence],
+                  biases: list | None = None, mode: str = "key"
+                  ) -> tuple[T.Tensor, T.Tensor]:
+    """Run the encoder stack once on a batch padded to its longest sequence.
+
+    Returns hidden states (B*n, H), where example b owns rows b*n to
+    b*n + len(seqs[b]) - 1, and pooled CLS vectors (B, H). ``biases[b]``
+    applies to example b as in ``forward``; padded keys get a -inf bias, so
+    every example's rows equal its own unpadded forward up to rounding.
+    """
+    if len(seqs) == 1:
+        # through ``forward``, so wrappers of the one-sequence entry point
+        # (the benchmark's tracer) see batches of one
+        return forward(weights, seqs[0], None if biases is None else biases[0], mode)
+    return _forward_padded(weights, seqs, biases, mode)
+
+
+def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
+                    biases: list | None, mode: str) -> tuple[T.Tensor, T.Tensor]:
     cfg = weights.config
-    n = len(seq)
+    lengths = [len(s) for s in seqs]
+    n = max(lengths)
     if n > cfg.max_input:
         raise InputTooLongError(f"sequence length {n} exceeds max_input {cfg.max_input}")
-    bias_t = attention_bias(bias, n, weights.word.dtype, mode)
+    batch = len(seqs)
+    bias_t = _padded_bias(biases, lengths, n, weights.word.dtype, mode)
 
-    x = embed(weights, seq)
+    x = embed(weights, seqs, n)
     heads, d = cfg.num_heads, cfg.head_dim
 
     def split_heads(t: T.Tensor) -> T.Tensor:
-        return T.permute(T.reshape(t, (n, heads, d)), (1, 0, 2))
+        return T.permute(T.reshape(t, (batch, n, heads, d)), (0, 2, 1, 3))
 
     for lw in weights.layers:
         q = split_heads(T.add(T.matmul(x, lw.wq), lw.bq))
         k = split_heads(T.add(T.matmul(x, lw.wk), lw.bk))
         v = split_heads(T.add(T.matmul(x, lw.wv), lw.bv))
         probs = attention_probs(q, k, bias_t, mode)
-        ctx = T.reshape(T.permute(T.matmul(probs, v), (1, 0, 2)), (n, cfg.hidden))
+        ctx = T.reshape(T.permute(T.matmul(probs, v), (0, 2, 1, 3)), (batch * n, cfg.hidden))
         attn_out = T.add(T.matmul(ctx, lw.wo), lw.bo)
         x = T.layer_norm(T.add(x, attn_out), lw.ln1_gain, lw.ln1_bias)
         ff = T.matmul(T.gelu(T.add(T.matmul(x, lw.w_inter), lw.b_inter)), lw.w_out)
         x = T.layer_norm(T.add(x, T.add(ff, lw.b_out)), lw.ln2_gain, lw.ln2_bias)
 
-    cls = T.take_rows(x, np.array([0]))
+    cls = T.take_rows(x, np.arange(batch) * n)
     pooled = T.tanh(T.add(T.matmul(cls, weights.pooler_w), weights.pooler_b))
     return x, pooled

@@ -58,12 +58,36 @@ class Selection:
             raise ContractError("selection exceeds its budget")
 
 
+def score_batch(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[PruningScores]:
+    """Score every token of a batch with log P(relevant); differentiable.
+
+    The encoder runs once on the padded batch; each sequence's scores are
+    its own rows of the result.
+    """
+    if len(seqs) == 1:
+        # through ``score_tokens``, so wrappers of the one-sequence entry
+        # point (the benchmark's tracer) see batches of one
+        return [score_tokens(weights, seqs[0])]
+    return _score_padded(weights, seqs)
+
+
 def score_tokens(weights: enc.Tower, seq: TokenizedSequence) -> PruningScores:
-    """Score every token with log P(relevant); differentiable."""
-    hidden, _ = enc.forward(weights.encoder, seq)
-    logits = T.reshape(T.add(T.matmul(hidden, weights.head_w), weights.head_b),
-                       (len(seq),))
-    return PruningScores(seq=seq, log_probs=T.log_sigmoid(logits), logits=logits)
+    """Score every token with log P(relevant); the batch-of-one ``score_batch``."""
+    return _score_padded(weights, [seq])[0]
+
+
+def _score_padded(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[PruningScores]:
+    hidden, _ = enc.forward_batch(weights.encoder, seqs)
+    rows = hidden.shape[0]
+    logits = T.reshape(T.add(T.matmul(hidden, weights.head_w), weights.head_b), (rows,))
+    log_probs = T.log_sigmoid(logits)
+    n = rows // len(seqs)
+    out = []
+    for b, seq in enumerate(seqs):
+        own = b * n + np.arange(len(seq))
+        out.append(PruningScores(seq=seq, log_probs=T.take_rows(log_probs, own),
+                                 logits=T.take_rows(logits, own)))
+    return out
 
 
 def constant_scores(seq: TokenizedSequence, value: float = 0.0) -> PruningScores:
@@ -152,7 +176,8 @@ def build_bias(selection: Selection, scores: PruningScores) -> T.Tensor:
     """
     seq = scores.seq
     kept = list(selection.kept_indices)
-    keep_mask = np.array([1.0 if seq.segment_ids[i] == 1 else 0.0 for i in kept])
+    keep_mask = np.array([1.0 if seq.segment_ids[i] == 1 else 0.0 for i in kept],
+                         dtype=scores.log_probs.dtype)
     gathered = T.take_rows(T.reshape(scores.log_probs, (len(seq), 1)), kept)
     return T.reshape(T.mul(gathered, T.Tensor(keep_mask.reshape(-1, 1))),
                      (len(kept),))

@@ -4,7 +4,8 @@ Just enough machinery for a transformer encoder: numpy arrays for storage
 and kernels, a dynamically built graph of operation nodes for gradients,
 and a central-difference gradient checker for verification. Two precision
 modes are supported by construction: every op preserves the dtype of its
-inputs, so a graph built from float64 leaves stays float64 end to end.
+inputs and binary ops refuse operands of two dtypes, so a graph built from
+float32 leaves stays float32 end to end.
 
 Negative infinity is a legal value only as an attention-mask sentinel;
 ``softmax_rows`` maps it to an exact zero probability.
@@ -81,8 +82,26 @@ class Tensor:
 def _as_tensor(x, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else np.float64)
-    return Tensor(arr)
+    return Tensor(x if dtype is None else np.asarray(x, dtype=dtype))
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """The two operands of a binary op, in one dtype.
+
+    A Python scalar takes the dtype of the other operand. Two arrays of
+    different dtypes are refused: a silent promotion would turn a float32
+    graph into float64 from that op on.
+    """
+    if isinstance(b, (int, float)):
+        a = _as_tensor(a)
+        return a, _as_tensor(b, a.dtype)
+    if isinstance(a, (int, float)):
+        b = _as_tensor(b)
+        return _as_tensor(a, b.dtype), b
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.dtype != b.dtype:
+        raise ContractError(f"operands of different dtypes: {a.dtype} and {b.dtype}")
+    return a, b
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -168,8 +187,7 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
+    a, b = _operands(a, b)
     out = a.data + b.data
 
     def back(g):
@@ -179,8 +197,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
+    a, b = _operands(a, b)
     out = a.data * b.data
 
     def back(g):
@@ -191,8 +208,7 @@ def mul(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, 2-D or batched with identical leading dimensions."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
+    a, b = _operands(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
@@ -226,6 +242,22 @@ def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
         return (np.transpose(g, inverse),)
 
     return _node(out, (a,), back)
+
+
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors of one dtype along axis 0; one tensor is returned as is."""
+    if len(tensors) == 1:
+        return tensors[0]
+    dtypes = {t.dtype for t in tensors}
+    if len(dtypes) != 1:
+        raise ContractError(f"concat of different dtypes: {sorted(map(str, dtypes))}")
+    out = np.concatenate([t.data for t in tensors])
+    bounds = np.cumsum([t.shape[0] for t in tensors])[:-1]
+
+    def back(g):
+        return tuple(np.split(g, bounds))
+
+    return _node(out, tuple(tensors), back)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:

@@ -1,8 +1,10 @@
 """Joint training of the scoring and task encoders.
 
-The pipeline per example: linearize, shorten with a heuristic preselector,
-score every token, keep the top-k tokens (or top columns), compact, and run
-the task encoder with the kept tokens' scores as a soft attention bias.
+The pipeline: linearize each example, shorten it with a heuristic
+preselector, score every token, keep the top-k tokens (or top columns),
+compact, and run the task encoder with the kept tokens' scores as a soft
+attention bias. Each tower runs once per batch on a padded stack; selection
+and compaction run per example.
 Three loss modes differ in how the scorer learns:
 
 * ``J``: the task loss alone; gradient reaches the scorer only through the
@@ -17,6 +19,7 @@ records contain no wall-clock values, timing is reported separately.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -169,78 +172,123 @@ def dot_forward(model: DoTModel, example: Example,
                 selection_override: pr.Selection | None = None,
                 selection_noise: tuple[float, np.random.Generator] | None = None
                 ) -> DotOutputs:
-    """Full pipeline for one example.
+    """Full pipeline for one example: the batch-of-one ``dot_forward_batch``.
 
-    ``scores_override`` replaces the learned scorer (oracle injection and
-    forced-zero-score baselines); ``detach_bias`` cuts the gradient path
-    from the task loss into the scorer, which is what the P loss mode needs.
     ``selection_override`` pins the kept set; finite-difference harnesses
     use it because the hard selection is a step function of the scores.
-    ``selection_noise`` perturbs only the selection, never the bias: the
-    trainer's exploration mechanism.
+    """
+    return dot_forward_batch(
+        model, [example], detach_bias=detach_bias, scores_override=scores_override,
+        selection_overrides=None if selection_override is None else [selection_override],
+        selection_noise=selection_noise)[0]
+
+
+def dot_forward_batch(model: DoTModel, examples: list[Example],
+                      detach_bias: bool = False,
+                      scores_override: Callable[[TokenizedSequence],
+                                                pr.PruningScores] | None = None,
+                      selection_overrides: list[pr.Selection] | None = None,
+                      selection_noise: tuple[float, np.random.Generator] | None = None
+                      ) -> list[DotOutputs]:
+    """Full pipeline for a batch; each tower runs once on a padded stack.
+
+    Selection and compaction run per example; every output tensor is a
+    per-example slice of the batch's tensors. ``scores_override`` replaces
+    the learned scorer (oracle injection and forced-zero-score baselines);
+    its scores live outside the graph and are cast to the model's dtype.
+    ``detach_bias`` cuts the gradient path from the task loss into the
+    scorer, which is what the P loss mode needs. ``selection_overrides``
+    pins each example's kept set. ``selection_noise`` perturbs only the
+    selection, never the bias: the trainer's exploration mechanism.
     """
     cfg = model.config
-    seq = linearize(example, model.vocab)
-    pre_seq = preselect(seq, example, cfg)
-
+    dtype = model.task.head_w.dtype
+    pre_seqs = [preselect(linearize(ex, model.vocab), ex, cfg) for ex in examples]
     if scores_override is not None:
-        scores = scores_override(pre_seq)
+        all_scores = [_fixed_scores(scores_override(seq), dtype) for seq in pre_seqs]
     else:
-        scores = pr.score_tokens(model.pruning, pre_seq)
-    clipped = pr.PruningScores(seq=pre_seq,
-                               log_probs=T.maximum_scalar(scores.log_probs, SCORE_FLOOR),
-                               logits=scores.logits)
+        all_scores = pr.score_batch(model.pruning, pre_seqs)
 
-    select_from = clipped
-    if selection_noise is not None:
-        sigma, noise_rng = selection_noise
-        if sigma > 0:
-            # row-correlated noise: tokens of a row explore together, so the
-            # kept set contains coherent islands (a cell is only useful to
-            # the task alongside the rest of its row)
-            row_ids = np.asarray(pre_seq.row_ids)
-            row_noise = noise_rng.normal(0.0, sigma, int(row_ids.max()) + 1)
-            token_noise = noise_rng.normal(0.0, 0.25 * sigma, len(pre_seq))
-            noisy = T.Tensor(clipped.values + row_noise[row_ids] + token_noise)
-            select_from = pr.PruningScores(seq=pre_seq, log_probs=noisy, logits=noisy)
+    clipped_scores, selections, compact_seqs, biases = [], [], [], []
+    for b, (pre_seq, scores) in enumerate(zip(pre_seqs, all_scores)):
+        clipped = pr.PruningScores(seq=pre_seq,
+                                   log_probs=T.maximum_scalar(scores.log_probs, SCORE_FLOOR),
+                                   logits=scores.logits)
+        select_from = clipped
+        if selection_noise is not None:
+            sigma, noise_rng = selection_noise
+            if sigma > 0:
+                # row-correlated noise: tokens of a row explore together, so
+                # the kept set contains coherent islands (a cell is only
+                # useful to the task alongside the rest of its row)
+                row_ids = np.asarray(pre_seq.row_ids)
+                row_noise = noise_rng.normal(0.0, sigma, int(row_ids.max()) + 1)
+                token_noise = noise_rng.normal(0.0, 0.25 * sigma, len(pre_seq))
+                noisy = T.Tensor(clipped.values + row_noise[row_ids] + token_noise)
+                select_from = pr.PruningScores(seq=pre_seq, log_probs=noisy, logits=noisy)
 
-    if selection_override is not None:
-        selection = selection_override
-    elif cfg.selection_mode == "token":
-        selection = pr.select_top_k_tokens(select_from, pre_seq, cfg.k)
-    else:
-        selection = pr.select_columns(pr.column_scores(select_from, pre_seq),
-                                      pre_seq, cfg.k)
+        if selection_overrides is not None:
+            selection = selection_overrides[b]
+        elif cfg.selection_mode == "token":
+            selection = pr.select_top_k_tokens(select_from, pre_seq, cfg.k)
+        else:
+            selection = pr.select_columns(pr.column_scores(select_from, pre_seq),
+                                          pre_seq, cfg.k)
+        bias = pr.build_bias(selection, clipped)
+        clipped_scores.append(clipped)
+        selections.append(selection)
+        compact_seqs.append(pr.compact(pre_seq, selection))
+        biases.append(bias.detach() if detach_bias else bias)
 
-    compact_seq = pr.compact(pre_seq, selection)
-    bias = pr.build_bias(selection, clipped)
-    if detach_bias:
-        bias = bias.detach()
-    hidden, pooled = enc.forward(model.task.encoder, compact_seq, bias=bias, mode="key")
-
-    kept_table_slots = [j for j, i in enumerate(selection.kept_indices)
-                        if pre_seq.segment_ids[i] == 1]
-    token_logits = None
-    cls_logit = None
-    kept_table_targets = None
-    answer_pruned = False
+    hidden, pooled = enc.forward_batch(model.task.encoder, compact_seqs, biases, mode="key")
+    head_w, head_b = model.task.head_w, model.task.head_b
     if cfg.task_type == "cell_selection":
-        token_logits = T.reshape(
-            T.add(T.matmul(hidden, model.task.head_w), model.task.head_b),
-            (len(compact_seq),))
-        if example.answer_coords is not None:
-            kept_table_targets = np.array(
-                [1.0 if compact_seq.origin[j] in example.answer_coords else 0.0
-                 for j in kept_table_slots])
-            answer_pruned = bool(kept_table_targets.sum() == 0)
+        rows = hidden.shape[0]
+        n = rows // len(examples)
+        all_token_logits = T.reshape(T.add(T.matmul(hidden, head_w), head_b), (rows,))
     else:
-        cls_logit = T.add(T.matmul(pooled, model.task.head_w), model.task.head_b)
+        all_cls_logits = T.add(T.matmul(pooled, head_w), head_b)
 
-    return DotOutputs(pre_seq=pre_seq, compact_seq=compact_seq, scores=clipped,
-                      selection=selection, token_logits=token_logits,
-                      cls_logit=cls_logit, kept_table_slots=kept_table_slots,
-                      kept_table_targets=kept_table_targets,
-                      answer_pruned=answer_pruned, bias_detached=detach_bias)
+    outputs = []
+    for b, ex in enumerate(examples):
+        pre_seq, compact_seq, selection = pre_seqs[b], compact_seqs[b], selections[b]
+        kept_table_slots = [j for j, i in enumerate(selection.kept_indices)
+                            if pre_seq.segment_ids[i] == 1]
+        token_logits = None
+        cls_logit = None
+        kept_table_targets = None
+        answer_pruned = False
+        if cfg.task_type == "cell_selection":
+            token_logits = T.take_rows(all_token_logits, b * n + np.arange(len(compact_seq)))
+            if ex.answer_coords is not None:
+                kept_table_targets = np.array(
+                    [1.0 if compact_seq.origin[j] in ex.answer_coords else 0.0
+                     for j in kept_table_slots])
+                answer_pruned = bool(kept_table_targets.sum() == 0)
+        else:
+            cls_logit = T.take_rows(all_cls_logits, [b])
+        outputs.append(DotOutputs(
+            pre_seq=pre_seq, compact_seq=compact_seq, scores=clipped_scores[b],
+            selection=selection, token_logits=token_logits, cls_logit=cls_logit,
+            kept_table_slots=kept_table_slots, kept_table_targets=kept_table_targets,
+            answer_pruned=answer_pruned, bias_detached=detach_bias))
+    return outputs
+
+
+def _fixed_scores(scores: pr.PruningScores, dtype) -> pr.PruningScores:
+    """Override scores in the model's dtype.
+
+    Override scores are constants outside the graph, so the cast loses no
+    gradient; a graph tensor of another dtype is refused instead.
+    """
+    if scores.log_probs.dtype == dtype and scores.logits.dtype == dtype:
+        return scores
+    if scores.log_probs.requires_grad or scores.logits.requires_grad:
+        raise ContractError(f"override scores are a {scores.log_probs.dtype} graph; "
+                            f"the model is {np.dtype(dtype)}")
+    return pr.PruningScores(seq=scores.seq,
+                            log_probs=T.Tensor(scores.log_probs.data.astype(dtype)),
+                            logits=T.Tensor(scores.logits.data.astype(dtype)))
 
 
 def _task_scalar_loss(outputs: DotOutputs, example: Example,
@@ -343,7 +391,9 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
           scores_override=None) -> TrainResult:
     """Run the optimization loop; deterministic given configs and seed.
 
-    Per-step metrics records carry no timing; examples-per-second is
+    Each step runs both towers once on the padded batch, then backward,
+    gradient clipping and AdamW. Per-step metrics records carry no timing
+    (``grad_norm`` is the global gradient norm before clipping); examples-per-second is
     computed around forward+backward+update only and excludes the first 10
     steps. ``stop_condition`` may end the run early (checked after
     ``step_callback``, every step). ``scores_override`` bypasses the scoring
@@ -385,17 +435,12 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         noise = (sigma, explore_rng) if train_config.exploration_noise > 0 else None
 
         t0 = time.perf_counter()
-        losses = []
-        gaps = []
-        pruned = 0
-        for ex in batch:
-            out = dot_forward(model, ex, detach_bias=detach,
-                              scores_override=scores_override, selection_noise=noise)
-            losses.append(compute_loss(model, out, ex))
-            gap = answer_score_gap(out.scores, out.selection, ex)
-            if gap is not None:
-                gaps.append(gap)
-            pruned += int(out.answer_pruned)
+        outs = dot_forward_batch(model, batch, detach_bias=detach,
+                                 scores_override=scores_override, selection_noise=noise)
+        losses = [compute_loss(model, out, ex) for out, ex in zip(outs, batch)]
+        gaps = [g for g in (answer_score_gap(out.scores, out.selection, ex)
+                            for out, ex in zip(outs, batch)) if g is not None]
+        pruned = sum(out.answer_pruned for out in outs)
         total = T.mul(_sum_losses(losses), 1.0 / len(batch))
         loss_val = float(total.data)
         if not np.isfinite(loss_val):
@@ -403,8 +448,8 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
                 f"loss became {loss_val} at step {step} (lr={lr_at(step, train_config)})")
         T.zero_grads(params)
         T.backward(total, params=params)
-        if train_config.grad_clip is not None:
-            clip_grad_norm(params, train_config.grad_clip)
+        grad_norm = clip_grad_norm(params, math.inf if train_config.grad_clip is None
+                                   else train_config.grad_clip)
         lr = lr_at(step, train_config)
         for group, scale, opt_state in groups:
             T.adamw_step(group, [p.grad for p in group], opt_state, lr * scale,
@@ -417,6 +462,7 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
             "lr": lr,
             "answer_score_gap": float(np.mean(gaps)) if gaps else None,
             "answer_pruned": pruned,
+            "grad_norm": grad_norm,
         })
         if step_callback is not None:
             step_callback(step, model)
@@ -437,11 +483,17 @@ def _sum_losses(losses: list[T.Tensor]) -> T.Tensor:
 
 
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``;
+    returns the norm before scaling.
+
+    Each gradient's squared norm is one BLAS dot in its own dtype, summed
+    in a fixed order: deterministic for a fixed thread count.
+    """
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
+            g = p.grad.reshape(-1)
+            total += float(np.dot(g, g))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm

@@ -321,3 +321,59 @@ def test_eval_without_dataset_or_data_section_is_an_error(tmp_path, eval_inputs)
             cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]
                      + config)
     assert not (tmp_path / "eval").exists()
+
+
+def test_cmd_gen_rejects_a_spec_that_is_not_json(tmp_path):
+    with pytest.raises(ConfigError, match="generator spec is not valid JSON"):
+        cli.main(["gen", "--output", str(tmp_path / "x.jsonl"), "--spec", "not json"])
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("task", "k", "x"),
+    ("task", "beta", True),
+    ("train", "batch_size", 2.5),
+    ("train", "grad_clip", "1"),
+    ("data.spec", "n_examples", None),
+    ("eval.spec", "vocab_size", [24]),
+])
+def test_load_config_rejects_a_value_of_the_wrong_type(tmp_path, section, key, value):
+    sections = {"task": dict(TINY_TASK), "train": dict(TINY_TRAIN),
+                "data": json.loads(json.dumps(TINY_DATA)),
+                "eval": json.loads(json.dumps(TINY_DATA))}
+    target = sections
+    for part in section.split("."):
+        target = target[part]
+    target[key] = value
+    path = write_config(tmp_path / "c.json", **sections)
+    with pytest.raises(ConfigError, match=rf"config {section} key '{key}'"):
+        cli.load_config(path)
+
+
+def test_cmd_gen_rejects_a_spec_value_of_the_wrong_type(tmp_path):
+    with pytest.raises(ConfigError, match="generator spec key 'n_examples'"):
+        cli.main(["gen", "--output", str(tmp_path / "x.jsonl"),
+                  "--spec", json.dumps({"n_examples": "3"})])
+
+
+def test_config_takes_an_integer_for_a_float_field(tmp_path):
+    path = write_config(tmp_path / "c.json", task=dict(TINY_TASK, beta=1),
+                        train=dict(TINY_TRAIN, grad_clip=None))
+    assert cli.load_config(path)["task"]["beta"] == 1
+
+
+def test_eval_section_without_a_dataset_is_not_a_dataset(tmp_path, eval_inputs, capsys):
+    ckpt, _, settings_only, _ = eval_inputs
+    out = tmp_path / "eval"
+    with pytest.raises(ConfigError, match="--dataset"):
+        cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(settings_only),
+                  "--out", str(out)])
+    assert not out.exists()
+    # with a data section as well, eval scores that section
+    with_data = json.loads(settings_only.read_text())
+    with_data["data"] = {"spec": dict(TINY_DATA["spec"], n_examples=3)}
+    path = tmp_path / "with_data.json"
+    path.write_text(json.dumps(with_data))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(path),
+                     "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["n_examples"] == 3

@@ -213,7 +213,7 @@ def test_lowering_key_bias_strictly_lowers_received_mass(monkeypatch):
         captured.clear()
         with T.no_grad():
             enc.forward(w, seq, bias=bias, mode="key")
-        masses.append(captured[0][:, :, t].sum())
+        masses.append(captured[0][..., t].sum())
     assert masses[0] > masses[1] > masses[2]
 
 
@@ -267,3 +267,31 @@ def test_checkpoint_round_trip_and_byte_stability(tmp_path):
     assert loaded_header == header
     for k, arr in named.items():
         assert (loaded[k] == arr).all()
+
+
+def test_forward_batch_rows_match_each_sequence_forward():
+    rng = np.random.default_rng(11)
+    seqs = [helpers.random_sequence(rng) for _ in range(3)]
+    assert len({len(s) for s in seqs}) > 1
+    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    for mode in ("key", "symmetric"):
+        biases = [-rng.random(len(s)) for s in seqs]
+        biases[1][-1] = -np.inf
+        with T.no_grad():
+            hidden, pooled = enc.forward_batch(w, seqs, biases, mode=mode)
+            n = hidden.shape[0] // len(seqs)
+            for b, (seq, bias) in enumerate(zip(seqs, biases)):
+                own_h, own_p = enc.forward(w, seq, bias=bias, mode=mode)
+                rows = hidden.data[b * n:b * n + len(seq)]
+                assert np.max(np.abs(rows - own_h.data)) < 1e-12
+                assert np.max(np.abs(pooled.data[b] - own_p.data[0])) < 1e-12
+
+
+def test_forward_batch_refuses_query_mode_on_a_padded_batch():
+    rng = np.random.default_rng(12)
+    seqs = [helpers.random_sequence(rng) for _ in range(2)]
+    while len(seqs[0]) == len(seqs[1]):
+        seqs[1] = helpers.random_sequence(rng)
+    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    with pytest.raises(ContractError, match="padding"):
+        enc.forward_batch(w, seqs, [np.zeros(len(s)) for s in seqs], mode="query")

@@ -54,3 +54,28 @@ def test_tracer_wraps_the_pipeline_and_flops_match_matmuls(perfbench):
     for weights in (model.pruning.encoder, model.task.encoder):
         seen = flops.matmul_flops_seen(tensor, encoder, weights, seq)
         assert seen == flops.encoder_forward_flops(weights.config, len(seq))
+
+
+def test_tracer_survives_batched_training_steps(perfbench):
+    import helpers
+
+    tracer_mod, _ = perfbench
+    examples = synth.generate(synth.GeneratorSpec(seed=3, n_examples=4, min_rows=2,
+                                                  max_rows=4, max_cell_tokens=1,
+                                                  vocab_size=20))
+    model = helpers.tiny_model(examples, dtype=np.float32, hidden=8, layers=1)
+    tracer = tracer_mod.Tracer()
+    tracer.install_pipeline(MODULES, per_example_ops=False)
+    try:
+        tracer.register_model(model)
+        result = training.train(model.config,
+                                training.TrainConfig(num_steps=2, batch_size=2),
+                                examples, model=model)
+    finally:
+        tracer.uninstall()
+    assert tracer_mod.unwrapped(MODULES)
+    assert len(result.metrics) == 2
+    backward = [s for s in tracer.spans if s.name == "tensor.backward"]
+    assert len(backward) == 2
+    assert all(s.attrs["graph_nodes"] > 0 and s.attrs["graph_nodes_f64"] == 0
+               for s in backward)

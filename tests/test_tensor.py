@@ -262,3 +262,34 @@ def test_detach_cuts_gradient():
     T.backward(loss)
     # d/dx of detach(3x) * x is just detach(3x) = 6
     np.testing.assert_allclose(x.grad, [6.0])
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul, T.matmul])
+def test_binary_ops_refuse_mixed_dtypes(op):
+    x32 = np.ones((2, 2), dtype=np.float32)
+    x64 = np.ones((2, 2), dtype=np.float64)
+    for a, b in ((x32, x64), (x64, x32)):
+        with pytest.raises(ContractError, match="dtype"):
+            op(T.Tensor(a), T.Tensor(b))
+        with pytest.raises(ContractError, match="dtype"):
+            op(T.Tensor(a), b)
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul])
+def test_python_scalars_take_the_tensor_dtype(op):
+    for dtype in (np.float32, np.float64):
+        x = T.Tensor(np.ones(3, dtype=dtype))
+        assert op(x, 0.5).dtype == dtype
+        assert op(2, x).dtype == dtype
+
+
+def test_concat_splits_gradient_back_to_its_parts():
+    a = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = T.Tensor(np.array([3.0]), requires_grad=True)
+    out = T.concat([a, T.Tensor(np.array([-np.inf])), b])
+    np.testing.assert_array_equal(out.data, [1.0, 2.0, -np.inf, 3.0])
+    T.backward(T.tensor_sum(T.mul(T.take_rows(out, [0, 1, 3]), np.array([1.0, 2.0, 3.0]))))
+    np.testing.assert_array_equal(a.grad, [1.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [3.0])
+    with pytest.raises(ContractError, match="dtype"):
+        T.concat([a, T.Tensor(np.zeros(1, dtype=np.float32))])

@@ -403,3 +403,103 @@ def test_evaluate_with_oracle_scores_is_perfect_when_task_sees_answers():
             forced[j] = 30.0 if out.compact_seq.origin[j] in ex.answer_coords else -30.0
         out.token_logits = T.Tensor(forced)
         assert tr.predict_cells(out) == ex.answer_coords
+
+
+MODES = [(mode, selection) for mode in ("J", "P", "PJ") for selection in ("token", "column")]
+
+
+def padded_batch_model(dtype, mode, selection):
+    """Four examples of unequal preselected length (the scorer batch is
+    padded); column selection keeps unequal counts (the task batch is too)."""
+    data = lookup_data(n=4, seed=3, max_rows=5, max_cols=4, max_cell_tokens=2)
+    cfg = tr.DoTConfig(pre_limit=48, k=10, loss_mode=mode, selection_mode=selection)
+    return data, tiny_model(data, cfg, dtype=dtype)
+
+
+def summed_loss(model, examples, batched, scores_override=None):
+    detach = model.config.loss_mode == "P"
+    if batched:
+        outs = tr.dot_forward_batch(model, examples, detach_bias=detach,
+                                    scores_override=scores_override)
+    else:
+        outs = [tr.dot_forward(model, ex, detach_bias=detach,
+                               scores_override=scores_override) for ex in examples]
+    losses = [tr.compute_loss(model, out, ex) for out, ex in zip(outs, examples)]
+    total = losses[0]
+    for loss in losses[1:]:
+        total = T.add(total, loss)
+    return total, outs
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("mode,selection", MODES)
+def test_batched_loss_and_gradients_match_batch_of_one(dtype, tol, mode, selection):
+    data, model = padded_batch_model(dtype, mode, selection)
+    params = model.parameters()
+    results = []
+    for batched in (False, True):
+        T.zero_grads(params)
+        total, outs = summed_loss(model, data, batched)
+        T.backward(total, params=params)
+        results.append((float(total.data), [p.grad.copy() for p in params]))
+    assert len({len(out.pre_seq) for out in outs}) > 1
+    if selection == "column":
+        assert len({len(out.compact_seq) for out in outs}) > 1
+    (loss_one, grads_one), (loss_batch, grads_batch) = results
+    assert abs(loss_batch - loss_one) <= tol * abs(loss_one)
+    # the key biases' true gradient is zero (a softmax row is shift-invariant),
+    # so every entry is compared on the scale of the largest gradient
+    scale = max(np.max(np.abs(g)) for g in grads_one)
+    for one, batch in zip(grads_one, grads_batch):
+        assert (np.abs(batch - one) <= tol * (np.abs(one) + scale)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode,selection", MODES)
+def test_every_node_of_the_loss_graph_has_the_model_dtype(dtype, mode, selection):
+    data, model = padded_batch_model(dtype, mode, selection)
+    overrides = (None, lambda seq: pr.constant_scores(seq, 0.0),
+                 lambda seq: pr.oracle_scores(seq, data[0].answer_coords))
+    for override in overrides:
+        for batched in (False, True):
+            total, _ = summed_loss(model, data[:2], batched, scores_override=override)
+            assert {node.dtype for node in T.trace(total).nodes} == {np.dtype(dtype)}
+
+
+def test_override_scores_in_a_graph_of_another_dtype_are_refused():
+    data = lookup_data(n=1)
+    model = tiny_model(data, dtype=np.float32)
+
+    def graph_scores(seq):
+        t = T.Tensor(np.zeros(len(seq)), requires_grad=True)
+        return pr.PruningScores(seq=seq, log_probs=t, logits=t)
+
+    with pytest.raises(ContractError, match="float64"):
+        tr.dot_forward(model, data[0], scores_override=graph_scores)
+
+
+def test_clip_grad_norm_returns_the_norm_before_scaling():
+    rng = np.random.default_rng(0)
+    params = [T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+              for shape in ((3, 4), (5,))]
+    for p in params:
+        p.grad = rng.normal(size=p.shape).astype(np.float32)
+    expected = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2) for p in params))
+    norm = tr.clip_grad_norm(params, 0.5)
+    assert norm == pytest.approx(expected, rel=1e-6)
+    clipped = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2) for p in params))
+    assert clipped == pytest.approx(0.5, rel=1e-6)
+
+
+def test_train_records_the_global_gradient_norm():
+    data = lookup_data(n=6, seed=4)
+    for grad_clip in (None, 1e-6):
+        model = tiny_model(data, seed=1)
+        res = tr.train(model.config,
+                       tr.TrainConfig(num_steps=3, batch_size=2, precision="f64",
+                                      grad_clip=grad_clip),
+                       data, model=model)
+        norms = [m["grad_norm"] for m in res.metrics]
+        assert len(norms) == 3
+        # the norm before clipping, so a tiny clip does not show in it
+        assert all(np.isfinite(n) and n > 1e-3 for n in norms)
