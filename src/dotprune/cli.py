@@ -353,11 +353,11 @@ def cmd_train(args) -> int:
     from . import training as tr
 
     cfg = _apply_overrides(load_config(args.config), args)
-    out_dir = args.out or "run"
-    os.makedirs(out_dir, exist_ok=True)
     dataset = _dataset_from_section(cfg.get("data", {}))
     dot_config = tr.DoTConfig(**cfg.get("task", {}))
     train_config = tr.TrainConfig(**cfg.get("train", {}))
+    out_dir = args.out or "run"
+    os.makedirs(out_dir, exist_ok=True)
     result = tr.train(dot_config, train_config, dataset)
     write_metrics(out_dir, result.metrics)
     ckpt = os.path.join(out_dir, "checkpoint.ckpt")

@@ -95,6 +95,10 @@ class TrainConfig:
     grad_clip: float | None = 1.0
 
     def __post_init__(self):
+        if self.num_steps < 1:
+            raise ConfigError("num_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ConfigError("warmup_ratio must be in [0, 1]")
         if self.precision not in ("f32", "f64"):

@@ -125,6 +125,15 @@ def test_cmd_train_writes_artifacts(tmp_path, capsys):
     assert {"step", "loss", "lr", "answer_score_gap", "answer_pruned"} <= set(rec)
 
 
+@pytest.mark.parametrize("field", ["batch_size", "num_steps"])
+def test_cmd_train_rejects_a_count_of_zero(tmp_path, field):
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK,
+                       train=dict(TINY_TRAIN, **{field: 0}), data=TINY_DATA)
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 def test_cmd_train_metrics_deterministic(tmp_path):
     cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN,
                        data=TINY_DATA)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf, ndtr
 
 from dotprune import tensor as T
 from dotprune.errors import ContractError, ShapeError
@@ -55,6 +56,15 @@ def test_softmax_matches_direct_formula():
     assert np.max(np.abs(out.data - expect)) < 1e-12
 
 
+def test_softmax_rejects_nan_and_inf_but_takes_the_mask_sentinel():
+    for bad in (np.nan, np.inf):
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(ContractError, match="finite or -inf"):
+                T.softmax_rows(T.Tensor(np.array([[0.0, 1.0], [bad, 0.0]], dtype=dtype)))
+    out = T.softmax_rows(T.Tensor(np.array([[0.0, -np.inf]], dtype=np.float32)))
+    np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
+
+
 def test_softmax_empty_row_zeros_mode():
     out = T.softmax_rows(T.Tensor([[-np.inf, -np.inf], [0.0, 0.0]]))
     np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
@@ -94,6 +104,72 @@ def test_layer_norm_matches_mean_variance_oracle():
 
 def test_gelu_at_zero():
     assert T.gelu(T.Tensor([0.0])).data[0] == 0.0
+
+
+def _gelu_and_slope(x):
+    """Forward values and d gelu / dx (the gradient of sum(gelu(x)))."""
+    t = T.Tensor(x, requires_grad=True)
+    out = T.gelu(t)
+    T.backward(T.tensor_sum(out))
+    return out.data, t.grad
+
+
+def test_gelu_f32_is_within_3e_7_of_the_normal_cdf():
+    x = np.linspace(-12.0, 12.0, 2_000_001).astype(np.float32)
+    x = x[x != 0]
+    y = T.gelu(T.Tensor(x)).data
+    assert y.dtype == np.float32
+    # y = fl(x Phi_f32(x)), so y / x carries one more float32 rounding of Phi
+    phi = y.astype(np.float64) / x.astype(np.float64)
+    assert np.abs(phi - ndtr(x.astype(np.float64))).max() <= 3e-7 + 2.0 ** -24
+    big = np.concatenate([np.linspace(6.0, 1e4, 100_001),
+                          [np.finfo(np.float32).max]]).astype(np.float32)
+    np.testing.assert_array_equal(T.gelu(T.Tensor(big)).data, big)
+    np.testing.assert_array_equal(T.gelu(T.Tensor(-big)).data, 0.0)
+
+
+def test_gelu_f32_is_bit_exact_under_slicing():
+    n = 3 * T._GELU_BLOCK + 12345
+    x = (np.random.default_rng(7).standard_normal(n) * 4).astype(np.float32)
+    out, slope = _gelu_and_slope(x)
+    for start, stop in [(0, n), (1, n - 1), (T._GELU_BLOCK - 3, 2 * T._GELU_BLOCK + 5),
+                        (n - 100, n), (12345, 12346)]:
+        part_out, part_slope = _gelu_and_slope(x[start:stop])
+        np.testing.assert_array_equal(part_out, out[start:stop])
+        np.testing.assert_array_equal(part_slope, slope[start:stop])
+    rows = x[:-1].reshape(8, -1)
+    rows_out, rows_slope = _gelu_and_slope(rows)
+    np.testing.assert_array_equal(rows_out.reshape(-1), out[:-1])
+    np.testing.assert_array_equal(rows_slope.reshape(-1), slope[:-1])
+    cols_out, cols_slope = _gelu_and_slope(rows.T)  # a strided view
+    np.testing.assert_array_equal(cols_out, rows_out.T)
+    np.testing.assert_array_equal(cols_slope, rows_slope.T)
+
+
+def test_gelu_f32_backward_agrees_with_f64():
+    x = np.linspace(-9.0, 9.0, 400_001).astype(np.float32)
+    _, slope32 = _gelu_and_slope(x)
+    _, slope64 = _gelu_and_slope(x.astype(np.float64))
+    assert slope32.dtype == np.float32
+    # Phi's bound plus a few float32 roundings of x phi(x) <= 0.25 and the sum
+    assert np.abs(slope32 - slope64).max() <= 3e-7 + 4 * 2.0 ** -24
+
+
+def test_gelu_f64_passes_gradient_check():
+    rng = np.random.default_rng(8)
+    x = T.Tensor(rng.normal(size=(5, 7)) * 2, requires_grad=True)
+    w = T.Tensor(rng.normal(size=(5, 7)))
+    err = T.gradient_check(lambda p: T.tensor_sum(T.mul(T.gelu(p[0]), w)), [x], eps=1e-5)
+    assert err < 1e-4
+
+
+def test_gelu_f64_is_bit_identical_to_the_erf_formula():
+    x = np.random.default_rng(9).normal(size=(37, 29)) * 4
+    out, slope = _gelu_and_slope(x)
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))  # x / sqrt 2 as multiplication
+    np.testing.assert_array_equal(out, x * cdf)
+    pdf = np.exp(-0.5 * x * x) * 0.3989422804014327  # 1 / sqrt(2 pi)
+    np.testing.assert_array_equal(slope, cdf + x * pdf)
 
 
 def test_adamw_single_step_decreases_weight():

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,40 @@ def test_dot_config_validation():
         tr.DoTConfig(loss_mode="Q")
     with pytest.raises(ConfigError):
         tr.TrainConfig(warmup_ratio=1.5)
+
+
+@pytest.mark.parametrize("field", ["num_steps", "batch_size"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_train_config_rejects_counts_below_one(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        tr.TrainConfig(**{field: value})
+
+
+F32_RUN_WITHOUT_SCIPY = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from dotprune import cli, synth, training
+    from helpers import tiny_model
+
+    data = synth.generate(synth.GeneratorSpec(seed=0, n_examples=4, min_rows=2,
+                                              max_rows=2, max_cell_tokens=1,
+                                              vocab_size=20))
+    model = tiny_model(data, dtype=np.float32, hidden=8, layers=1)
+    training.evaluate(model, data)
+    training.train(model.config, training.TrainConfig(num_steps=1, batch_size=2),
+                   data, model=model)
+    assert "scipy" not in sys.modules
+""")
+
+
+def test_an_f32_run_does_not_import_scipy():
+    """scipy is the float64 GELU reference; float32 evaluation and training need only numpy."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", F32_RUN_WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_forward_with_zero_scores_matches_plain_task_model():
