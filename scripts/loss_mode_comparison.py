@@ -36,7 +36,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=600)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--lr", type=float, default=1e-3)
+    ap.add_argument("--lr", type=float, default=tr.TrainConfig.learning_rate)
     ap.add_argument("--batch", type=int, default=2)
     ap.add_argument("--modes", nargs="+", default=["J", "P", "PJ"])
     args = ap.parse_args()

@@ -23,7 +23,7 @@ def main():
     ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--k", type=int, default=16)
     ap.add_argument("--pre-limit", type=int, default=64)
-    ap.add_argument("--lr", type=float, default=1e-3)
+    ap.add_argument("--lr", type=float, default=tr.TrainConfig.learning_rate)
     ap.add_argument("--batch", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--loss-mode", choices=("J", "P", "PJ"), default="J")

@@ -29,7 +29,7 @@ SCHEMA_VERSION = 1
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _DATA_KEYS = {"source", "path", "spec"}
-_EVAL_KEYS = {"source", "path", "spec", "bucket_edges", "oracle"}
+_EVAL_KEYS = {"source", "path", "spec", "bucket_edges"}
 _TOP_KEYS = {"schema_version", "task", "train", "data", "eval"}
 
 
@@ -68,7 +68,7 @@ def _has_kind(value, kinds) -> bool:
 def load_config(path) -> dict:
     """Read a strict-JSON config; section keys are the dataclasses' fields
     and their values must have the fields' types."""
-    from .synth import GeneratorSpec
+    from .synth import DESK_BUCKET_EDGES, GeneratorSpec
     from .training import DoTConfig, TrainConfig
 
     with open(path, encoding="utf-8") as fh:
@@ -86,6 +86,11 @@ def load_config(path) -> dict:
             allowed = _DATA_KEYS if section == "data" else _EVAL_KEYS
             _check_keys(cfg[section], allowed, section)
             _check_fields(cfg[section].get("spec", {}), GeneratorSpec, f"{section}.spec")
+    edges = cfg.get("eval", {}).get("bucket_edges", list(DESK_BUCKET_EDGES))
+    if not (isinstance(edges, list) and edges and all(type(e) is int for e in edges)
+            and 0 < edges[0] and all(a < b for a, b in zip(edges, edges[1:]))):
+        raise ConfigError("config eval key 'bucket_edges' must be a non-empty list of "
+                          f"strictly increasing positive integers, got {edges!r}")
     return cfg
 
 
@@ -409,6 +414,7 @@ def write_histogram(out_dir, gaps: list[float], bins: int = 20) -> str:
 
 def cmd_eval(args) -> int:
     from . import pruning as pr
+    from . import synth
     from . import training as tr
 
     cfg = load_config(args.config) if args.config else {"schema_version": 1}
@@ -436,7 +442,7 @@ def cmd_eval(args) -> int:
     recheck = (sum(p == g for p, g in zip(report_obj.predictions, golds))
                / len(examples)) if examples else 0.0
 
-    edges = tuple(cfg.get("eval", {}).get("bucket_edges", (64, 128, 256)))
+    edges = cfg.get("eval", {}).get("bucket_edges", synth.DESK_BUCKET_EDGES)
     report = {
         "accuracy": report_obj.accuracy,
         "accuracy_recheck": recheck,

@@ -20,6 +20,10 @@ keys carry a -inf bias in every layer, which removes them exactly.
 The scorer and the task model are both ``Tower``s: an encoder plus a
 one-unit linear head. Model-size presets and the closed-form parameter
 count mirror the standard compact BERT family the sizes are borrowed from.
+
+The runtime holds six embedding tables, while the counting inventory books
+nine: every token would read row 0 of the binary, relation and inverse-rank
+type tables, a constant the segment table absorbs.
 """
 
 from __future__ import annotations
@@ -93,9 +97,10 @@ def parameter_inventory(config: EncoderConfig, input_len: int) -> list[tuple[str
 
     This is the accounting inventory, not the runtime weight layout: the
     published counting convention sizes the attention projections by input
-    length, books a single shared intermediate bias, and skips the per-layer
-    attention output kernel entirely, so it can only be walked as shape
-    metadata.
+    length, books a single shared intermediate bias, skips the per-layer
+    attention output kernel entirely, and books the binary, relation and
+    inverse-rank type tables the runtime does not hold, so it can only be
+    walked as shape metadata.
     """
     v, h, hi, i = config.vocab_size, config.hidden, config.intermediate, input_len
     inv: list[tuple[str, tuple[int, ...]]] = [
@@ -180,12 +185,9 @@ class EncoderWeights:
     word: T.Tensor
     position: T.Tensor
     type_segment: T.Tensor
-    type_binary: T.Tensor
-    type_relation: T.Tensor
     type_column: T.Tensor
     type_row: T.Tensor
     type_rank: T.Tensor
-    type_inv_rank: T.Tensor
     emb_ln_gain: T.Tensor
     emb_ln_bias: T.Tensor
     layers: list[LayerWeights] = field(default_factory=list)
@@ -218,9 +220,8 @@ def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
               for i in range(config.num_layers) for name, shape in layer.items()}
     shapes.update(
         word=(config.vocab_size, h), position=(config.max_input, h),
-        type_segment=(3, h), type_binary=(2, h), type_relation=(10, h),
-        type_column=(256, h), type_row=(256, h), type_rank=(256, h),
-        type_inv_rank=(256, h), emb_ln_gain=(h,), emb_ln_bias=(h,),
+        type_segment=(3, h), type_column=(256, h), type_row=(256, h),
+        type_rank=(256, h), emb_ln_gain=(h,), emb_ln_bias=(h,),
         pooler_w=(h, h), pooler_b=(h,),
     )
     return shapes
@@ -358,7 +359,8 @@ def attention_probs(q: T.Tensor, k: T.Tensor, bias: T.Tensor | None,
 
 
 def embed(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int) -> T.Tensor:
-    """Sum word, position, and structural-type embeddings, then normalize.
+    """Sum word, position, and segment/column/row/rank type embeddings,
+    then normalize.
 
     Sequences are zero-padded to ``n`` tokens and stacked into (B*n, H) rows.
     """
@@ -371,17 +373,12 @@ def embed(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int) -> T.T
     if position.size and position.max() >= cfg.max_input:
         raise InputTooLongError(
             f"position id {position.max()} exceeds max_input {cfg.max_input}")
-    zeros = np.zeros_like(token)
     x = T.take_rows(weights.word, token)
     x = T.add(x, T.take_rows(weights.position, position))
     x = T.add(x, T.take_rows(weights.type_segment, segment))
     x = T.add(x, T.take_rows(weights.type_column, np.minimum(column, STRUCT_ID_CAP)))
     x = T.add(x, T.take_rows(weights.type_row, np.minimum(row, STRUCT_ID_CAP)))
     x = T.add(x, T.take_rows(weights.type_rank, np.minimum(rank, STRUCT_ID_CAP)))
-    # parity channels, fed their default row
-    x = T.add(x, T.take_rows(weights.type_binary, zeros))
-    x = T.add(x, T.take_rows(weights.type_relation, zeros))
-    x = T.add(x, T.take_rows(weights.type_inv_rank, zeros))
     return T.layer_norm(x, weights.emb_ln_gain, weights.emb_ln_bias)
 
 

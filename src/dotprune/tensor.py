@@ -431,10 +431,12 @@ def softmax_rows(a: Tensor) -> Tensor:
     empty = np.isneginf(rowmax)
     if empty.any():
         rowmax = np.where(empty, 0.0, rowmax)
-    ex = np.exp(x - rowmax)
+    ex = x - rowmax
+    np.exp(ex, out=ex)
     denom = ex.sum(axis=-1, keepdims=True)
     safe = np.where(denom == 0.0, 1.0, denom)
-    out = (ex / safe).astype(a.dtype, copy=False)
+    ex /= safe
+    out = ex.astype(a.dtype, copy=False)
 
     def back(g):
         dot = np.sum(g * out, axis=-1, keepdims=True)

@@ -75,7 +75,7 @@ class DoTConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
+    learning_rate: float = 1e-4
     warmup_ratio: float = 0.1
     num_steps: int = 200
     batch_size: int = 4
@@ -333,7 +333,8 @@ def _pruning_scalar_loss(outputs: DotOutputs, example: Example,
 
 
 def compute_loss(model: DoTModel, outputs: DotOutputs, example: Example) -> T.Tensor:
-    """beta times the task loss, plus the relevance loss in P and PJ modes.
+    """beta times the sum of the task loss and, in P and PJ modes, the
+    relevance loss.
 
     J and PJ keep the bias path live; P requires a detached bias, so the
     scorer learns from the relevance loss alone.
@@ -609,11 +610,18 @@ def _encoder_config(path, stored: dict) -> enc.EncoderConfig:
     return enc.EncoderConfig(**{k: v for k, v in stored.items() if k not in dropout})
 
 
+# rows of the type tables older checkpoints store; every token read row 0
+_FOLDED_TYPE_TABLES = {"type_binary": 2, "type_relation": 10, "type_inv_rank": 256}
+
+
 def load_checkpoint(path) -> DoTModel:
     """Rebuild a model from ``save_checkpoint`` output, strictly.
 
     Every tensor of both towers must be present with its expected shape and
-    one shared dtype, and nothing else may be stored.
+    one shared dtype, and nothing else may be stored. Older checkpoints also
+    store the three ``_FOLDED_TYPE_TABLES``, all or none: every token read
+    row 0 of each and exactly one segment row, so their row-0 sum is added
+    to every ``type_segment`` row, which leaves the model's function as is.
     """
     header, tensors = load_tensors(path)
     if header.get("kind") != "dot_model":
@@ -635,6 +643,15 @@ def load_checkpoint(path) -> DoTModel:
                 raise ContractError(f"{path}: tensor {prefix}.{name} is {found}, "
                                     f"expected shape {shape}")
             arrays[name] = arr
+        folded = {name: tensors.pop(f"{prefix}.{name}", None) for name in _FOLDED_TYPE_TABLES}
+        if any(arr is not None for arr in folded.values()):
+            for name, arr in folded.items():
+                shape = (_FOLDED_TYPE_TABLES[name], cfg.hidden)
+                if arr is None or arr.shape != shape:
+                    raise ContractError(f"{path}: type tables load all three or none; "
+                                        f"{prefix}.{name} is not of shape {shape}")
+            arrays["type_segment"] = arrays["type_segment"] + sum(
+                arr[0] for arr in folded.values())
         towers[prefix] = enc.Tower.from_arrays(cfg, arrays)
     if tensors:
         raise ContractError(f"{path}: unexpected tensors {sorted(tensors)}")

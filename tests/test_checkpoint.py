@@ -120,3 +120,41 @@ def test_checkpoint_with_nonzero_dropout_rate_is_rejected(checkpoint, rates):
     set_stored_dropout(checkpoint, rates)
     with pytest.raises(ContractError, match="dropout"):
         tr.load_checkpoint(checkpoint)
+
+
+TYPE_TABLE_ROWS = {"type_binary": 2, "type_relation": 10, "type_inv_rank": 256}
+
+
+def add_type_tables(tensors, names=tuple(TYPE_TABLE_ROWS), shape_of=None):
+    """Store the row-0-only type tables that checkpoints carried before the
+    runtime folded them into the segment table."""
+    rng = np.random.default_rng(7)
+    for prefix in ("pruning", "task"):
+        hidden = tensors[f"{prefix}.type_segment"].shape[1]
+        for name in names:
+            shape = (shape_of or {}).get(name, (TYPE_TABLE_ROWS[name], hidden))
+            tensors[f"{prefix}.{name}"] = rng.normal(size=shape).astype(np.float32)
+
+
+def test_older_type_tables_fold_into_the_segment_table(checkpoint):
+    rewrite(checkpoint, add_type_tables)
+    _, stored = container.load_tensors(checkpoint)
+    model = tr.load_checkpoint(checkpoint)
+    for prefix in ("pruning", "task"):
+        rows0 = [stored[f"{prefix}.{name}"][0] for name in TYPE_TABLE_ROWS]
+        assert all(np.abs(r).min() > 0 for r in rows0)
+        c = rows0[0] + rows0[1] + rows0[2]
+        loaded = getattr(model, prefix).encoder.type_segment.data
+        np.testing.assert_array_equal(loaded, stored[f"{prefix}.type_segment"] + c)
+        assert loaded.dtype == np.float32
+
+
+@pytest.mark.parametrize("names, shape_of", [
+    (("type_binary",), None),
+    (("type_relation", "type_inv_rank"), None),
+    (tuple(TYPE_TABLE_ROWS), {"type_relation": (9, 4)}),
+], ids=["one", "two", "reshaped"])
+def test_an_incomplete_or_misshapen_type_table_set_is_rejected(checkpoint, names, shape_of):
+    rewrite(checkpoint, lambda t: add_type_tables(t, names, shape_of))
+    with pytest.raises(ContractError, match="type tables"):
+        tr.load_checkpoint(checkpoint)

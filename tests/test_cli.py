@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +233,25 @@ def test_load_config_rejects_unknown_keys_in_every_section(tmp_path, section):
         cli.load_config(path)
 
 
+def test_load_config_rejects_an_eval_oracle_key(tmp_path):
+    # oracle scoring is the --oracle flag; the config has no such key
+    path = write_config(tmp_path / "c.json", eval=dict(TINY_DATA, oracle=True))
+    with pytest.raises(ConfigError, match="unknown config keys in eval.*oracle"):
+        cli.load_config(path)
+
+
+def test_readme_train_config_builds_the_configs(tmp_path):
+    from dotprune import training as tr
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"A train config looks like:\n\n```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(block.group(1))
+    cfg = cli.load_config(path)
+    tr.DoTConfig(**cfg["task"])
+    assert tr.TrainConfig(**cfg["train"]).learning_rate == tr.TrainConfig.learning_rate
+
+
 @pytest.fixture
 def eval_inputs(tmp_path):
     """A tiny saved model, a JSONL set spanning several length buckets, and a
@@ -386,3 +407,15 @@ def test_eval_section_without_a_dataset_is_not_a_dataset(tmp_path, eval_inputs, 
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(path),
                      "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["n_examples"] == 3
+
+
+@pytest.mark.parametrize("edges", [[], "ab", 5, [128, 64], [64, True]],
+                         ids=["empty", "string", "number", "decreasing", "bool"])
+def test_eval_rejects_bad_bucket_edges_before_writing(tmp_path, eval_inputs, edges):
+    ckpt, data, _, _ = eval_inputs
+    cfg = write_config(tmp_path / "bad.json", eval={"bucket_edges": edges})
+    out = tmp_path / "eval"
+    with pytest.raises(ConfigError, match="bucket_edges"):
+        cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                  "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()

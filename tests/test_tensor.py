@@ -71,6 +71,22 @@ def test_softmax_empty_row_zeros_mode():
     np.testing.assert_allclose(out.data[1], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_in_place_equals_the_three_array_expression_bitwise(dtype):
+    x = np.random.default_rng(0).normal(0.0, 4.0, size=(3, 5, 17)).astype(dtype)
+    x[0, 1, [2, 5]] = -np.inf
+    x[1, 3, :] = -np.inf
+    rowmax = np.max(x, axis=-1, keepdims=True)
+    rowmax = np.where(np.isneginf(rowmax), 0.0, rowmax)
+    ex = np.exp(x - rowmax)
+    denom = ex.sum(axis=-1, keepdims=True)
+    expect = ex / np.where(denom == 0.0, 1.0, denom)
+    out = T.softmax_rows(T.Tensor(x)).data
+    assert out.dtype == dtype
+    assert out.tobytes() == expect.astype(dtype).tobytes()
+    assert not out[1, 3].any()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.floats(-30, 30), min_size=2, max_size=6),
                 min_size=1, max_size=5).filter(lambda rows: len({len(r) for r in rows}) == 1))
