@@ -22,7 +22,7 @@ import sys
 import time
 import typing
 
-from .errors import ConfigError
+from .errors import ConfigError, open_input
 
 SCHEMA_VERSION = 1
 
@@ -67,11 +67,12 @@ def _has_kind(value, kinds) -> bool:
 
 def load_config(path) -> dict:
     """Read a strict-JSON config; section keys are the dataclasses' fields
-    and their values must have the fields' types."""
+    and their values must have the fields' types. Any failure, opening the
+    file included, raises ``ConfigError``."""
     from .synth import DESK_BUCKET_EDGES, GeneratorSpec
     from .training import DoTConfig, TrainConfig
 
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, ConfigError, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except ValueError as e:
@@ -422,14 +423,14 @@ def cmd_eval(args) -> int:
     if not (args.dataset or section is not None):
         raise ConfigError("eval needs --dataset, an eval section naming a dataset "
                           f"({', '.join(sorted(_DATA_KEYS))}) or a data section")
-    out_dir = args.out or "eval"
-    os.makedirs(out_dir, exist_ok=True)
     model = tr.load_checkpoint(args.checkpoint)
     if args.dataset:
         from . import tables
         examples = tables.read_jsonl(args.dataset)
     else:
         examples = _dataset_from_section(section)
+    out_dir = args.out or "eval"
+    os.makedirs(out_dir, exist_ok=True)
 
     override = None
     if args.oracle:

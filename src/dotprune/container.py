@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, open_input
 
 MAGIC = b"DOTC"
 VERSION = 1
@@ -62,9 +62,9 @@ def _read_json(fh, n: int, path):
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Inverse of ``save_tensors``; any malformed or truncated file raises
-    ``ContractError``."""
-    with open(path, "rb") as fh:
+    """Inverse of ``save_tensors``; a missing, malformed or truncated file
+    raises ``ContractError``."""
+    with open_input(path, ContractError, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ContractError(f"{path} is not a tensor container")
         (version,) = struct.unpack("<I", _read(fh, 4, path))

@@ -35,9 +35,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, InputTooLongError
-from .tables import TokenizedSequence, STRUCT_ID_CAP
+from .tables import TokenizedSequence
 
 BIAS_MODES = ("key", "query", "symmetric")
+STRUCT_ID_CAP = 255  # structural embedding tables have 256 rows; larger ids share the last
 
 # (num_layers, hidden, num_heads, intermediate)
 _PRESETS = {
@@ -303,11 +304,8 @@ def attention_bias(bias: T.Tensor | np.ndarray | None, n_keys: int, dtype,
     data = bias_t.data
     if data.shape != (n_keys,):
         raise ContractError(f"bias length {data.shape} != key count {n_keys}")
-    finite = np.isfinite(data)
-    if (data[finite] > 0).any():
-        raise ContractError("attention bias entries must be <= 0 (log-probabilities)")
-    if np.isnan(data).any() or np.isposinf(data).any():
-        raise ContractError("attention bias must be <= 0 or -inf")
+    if not (data <= 0).all():  # NaN compares false, so it is refused too
+        raise ContractError("attention bias entries must be <= 0 or -inf")
     return bias_t
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``open_input``, which
+opens an input file so that failing to open it raises one of them."""
 
 
 class DotpruneError(Exception):
@@ -27,3 +28,12 @@ class ConfigError(DotpruneError, ValueError):
 
 class TrainingDivergedError(DotpruneError, RuntimeError):
     """The training loss became non-finite."""
+
+
+def open_input(path, error: type[DotpruneError], mode: str = "r", **kwargs):
+    """``open(path, mode)`` for reading; an ``OSError`` (a missing file, a
+    directory, no permission) becomes ``error`` naming the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise error(f"cannot open {path}: {e.strerror or e}") from None

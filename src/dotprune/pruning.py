@@ -1,7 +1,9 @@
 """Token relevance scoring, top-k / column selection, and drop verification.
 
-A small encoder scores every token of a sequence with a log-probability of
-being relevant, s = log(sigmoid(logit)) in (-inf, 0]. Selection keeps the
+A small encoder scores every token with a log-probability of being
+relevant, s = max(log(sigmoid(logit)), SCORE_FLOOR) in [-50, 0]; -inf stays
+reserved for hard masks. ``score_tokens`` is the one scoring entry point:
+it runs the encoder once on a padded batch. Selection keeps the
 question span unconditionally and fills the remaining budget either with
 the best-scoring table tokens or with whole columns ranked by mean score.
 The kept tokens' scores become an additive attention bias for the task
@@ -23,6 +25,8 @@ from . import tensor as T
 from .errors import BudgetError, ContractError
 from .tables import TokenizedSequence
 
+SCORE_FLOOR = -50.0  # soft scores are clipped here; -inf is reserved for hard masks
+
 
 @dataclass
 class PruningScores:
@@ -40,9 +44,6 @@ class PruningScores:
     def values(self) -> np.ndarray:
         return self.log_probs.data
 
-    def __len__(self) -> int:
-        return len(self.seq)
-
 
 @dataclass(frozen=True)
 class Selection:
@@ -58,29 +59,17 @@ class Selection:
             raise ContractError("selection exceeds its budget")
 
 
-def score_batch(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[PruningScores]:
+def score_tokens(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[PruningScores]:
     """Score every token of a batch with log P(relevant); differentiable.
 
-    The encoder runs once on the padded batch; each sequence's scores are
+    The encoder runs once on the padded batch. Log-probabilities are
+    clipped at ``SCORE_FLOOR``; logits are not. Each sequence's scores are
     its own rows of the result.
     """
-    if len(seqs) == 1:
-        # through ``score_tokens``, so wrappers of the one-sequence entry
-        # point (the benchmark's tracer) see batches of one
-        return [score_tokens(weights, seqs[0])]
-    return _score_padded(weights, seqs)
-
-
-def score_tokens(weights: enc.Tower, seq: TokenizedSequence) -> PruningScores:
-    """Score every token with log P(relevant); the batch-of-one ``score_batch``."""
-    return _score_padded(weights, [seq])[0]
-
-
-def _score_padded(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[PruningScores]:
     hidden, _ = enc.forward_batch(weights.encoder, seqs)
     rows = hidden.shape[0]
     logits = T.reshape(T.add(T.matmul(hidden, weights.head_w), weights.head_b), (rows,))
-    log_probs = T.log_sigmoid(logits)
+    log_probs = T.maximum_scalar(T.log_sigmoid(logits), SCORE_FLOOR)
     n = rows // len(seqs)
     out = []
     for b, seq in enumerate(seqs):
@@ -97,14 +86,13 @@ def constant_scores(seq: TokenizedSequence, value: float = 0.0) -> PruningScores
     return PruningScores(seq=seq, log_probs=t, logits=t)
 
 
-def oracle_scores(seq: TokenizedSequence, answer_coords, floor: float = -50.0
-                  ) -> PruningScores:
-    """Score 0 for tokens in any answer row, ``floor`` for other table tokens."""
+def oracle_scores(seq: TokenizedSequence, answer_coords) -> PruningScores:
+    """Score 0 for tokens in any answer row, ``SCORE_FLOOR`` for other table tokens."""
     answer_rows = {r for r, _ in answer_coords}
     data = np.zeros(len(seq))
     for i in range(len(seq)):
         if seq.segment_ids[i] == 1 and (seq.row_ids[i] - 1) not in answer_rows:
-            data[i] = floor
+            data[i] = SCORE_FLOOR
     t = T.Tensor(data)
     return PruningScores(seq=seq, log_probs=t, logits=t)
 

@@ -16,7 +16,7 @@ import json
 import string
 from dataclasses import dataclass
 
-from .errors import ContractError, InputTooLongError
+from .errors import ContractError, InputTooLongError, open_input
 
 PAD_ID = 0
 CLS_ID = 1
@@ -27,8 +27,6 @@ PAD_TOKEN = "[PAD]"
 CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 UNK_TOKEN = "[UNK]"
-
-STRUCT_ID_CAP = 255  # structural embedding tables have 256 rows
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -144,8 +142,9 @@ class TokenizedSequence:
     ``column_ids``/``row_ids``: 1-based for table content, 0 elsewhere
     (header tokens carry row 0 and their column id).
     ``rank_ids``: 1-based position of a token within its cell, 0 for
-    non-table tokens. ``origin``: 0-based (row, col) of the body cell a
-    token came from, None for header/question/special tokens.
+    non-table tokens. These ids are never capped; only the encoder clamps
+    them to its embedding tables. ``origin``: 0-based (row, col) of the body
+    cell a token came from, None for header/question/special tokens.
     ``positions``: original position ids; None means 0..len-1. Selections
     that compact a sequence for the task model keep original positions so
     masked and compacted forwards are interchangeable.
@@ -238,9 +237,9 @@ def linearize(example: Example, vocab: Vocabulary) -> TokenizedSequence:
         for j, tok in enumerate(toks):
             ids.append(vocab.id_of(tok))
             seg.append(1)
-            col.append(min(col_id, STRUCT_ID_CAP))
-            row.append(min(row_id, STRUCT_ID_CAP))
-            rank.append(min(j + 1, STRUCT_ID_CAP))
+            col.append(col_id)
+            row.append(row_id)
+            rank.append(j + 1)
             origin.append(org)
 
     return TokenizedSequence(tuple(ids), tuple(seg), tuple(col), tuple(row),
@@ -397,10 +396,10 @@ def write_jsonl(path, examples) -> None:
 
 
 def read_jsonl(path) -> list[Example]:
-    """One example per non-blank line; a bad line raises ``ContractError``
-    naming the file and line number."""
+    """One example per non-blank line; a file that cannot be opened raises
+    ``ContractError`` naming it, a bad line one naming the file and line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, ContractError, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:

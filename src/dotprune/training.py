@@ -1,16 +1,17 @@
 """Joint training of the scoring and task encoders.
 
 The pipeline: linearize each example, shorten it with a heuristic
-preselector, score every token, keep the top-k tokens (or top columns),
-compact, and run the task encoder with the kept tokens' scores as a soft
-attention bias. Each tower runs once per batch on a padded stack; selection
-and compaction run per example.
+preselector, score every token (``pruning.score_tokens``, or override scores
+cast to the model's dtype and clipped at ``pruning.SCORE_FLOOR``), keep the
+top-k tokens (or top columns), compact, and run the task encoder with the
+kept tokens' scores as a soft attention bias. Each tower runs once per batch
+on a padded stack; selection and compaction run per example.
 Three loss modes differ in how the scorer learns:
 
 * ``J``: the task loss alone; gradient reaches the scorer only through the
   attention bias.
-* ``P``: the bias is detached and the scorer instead gets an auxiliary
-  per-token relevance loss against answer-cell membership.
+* ``P``: the forward detaches the bias and the scorer instead gets an
+  auxiliary per-token relevance loss against answer-cell membership.
 * ``PJ``: both paths at once.
 
 The trainer is deterministic given (config, seed, thread count): metrics
@@ -32,8 +33,6 @@ from . import tensor as T
 from .container import load_tensors, save_tensors
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .tables import Example, TokenizedSequence, Vocabulary, cc_select, hem_select, linearize
-
-SCORE_FLOOR = -50.0  # soft scores are clipped here; -inf is reserved for hard masks
 
 LOSS_MODES = ("J", "P", "PJ")
 PRESELECTORS = ("cc", "hem")
@@ -171,7 +170,6 @@ def preselect(seq: TokenizedSequence, example: Example, config: DoTConfig
 
 
 def dot_forward(model: DoTModel, example: Example,
-                detach_bias: bool = False,
                 scores_override: Callable[[TokenizedSequence], pr.PruningScores] | None = None,
                 selection_override: pr.Selection | None = None,
                 selection_noise: tuple[float, np.random.Generator] | None = None
@@ -182,13 +180,12 @@ def dot_forward(model: DoTModel, example: Example,
     use it because the hard selection is a step function of the scores.
     """
     return dot_forward_batch(
-        model, [example], detach_bias=detach_bias, scores_override=scores_override,
+        model, [example], scores_override=scores_override,
         selection_overrides=None if selection_override is None else [selection_override],
         selection_noise=selection_noise)[0]
 
 
 def dot_forward_batch(model: DoTModel, examples: list[Example],
-                      detach_bias: bool = False,
                       scores_override: Callable[[TokenizedSequence],
                                                 pr.PruningScores] | None = None,
                       selection_overrides: list[pr.Selection] | None = None,
@@ -198,27 +195,24 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
 
     Selection and compaction run per example; every output tensor is a
     per-example slice of the batch's tensors. ``scores_override`` replaces
-    the learned scorer (oracle injection and forced-zero-score baselines);
-    its scores live outside the graph and are cast to the model's dtype.
-    ``detach_bias`` cuts the gradient path from the task loss into the
-    scorer, which is what the P loss mode needs. ``selection_overrides``
-    pins each example's kept set. ``selection_noise`` perturbs only the
-    selection, never the bias: the trainer's exploration mechanism.
+    the learned scorer (oracle injection and forced-zero-score baselines).
+    In the P loss mode the bias is detached, so the task loss does not
+    reach the scorer. ``selection_overrides`` pins each example's kept set.
+    ``selection_noise`` perturbs only the selection, never the bias: the
+    trainer's exploration mechanism.
     """
     cfg = model.config
+    detach = cfg.loss_mode == "P"
     dtype = model.task.head_w.dtype
     pre_seqs = [preselect(linearize(ex, model.vocab), ex, cfg) for ex in examples]
     if scores_override is not None:
         all_scores = [_fixed_scores(scores_override(seq), dtype) for seq in pre_seqs]
     else:
-        all_scores = pr.score_batch(model.pruning, pre_seqs)
+        all_scores = pr.score_tokens(model.pruning, pre_seqs)
 
-    clipped_scores, selections, compact_seqs, biases = [], [], [], []
+    selections, compact_seqs, biases = [], [], []
     for b, (pre_seq, scores) in enumerate(zip(pre_seqs, all_scores)):
-        clipped = pr.PruningScores(seq=pre_seq,
-                                   log_probs=T.maximum_scalar(scores.log_probs, SCORE_FLOOR),
-                                   logits=scores.logits)
-        select_from = clipped
+        select_from = scores
         if selection_noise is not None:
             sigma, noise_rng = selection_noise
             if sigma > 0:
@@ -228,7 +222,7 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
                 row_ids = np.asarray(pre_seq.row_ids)
                 row_noise = noise_rng.normal(0.0, sigma, int(row_ids.max()) + 1)
                 token_noise = noise_rng.normal(0.0, 0.25 * sigma, len(pre_seq))
-                noisy = T.Tensor(clipped.values + row_noise[row_ids] + token_noise)
+                noisy = T.Tensor(scores.values + row_noise[row_ids] + token_noise)
                 select_from = pr.PruningScores(seq=pre_seq, log_probs=noisy, logits=noisy)
 
         if selection_overrides is not None:
@@ -238,11 +232,10 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
         else:
             selection = pr.select_columns(pr.column_scores(select_from, pre_seq),
                                           pre_seq, cfg.k)
-        bias = pr.build_bias(selection, clipped)
-        clipped_scores.append(clipped)
+        bias = pr.build_bias(selection, scores)
         selections.append(selection)
         compact_seqs.append(pr.compact(pre_seq, selection))
-        biases.append(bias.detach() if detach_bias else bias)
+        biases.append(bias.detach() if detach else bias)
 
     hidden, pooled = enc.forward_batch(model.task.encoder, compact_seqs, biases, mode="key")
     head_w, head_b = model.task.head_w, model.task.head_b
@@ -272,26 +265,24 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
         else:
             cls_logit = T.take_rows(all_cls_logits, [b])
         outputs.append(DotOutputs(
-            pre_seq=pre_seq, compact_seq=compact_seq, scores=clipped_scores[b],
+            pre_seq=pre_seq, compact_seq=compact_seq, scores=all_scores[b],
             selection=selection, token_logits=token_logits, cls_logit=cls_logit,
             kept_table_slots=kept_table_slots, kept_table_targets=kept_table_targets,
-            answer_pruned=answer_pruned, bias_detached=detach_bias))
+            answer_pruned=answer_pruned, bias_detached=detach))
     return outputs
 
 
 def _fixed_scores(scores: pr.PruningScores, dtype) -> pr.PruningScores:
-    """Override scores in the model's dtype.
+    """Override scores in the model's dtype, clipped at ``pr.SCORE_FLOOR``.
 
-    Override scores are constants outside the graph, so the cast loses no
-    gradient; a graph tensor of another dtype is refused instead.
+    Override scores must be constants outside the graph, so the cast loses
+    no gradient; a graph tensor of any dtype is refused.
     """
-    if scores.log_probs.dtype == dtype and scores.logits.dtype == dtype:
-        return scores
     if scores.log_probs.requires_grad or scores.logits.requires_grad:
         raise ContractError(f"override scores are a {scores.log_probs.dtype} graph; "
-                            f"the model is {np.dtype(dtype)}")
-    return pr.PruningScores(seq=scores.seq,
-                            log_probs=T.Tensor(scores.log_probs.data.astype(dtype)),
+                            "they must be constants")
+    log_probs = np.maximum(scores.log_probs.data.astype(dtype), pr.SCORE_FLOOR)
+    return pr.PruningScores(seq=scores.seq, log_probs=T.Tensor(log_probs),
                             logits=T.Tensor(scores.logits.data.astype(dtype)))
 
 
@@ -336,12 +327,13 @@ def compute_loss(model: DoTModel, outputs: DotOutputs, example: Example) -> T.Te
     """beta times the sum of the task loss and, in P and PJ modes, the
     relevance loss.
 
-    J and PJ keep the bias path live; P requires a detached bias, so the
-    scorer learns from the relevance loss alone.
+    J and PJ keep the bias path live; P requires the detached bias of a
+    P-mode forward, so the scorer learns from the relevance loss alone.
     """
     cfg = model.config
     if cfg.loss_mode == "P" and not outputs.bias_detached:
-        raise ContractError("P loss requires dot_forward(detach_bias=True)")
+        raise ContractError("P loss needs outputs of a P-mode forward, whose bias "
+                            "is detached; the loss mode changed after the forward")
     loss = _task_scalar_loss(outputs, example, cfg.positive_weight)
     if cfg.loss_mode != "J":
         loss = T.add(loss, _pruning_scalar_loss(outputs, example, cfg.positive_weight))
@@ -424,7 +416,6 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     data_rng = np.random.Generator(np.random.PCG64(train_config.seed + 1))
     explore_rng = np.random.Generator(np.random.PCG64(train_config.seed + 3))
     anneal_until = max(1.0, 0.6 * train_config.num_steps)
-    detach = model.config.loss_mode == "P"
 
     order: list[int] = []
     metrics: list[dict] = []
@@ -440,8 +431,8 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         noise = (sigma, explore_rng) if train_config.exploration_noise > 0 else None
 
         t0 = time.perf_counter()
-        outs = dot_forward_batch(model, batch, detach_bias=detach,
-                                 scores_override=scores_override, selection_noise=noise)
+        outs = dot_forward_batch(model, batch, scores_override=scores_override,
+                                 selection_noise=noise)
         losses = [compute_loss(model, out, ex) for out, ex in zip(outs, batch)]
         gaps = [g for g in (answer_score_gap(out.scores, out.selection, ex)
                             for out, ex in zip(outs, batch)) if g is not None]

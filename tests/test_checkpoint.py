@@ -158,3 +158,9 @@ def test_an_incomplete_or_misshapen_type_table_set_is_rejected(checkpoint, names
     rewrite(checkpoint, lambda t: add_type_tables(t, names, shape_of))
     with pytest.raises(ContractError, match="type tables"):
         tr.load_checkpoint(checkpoint)
+
+
+def test_load_tensors_names_a_file_it_cannot_open(tmp_path):
+    for path in (tmp_path / "missing.ckpt", tmp_path):
+        with pytest.raises(ContractError, match=f"cannot open {path}"):
+            container.load_tensors(path)

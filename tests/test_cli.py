@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from dotprune import cli
-from dotprune.errors import ConfigError
+from dotprune.errors import ConfigError, ContractError
 from dotprune.tables import read_jsonl
 
 
@@ -30,6 +30,12 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path / "c.json", task=dict(TINY_TASK, typo_key=1))
     with pytest.raises(ConfigError, match="typo_key"):
         cli.load_config(path)
+
+
+def test_load_config_names_a_file_it_cannot_open(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ConfigError, match=f"cannot open {path}"):
+            cli.load_config(path)
 
 
 def test_load_config_requires_schema_version(tmp_path):
@@ -419,3 +425,12 @@ def test_eval_rejects_bad_bucket_edges_before_writing(tmp_path, eval_inputs, edg
         cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
                   "--config", str(cfg), "--out", str(out)])
     assert not out.exists()
+
+
+def test_eval_of_missing_inputs_fails_before_writing(tmp_path, eval_inputs, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for ckpt, missing in (("nope.ckpt", "nope.ckpt"), (str(eval_inputs[0]), "nope.jsonl")):
+        with pytest.raises(ContractError, match=f"cannot open {missing}"):
+            cli.main(["eval", "--checkpoint", ckpt, "--dataset", "nope.jsonl",
+                      "--out", "X"])
+        assert not (tmp_path / "X").exists()

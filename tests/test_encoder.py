@@ -84,8 +84,14 @@ def test_biased_attention_single_query_weights():
 
 def test_biased_attention_rejects_positive_bias():
     q = T.Tensor(np.zeros((1, 2)))
-    with pytest.raises(ContractError):
-        _attend(q, q, q, np.array([0.1]))
+    for bad in (0.1, np.nan, np.inf):
+        with pytest.raises(ContractError, match="must be <= 0"):
+            _attend(q, q, q, np.array([bad]))
+
+
+def test_attention_bias_accepts_minus_inf_and_negative_zero():
+    bias = np.array([0.0, -0.0, -np.inf, -3.0])
+    np.testing.assert_array_equal(enc.attention_bias(bias, 4, np.float64, "key").data, bias)
 
 
 def test_biased_attention_rejects_wrong_length():

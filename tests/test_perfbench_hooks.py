@@ -79,3 +79,6 @@ def test_tracer_survives_batched_training_steps(perfbench):
     assert len(backward) == 2
     assert all(s.attrs["graph_nodes"] > 0 and s.attrs["graph_nodes_f64"] == 0
                for s in backward)
+    # the scorer runs once per step on the padded batch, through the traced
+    # entry point
+    assert sum(s.name == "pruning.score_tokens" for s in tracer.spans) == 2

@@ -31,7 +31,7 @@ def test_score_tokens_logit_zero_gives_log_half():
     w = tiny_pruning()
     # zero head makes every logit exactly the bias, i.e. zero
     w.head_w.data[:] = 0.0
-    scores = pr.score_tokens(w, seq)
+    scores = pr.score_tokens(w, [seq])[0]
     np.testing.assert_allclose(scores.values, np.log(0.5), atol=1e-12)
 
 
@@ -42,7 +42,7 @@ def test_score_limits_are_stable():
     for forced in (50.0, -50.0):
         w.head_w.data[:] = 0.0
         w.head_b.data[:] = forced
-        s = pr.score_tokens(w, seq).values
+        s = pr.score_tokens(w, [seq])[0].values
         assert np.isfinite(s).all()
         assert (s <= 0).all()
         if forced > 0:
@@ -55,7 +55,7 @@ def test_scores_always_nonpositive():
     rng = np.random.default_rng(2)
     seq = helpers.random_sequence(rng)
     w = tiny_pruning(seed=7)
-    assert (pr.score_tokens(w, seq).values <= 0).all()
+    assert (pr.score_tokens(w, [seq])[0].values <= 0).all()
 
 
 def test_score_gradient_reaches_head():
@@ -64,7 +64,7 @@ def test_score_gradient_reaches_head():
     w = tiny_pruning(seed=1)
 
     def f(params):
-        return T.tensor_sum(pr.score_tokens(w, seq).log_probs)
+        return T.tensor_sum(pr.score_tokens(w, [seq])[0].log_probs)
 
     err = T.gradient_check(f, [w.head_w, w.head_b], eps=1e-5)
     assert err < 1e-4
@@ -219,7 +219,7 @@ def test_build_bias_soft_gradient_only_for_kept_tokens():
     rng = np.random.default_rng(13)
     seq = helpers.random_sequence(rng)
     w = tiny_pruning(seed=3)
-    scores = pr.score_tokens(w, seq)
+    scores = pr.score_tokens(w, [seq])[0]
     qspan = seq.question_span()
     k = len(qspan) + max(1, len(seq.table_indices()) // 2)
     sel = pr.select_top_k_tokens(scores, seq, k)

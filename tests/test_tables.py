@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dotprune import encoder as enc
+from dotprune import pruning as pr
 from dotprune import tables as tb
 from dotprune.errors import ContractError, InputTooLongError
 
@@ -265,6 +267,12 @@ record_like = st.fixed_dictionaries(
               "label": st.integers(-1, 2) | json_values})
 
 
+def test_read_jsonl_names_a_file_it_cannot_open(tmp_path):
+    for path in (tmp_path / "missing.jsonl", tmp_path):
+        with pytest.raises(ContractError, match=f"cannot open {path}"):
+            tb.read_jsonl(path)
+
+
 def assert_examples_or_contract_error(path):
     try:
         examples = tb.read_jsonl(path)
@@ -287,3 +295,36 @@ def test_read_jsonl_any_json_value_gives_examples_or_contract_error(tmp_path_fac
     path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
     path.write_text(json.dumps(value) + "\n", encoding="utf-8")
     assert_examples_or_contract_error(path)
+
+
+def test_structural_ids_past_the_embedding_tables_stay_distinct():
+    # 300 rows: ids past 255 are stored as they are, and only the encoder's
+    # embedding lookup clamps them
+    rows = [[f"r{i}", "x"] for i in range(300)]
+    ex = tb.Example("r279 a", tb.Table.make(["a", "b"], rows),
+                    answer_coords=frozenset({(279, 0)}))
+    vocab = vocab_for(ex)
+    seq = tb.linearize(ex, vocab)
+    assert max(seq.row_ids) == 300
+    groups = tb._cells_of(seq)
+    assert len(groups) == 2 + 300 * 2 and all(len(g) == 1 for g in groups)
+
+    scores = pr.oracle_scores(seq, ex.answer_coords).values
+    answer = seq.origin.index((279, 0))
+    assert scores[answer] == 0.0
+    at_zero = [i for i in seq.table_indices() if scores[i] == 0.0]
+    assert [seq.origin[i] for i in at_zero] == [(279, 0), (279, 1)]
+
+    cfg = enc.EncoderConfig(num_layers=1, hidden=8, num_heads=2, intermediate=16,
+                            vocab_size=len(vocab), max_input=len(seq))
+    x = enc.embed(enc.init_weights(cfg, np.float64), [seq], len(seq))
+    assert x.shape == (len(seq), 8) and np.isfinite(x.data).all()
+
+
+def test_hem_select_admits_a_column_past_the_embedding_tables():
+    header = [f"h{c}" for c in range(300)]
+    ex = make_example(header, [["x"] * 300], question="h279")
+    seq = tb.linearize(ex, vocab_for(ex))
+    qspan = len(seq.question_span())
+    out = tb.hem_select(seq, ex.question, ex.table, qspan + 2)
+    assert [out.column_ids[i] for i in out.table_indices()] == [280, 280]

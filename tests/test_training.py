@@ -23,6 +23,12 @@ def loss_of(model, out, ex, mode="J", beta=1.0):
     return tr.compute_loss(model, out, ex)
 
 
+def forward_in(model, ex, mode, **kw):
+    """``dot_forward`` under the given loss mode; P mode detaches the bias."""
+    model.config = dataclasses.replace(model.config, loss_mode=mode)
+    return tr.dot_forward(model, ex, **kw)
+
+
 def lookup_data(n=8, seed=0, **kw):
     spec_kw = dict(seed=seed, n_examples=n, min_rows=2, max_rows=3, min_cols=2,
                    max_cols=3, max_cell_tokens=1, vocab_size=24)
@@ -148,12 +154,14 @@ def test_loss_j_beta_zero_gives_zero_loss_and_grads():
 
 
 def test_j_gradients_flow_only_through_bias():
-    # With the bias detached, the J loss must not reach the scorer at all.
+    # A P-mode forward detaches the bias, so the task loss (the whole J loss)
+    # must not reach the scorer at all.
     data = lookup_data()
     model = tiny_model(data)
     ex = data[0]
-    out = tr.dot_forward(model, ex, detach_bias=True)
-    loss = loss_of(model, out, ex)
+    out = forward_in(model, ex, "P")
+    assert out.bias_detached
+    loss = tr._task_scalar_loss(out, ex)
     T.zero_grads(model.parameters())
     T.backward(loss, params=model.parameters())
     assert all(np.all(p.grad == 0) for p in model.pruning_parameters())
@@ -173,7 +181,7 @@ def test_loss_p_task_term_detached_but_aux_term_reaches_scorer():
     data = lookup_data()
     model = tiny_model(data)
     ex = data[0]
-    out = tr.dot_forward(model, ex, detach_bias=True)
+    out = forward_in(model, ex, "P")
     loss = loss_of(model, out, ex, "P")
     T.zero_grads(model.parameters())
     T.backward(loss, params=model.parameters())
@@ -198,8 +206,8 @@ def test_p_equals_pj_value_when_bias_zero_everywhere():
     model = tiny_model(data)
     ex = data[0]
     override = lambda s: pr.constant_scores(s, 0.0)
-    detached = tr.dot_forward(model, ex, detach_bias=True, scores_override=override)
-    attached = tr.dot_forward(model, ex, detach_bias=False, scores_override=override)
+    detached = forward_in(model, ex, "P", scores_override=override)
+    attached = forward_in(model, ex, "PJ", scores_override=override)
     p = loss_of(model, detached, ex, "P", 0.7).item()
     pj = loss_of(model, attached, ex, "PJ", 0.7).item()
     assert abs(p - pj) < 1e-12
@@ -212,15 +220,15 @@ def test_pj_gradient_is_sum_of_both_paths():
     model = tiny_model(data)
     ex = data[0]
 
-    def grads_of(loss_fn, detach):
-        out = tr.dot_forward(model, ex, detach_bias=detach)
+    def grads_of(loss_fn, mode):
+        out = forward_in(model, ex, mode)
         T.zero_grads(model.parameters())
         T.backward(loss_fn(out), params=model.parameters())
         return [p.grad.copy() for p in model.pruning_parameters()]
 
-    g_pj = grads_of(lambda o: loss_of(model, o, ex, "PJ"), detach=False)
-    g_j = grads_of(lambda o: loss_of(model, o, ex, "J"), detach=False)
-    g_p = grads_of(lambda o: loss_of(model, o, ex, "P"), detach=True)
+    g_pj = grads_of(lambda o: loss_of(model, o, ex, "PJ"), "PJ")
+    g_j = grads_of(lambda o: loss_of(model, o, ex, "J"), "J")
+    g_p = grads_of(lambda o: loss_of(model, o, ex, "P"), "P")
     assert any(np.abs(g).max() > 0 for g in g_j)
     assert any(np.abs(g).max() > 0 for g in g_p)
     for a, b, c in zip(g_pj, g_j, g_p):
@@ -246,7 +254,7 @@ def test_pj_loss_finite_at_score_floor():
     model.pruning.head_b.data[:] = -60.0  # scores clip at the floor
     ex = data[0]
     out = tr.dot_forward(model, ex)
-    assert (out.scores.values >= tr.SCORE_FLOOR).all()
+    assert (out.scores.values >= pr.SCORE_FLOOR).all()
     assert np.isfinite(loss_of(model, out, ex, "PJ").item())
 
 
@@ -456,13 +464,11 @@ def padded_batch_model(dtype, mode, selection):
 
 
 def summed_loss(model, examples, batched, scores_override=None):
-    detach = model.config.loss_mode == "P"
     if batched:
-        outs = tr.dot_forward_batch(model, examples, detach_bias=detach,
-                                    scores_override=scores_override)
+        outs = tr.dot_forward_batch(model, examples, scores_override=scores_override)
     else:
-        outs = [tr.dot_forward(model, ex, detach_bias=detach,
-                               scores_override=scores_override) for ex in examples]
+        outs = [tr.dot_forward(model, ex, scores_override=scores_override)
+                for ex in examples]
     losses = [tr.compute_loss(model, out, ex) for out, ex in zip(outs, examples)]
     total = losses[0]
     for loss in losses[1:]:
@@ -506,15 +512,17 @@ def test_every_node_of_the_loss_graph_has_the_model_dtype(dtype, mode, selection
 
 
 def test_override_scores_in_a_graph_of_another_dtype_are_refused():
+    # a graph is refused whatever its dtype, the model's own included
     data = lookup_data(n=1)
     model = tiny_model(data, dtype=np.float32)
+    for dtype in (np.float64, np.float32):
 
-    def graph_scores(seq):
-        t = T.Tensor(np.zeros(len(seq)), requires_grad=True)
-        return pr.PruningScores(seq=seq, log_probs=t, logits=t)
+        def graph_scores(seq):
+            t = T.Tensor(np.zeros(len(seq), dtype=dtype), requires_grad=True)
+            return pr.PruningScores(seq=seq, log_probs=t, logits=t)
 
-    with pytest.raises(ContractError, match="float64"):
-        tr.dot_forward(model, data[0], scores_override=graph_scores)
+        with pytest.raises(ContractError, match=f"{np.dtype(dtype)} graph"):
+            tr.dot_forward(model, data[0], scores_override=graph_scores)
 
 
 def test_clip_grad_norm_returns_the_norm_before_scaling():
@@ -542,3 +550,12 @@ def test_train_records_the_global_gradient_norm():
         assert len(norms) == 3
         # the norm before clipping, so a tiny clip does not show in it
         assert all(np.isfinite(n) and n > 1e-3 for n in norms)
+
+
+def test_override_scores_are_clipped_at_the_score_floor_in_the_model_dtype():
+    data = lookup_data(n=1)
+    model = tiny_model(data, dtype=np.float32)
+    out = tr.dot_forward(model, data[0],
+                         scores_override=lambda s: pr.constant_scores(s, -80.0))
+    assert out.scores.log_probs.dtype == np.float32
+    assert (out.scores.values == pr.SCORE_FLOOR).all()
