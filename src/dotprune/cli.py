@@ -86,6 +86,11 @@ def load_config(path) -> dict:
         if section in cfg:
             allowed = _DATA_KEYS if section == "data" else _EVAL_KEYS
             _check_keys(cfg[section], allowed, section)
+            for key in ("source", "path"):
+                value = cfg[section].get(key, "")
+                if not isinstance(value, str):
+                    raise ConfigError(f"config {section} key {key!r} must be str, "
+                                      f"got {value!r}")
             _check_fields(cfg[section].get("spec", {}), GeneratorSpec, f"{section}.spec")
     edges = cfg.get("eval", {}).get("bucket_edges", list(DESK_BUCKET_EDGES))
     if not (isinstance(edges, list) and edges and all(type(e) is int for e in edges)
@@ -468,14 +473,19 @@ def cmd_eval(args) -> int:
 
 
 def parse_model_spec(spec: str):
-    """Parse "TAPAS(size)@I" or "DoT(a->k->b)@I" (unicode arrows accepted)."""
-    from . import encoder as enc
+    """Parse "TAPAS(size)@I" or "DoT(a->k->b)@I" (unicode arrows accepted);
+    I and k must be integers >= 1."""
+
+    def count(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= 1):
+            raise ConfigError(f"model spec {spec!r}: {text!r} is not an integer >= 1")
+        return int(text)
 
     text = spec.replace("→", "->").replace(" ", "")
     if "@" not in text:
         raise ConfigError(f"model spec {spec!r} needs an @input-length suffix")
     head, input_len = text.rsplit("@", 1)
-    input_len = int(input_len)
+    input_len = count(input_len)
     if head.upper().startswith("TAPAS(") and head.endswith(")"):
         size = head[6:-1]
         return ("tapas", size, None, None, input_len)
@@ -484,10 +494,11 @@ def parse_model_spec(spec: str):
         parts = inner.split("->")
         if len(parts) != 3:
             raise ConfigError(f"model spec {spec!r}: expected DoT(size->k->size)")
-        return ("dot", parts[0], int(parts[1]), parts[2], input_len)
+        return ("dot", parts[0], count(parts[1]), parts[2], input_len)
     raise ConfigError(f"cannot parse model spec {spec!r}")
 
 
+# unknown sizes pass through to ``encoder.preset``, which refuses them
 _SIZE_ALIASES = {"mini": "mini", "s": "small", "m": "medium", "l": "large",
                  "small": "small", "medium": "medium", "large": "large"}
 
@@ -496,10 +507,10 @@ def count_for_spec(spec: str) -> int:
     from . import encoder as enc
 
     kind, first, k, second, input_len = parse_model_spec(spec)
-    first_cfg = enc.preset(_SIZE_ALIASES[first.lower()])
+    first_cfg = enc.preset(_SIZE_ALIASES.get(first.lower(), first))
     if kind == "tapas":
         return enc.count_parameters(first_cfg, input_len)
-    second_cfg = enc.preset(_SIZE_ALIASES[second.lower()])
+    second_cfg = enc.preset(_SIZE_ALIASES.get(second.lower(), second))
     return (enc.count_parameters(first_cfg, input_len)
             + enc.count_parameters(second_cfg, k))
 

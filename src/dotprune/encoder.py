@@ -313,17 +313,12 @@ def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tens
     """One (B, n) bias for a batch padded to ``n`` tokens.
 
     Row b holds example b's bias (zeros when it has none) followed by -inf
-    on its padded positions, so padding is removed exactly: the symmetric
-    -inf bias equals compaction. Query mode would leave padded keys
-    readable and is refused for a padded batch.
+    on its padded positions, so padding is removed exactly: the -inf key
+    bias equals compaction. Only ``forward_batch`` pads, and only in key mode.
     """
-    padded = any(m < n for m in lengths)
-    if padded and mode == "query":
-        raise ContractError("query-mode bias cannot mask padding; "
-                            "run sequences of unequal length one at a time")
     checked = [attention_bias(None if biases is None else biases[b], m, dtype, mode)
                for b, m in enumerate(lengths)]
-    if not padded and all(t is None for t in checked):
+    if all(m == n for m in lengths) and all(t is None for t in checked):
         return None
     pieces = []
     for bias, m in zip(checked, lengths):
@@ -386,26 +381,25 @@ def forward(weights: EncoderWeights, seq: TokenizedSequence,
     """Run the encoder stack on one sequence; returns (hidden states (n, H),
     pooled CLS (1, H)). ``bias`` applies in every layer.
 
-    This is the batch-of-one case of ``forward_batch``.
+    In key mode this is the batch-of-one case of ``forward_batch``.
     """
     return _forward_padded(weights, [seq], None if bias is None else [bias], mode)
 
 
 def forward_batch(weights: EncoderWeights, seqs: list[TokenizedSequence],
-                  biases: list | None = None, mode: str = "key"
-                  ) -> tuple[T.Tensor, T.Tensor]:
+                  biases: list | None = None) -> tuple[T.Tensor, T.Tensor]:
     """Run the encoder stack once on a batch padded to its longest sequence.
 
     Returns hidden states (B*n, H), where example b owns rows b*n to
     b*n + len(seqs[b]) - 1, and pooled CLS vectors (B, H). ``biases[b]``
-    applies to example b as in ``forward``; padded keys get a -inf bias, so
-    every example's rows equal its own unpadded forward up to rounding.
+    applies to example b as in ``forward``'s key mode; padded keys get a -inf
+    bias, so every example's rows equal its own unpadded forward up to rounding.
     """
     if len(seqs) == 1:
         # through ``forward``, so wrappers of the one-sequence entry point
         # (the benchmark's tracer) see batches of one
-        return forward(weights, seqs[0], None if biases is None else biases[0], mode)
-    return _forward_padded(weights, seqs, biases, mode)
+        return forward(weights, seqs[0], None if biases is None else biases[0])
+    return _forward_padded(weights, seqs, biases, "key")
 
 
 def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],

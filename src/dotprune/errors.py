@@ -1,6 +1,8 @@
 """Exception types shared across the package, and ``open_input``, which
 opens an input file so that failing to open it raises one of them."""
 
+import os
+
 
 class DotpruneError(Exception):
     """Base class for all package errors."""
@@ -32,7 +34,10 @@ class TrainingDivergedError(DotpruneError, RuntimeError):
 
 def open_input(path, error: type[DotpruneError], mode: str = "r", **kwargs):
     """``open(path, mode)`` for reading; an ``OSError`` (a missing file, a
-    directory, no permission) becomes ``error`` naming the path."""
+    directory, no permission) becomes ``error`` naming the path, as does a
+    path that is not a string (``open`` would use an int as a descriptor)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise error(f"an input path must be a string, got {path!r}")
     try:
         return open(path, mode, **kwargs)
     except OSError as e:

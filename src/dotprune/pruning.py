@@ -2,12 +2,13 @@
 
 A small encoder scores every token with a log-probability of being
 relevant, s = max(log(sigmoid(logit)), SCORE_FLOOR) in [-50, 0]; -inf stays
-reserved for hard masks. ``score_tokens`` is the one scoring entry point:
-it runs the encoder once on a padded batch. Selection keeps the
-question span unconditionally and fills the remaining budget either with
-the best-scoring table tokens or with whole columns ranked by mean score.
-The kept tokens' scores become an additive attention bias for the task
-encoder; scoring stays differentiable through that bias.
+reserved for hard masks. ``score_tokens``, the one scoring entry point, runs
+the encoder once on a padded batch; fixed scores are plain float arrays.
+Selection reads only a 1-D array of score values and passes no gradient: it
+keeps the question span and fills the budget with the best-scoring table
+tokens or with whole columns ranked by mean score. The kept tokens' scores
+become an additive attention bias for the task encoder (``build_bias``),
+the one path along which the task loss reaches the scorer.
 
 ``hard_drop_equivalence`` is the verification harness: it compares a
 forward pass under a -inf bias against a forward pass on the compacted
@@ -79,25 +80,19 @@ def score_tokens(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[Prun
     return out
 
 
-def constant_scores(seq: TokenizedSequence, value: float = 0.0) -> PruningScores:
-    """Fixed scores outside any graph (oracle injection, baselines)."""
-    data = np.full(len(seq), float(value))
-    t = T.Tensor(data)
-    return PruningScores(seq=seq, log_probs=t, logits=t)
+def constant_scores(seq: TokenizedSequence, value: float = 0.0) -> np.ndarray:
+    """The same fixed score for every token (forced-zero-score baselines)."""
+    return np.full(len(seq), float(value))
 
 
-def oracle_scores(seq: TokenizedSequence, answer_coords) -> PruningScores:
+def oracle_scores(seq: TokenizedSequence, answer_coords) -> np.ndarray:
     """Score 0 for tokens in any answer row, ``SCORE_FLOOR`` for other table tokens."""
-    answer_rows = {r for r, _ in answer_coords}
-    data = np.zeros(len(seq))
-    for i in range(len(seq)):
-        if seq.segment_ids[i] == 1 and (seq.row_ids[i] - 1) not in answer_rows:
-            data[i] = SCORE_FLOOR
-    t = T.Tensor(data)
-    return PruningScores(seq=seq, log_probs=t, logits=t)
+    answer_row_ids = [r + 1 for r, _ in answer_coords]
+    pruned = (np.asarray(seq.segment_ids) == 1) & ~np.isin(seq.row_ids, answer_row_ids)
+    return np.where(pruned, SCORE_FLOOR, 0.0)
 
 
-def select_top_k_tokens(scores: PruningScores, seq: TokenizedSequence,
+def select_top_k_tokens(values: np.ndarray, seq: TokenizedSequence,
                         k: int) -> Selection:
     """Keep the question span plus the best-scoring table tokens.
 
@@ -108,20 +103,18 @@ def select_top_k_tokens(scores: PruningScores, seq: TokenizedSequence,
         raise BudgetError(f"k={k} below question span {len(qspan)}")
     budget = k - len(qspan)
     table = seq.table_indices()
-    s = scores.values
-    ranked = sorted(table, key=lambda i: (-s[i], i))
+    ranked = sorted(table, key=lambda i: (-values[i], i))
     kept = sorted(set(qspan) | set(ranked[:budget]))
     return Selection(tuple(kept), k=k)
 
 
-def column_scores(scores: PruningScores, seq: TokenizedSequence) -> dict[int, float]:
+def column_scores(values: np.ndarray, seq: TokenizedSequence) -> dict[int, float]:
     """Mean score per column id over header and cell tokens."""
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    s = scores.values
     for i in seq.table_indices():
         c = seq.column_ids[i]
-        sums[c] = sums.get(c, 0.0) + float(s[i])
+        sums[c] = sums.get(c, 0.0) + float(values[i])
         counts[c] = counts.get(c, 0) + 1
     if not sums:
         raise ContractError("sequence has no table tokens")
@@ -166,9 +159,7 @@ def build_bias(selection: Selection, scores: PruningScores) -> T.Tensor:
     kept = list(selection.kept_indices)
     keep_mask = np.array([1.0 if seq.segment_ids[i] == 1 else 0.0 for i in kept],
                          dtype=scores.log_probs.dtype)
-    gathered = T.take_rows(T.reshape(scores.log_probs, (len(seq), 1)), kept)
-    return T.reshape(T.mul(gathered, T.Tensor(keep_mask.reshape(-1, 1))),
-                     (len(kept),))
+    return T.mul(T.take_rows(scores.log_probs, kept), T.Tensor(keep_mask))
 
 
 def hard_drop_equivalence(weights: enc.EncoderWeights, seq: TokenizedSequence,

@@ -396,15 +396,16 @@ def write_jsonl(path, examples) -> None:
 
 
 def read_jsonl(path) -> list[Example]:
-    """One example per non-blank line; a file that cannot be opened raises
-    ``ContractError`` naming it, a bad line one naming the file and line."""
+    """One example per non-blank line (ending in \\n, \\r or \\r\\n); a file that
+    cannot be opened raises ``ContractError`` naming it, a bad or non-UTF-8
+    line one naming the file and line."""
     out = []
-    with open_input(path, ContractError, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
+    with open_input(path, ContractError, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
                     out.append(example_from_dict(json.loads(line)))
-                except ValueError as e:  # ContractError and JSONDecodeError alike
-                    raise ContractError(f"{path}, line {lineno}: {e}") from None
+            except ValueError as e:  # ContractError, JSONDecodeError, UnicodeDecodeError
+                raise ContractError(f"{path}, line {lineno}: {e}") from None
     return out

@@ -1,11 +1,11 @@
 """Joint training of the scoring and task encoders.
 
 The pipeline: linearize each example, shorten it with a heuristic
-preselector, score every token (``pruning.score_tokens``, or override scores
-cast to the model's dtype and clipped at ``pruning.SCORE_FLOOR``), keep the
-top-k tokens (or top columns), compact, and run the task encoder with the
-kept tokens' scores as a soft attention bias. Each tower runs once per batch
-on a padded stack; selection and compaction run per example.
+preselector, score every token (``pruning.score_tokens``, or an override's
+float array), keep the top-k tokens (or top columns) by score value alone,
+compact, and run the task encoder with the kept tokens' scores as a soft
+attention bias. Each tower runs once per batch on a padded stack; selection
+and compaction run per example.
 Three loss modes differ in how the scorer learns:
 
 * ``J``: the task loss alone; gradient reaches the scorer only through the
@@ -170,7 +170,7 @@ def preselect(seq: TokenizedSequence, example: Example, config: DoTConfig
 
 
 def dot_forward(model: DoTModel, example: Example,
-                scores_override: Callable[[TokenizedSequence], pr.PruningScores] | None = None,
+                scores_override: Callable[[TokenizedSequence], np.ndarray] | None = None,
                 selection_override: pr.Selection | None = None,
                 selection_noise: tuple[float, np.random.Generator] | None = None
                 ) -> DotOutputs:
@@ -187,7 +187,7 @@ def dot_forward(model: DoTModel, example: Example,
 
 def dot_forward_batch(model: DoTModel, examples: list[Example],
                       scores_override: Callable[[TokenizedSequence],
-                                                pr.PruningScores] | None = None,
+                                                np.ndarray] | None = None,
                       selection_overrides: list[pr.Selection] | None = None,
                       selection_noise: tuple[float, np.random.Generator] | None = None
                       ) -> list[DotOutputs]:
@@ -195,7 +195,7 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
 
     Selection and compaction run per example; every output tensor is a
     per-example slice of the batch's tensors. ``scores_override`` replaces
-    the learned scorer (oracle injection and forced-zero-score baselines).
+    the learned scorer with a float array (oracle and constant baselines).
     In the P loss mode the bias is detached, so the task loss does not
     reach the scorer. ``selection_overrides`` pins each example's kept set.
     ``selection_noise`` perturbs only the selection, never the bias: the
@@ -206,13 +206,13 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
     dtype = model.task.head_w.dtype
     pre_seqs = [preselect(linearize(ex, model.vocab), ex, cfg) for ex in examples]
     if scores_override is not None:
-        all_scores = [_fixed_scores(scores_override(seq), dtype) for seq in pre_seqs]
+        all_scores = [_fixed_scores(seq, scores_override(seq), dtype) for seq in pre_seqs]
     else:
         all_scores = pr.score_tokens(model.pruning, pre_seqs)
 
     selections, compact_seqs, biases = [], [], []
     for b, (pre_seq, scores) in enumerate(zip(pre_seqs, all_scores)):
-        select_from = scores
+        values = scores.values
         if selection_noise is not None:
             sigma, noise_rng = selection_noise
             if sigma > 0:
@@ -222,22 +222,21 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
                 row_ids = np.asarray(pre_seq.row_ids)
                 row_noise = noise_rng.normal(0.0, sigma, int(row_ids.max()) + 1)
                 token_noise = noise_rng.normal(0.0, 0.25 * sigma, len(pre_seq))
-                noisy = T.Tensor(scores.values + row_noise[row_ids] + token_noise)
-                select_from = pr.PruningScores(seq=pre_seq, log_probs=noisy, logits=noisy)
+                values = values + row_noise[row_ids] + token_noise
 
         if selection_overrides is not None:
             selection = selection_overrides[b]
         elif cfg.selection_mode == "token":
-            selection = pr.select_top_k_tokens(select_from, pre_seq, cfg.k)
+            selection = pr.select_top_k_tokens(values, pre_seq, cfg.k)
         else:
-            selection = pr.select_columns(pr.column_scores(select_from, pre_seq),
+            selection = pr.select_columns(pr.column_scores(values, pre_seq),
                                           pre_seq, cfg.k)
         bias = pr.build_bias(selection, scores)
         selections.append(selection)
         compact_seqs.append(pr.compact(pre_seq, selection))
         biases.append(bias.detach() if detach else bias)
 
-    hidden, pooled = enc.forward_batch(model.task.encoder, compact_seqs, biases, mode="key")
+    hidden, pooled = enc.forward_batch(model.task.encoder, compact_seqs, biases)
     head_w, head_b = model.task.head_w, model.task.head_b
     if cfg.task_type == "cell_selection":
         rows = hidden.shape[0]
@@ -272,18 +271,18 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
     return outputs
 
 
-def _fixed_scores(scores: pr.PruningScores, dtype) -> pr.PruningScores:
-    """Override scores in the model's dtype, clipped at ``pr.SCORE_FLOOR``.
-
-    Override scores must be constants outside the graph, so the cast loses
-    no gradient; a graph tensor of any dtype is refused.
-    """
-    if scores.log_probs.requires_grad or scores.logits.requires_grad:
-        raise ContractError(f"override scores are a {scores.log_probs.dtype} graph; "
-                            "they must be constants")
-    log_probs = np.maximum(scores.log_probs.data.astype(dtype), pr.SCORE_FLOOR)
-    return pr.PruningScores(seq=scores.seq, log_probs=T.Tensor(log_probs),
-                            logits=T.Tensor(scores.logits.data.astype(dtype)))
+def _fixed_scores(seq: TokenizedSequence, values: np.ndarray, dtype) -> pr.PruningScores:
+    """An override's float array of one score per token as constant scores
+    in the model's dtype, clipped at ``pr.SCORE_FLOOR``; anything else is refused."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
+            and values.shape == (len(seq),)):
+        got = (f"{values.dtype} array of shape {values.shape}"
+               if isinstance(values, np.ndarray) else type(values).__name__)
+        raise ContractError(f"override scores must be a float array of {len(seq)} "
+                            f"values, got {got}")
+    logits = values.astype(dtype)
+    return pr.PruningScores(seq=seq, log_probs=T.Tensor(np.maximum(logits, pr.SCORE_FLOOR)),
+                            logits=T.Tensor(logits))
 
 
 def _task_scalar_loss(outputs: DotOutputs, example: Example,
@@ -298,10 +297,7 @@ def _task_scalar_loss(outputs: DotOutputs, example: Example,
         raise ContractError("cell-selection loss needs answer coordinates")
     if not outputs.kept_table_slots:
         return T.Tensor(np.asarray(0.0, dtype=outputs.scores.log_probs.dtype))
-    kept_logits = T.reshape(
-        T.take_rows(T.reshape(outputs.token_logits, (len(outputs.compact_seq), 1)),
-                    outputs.kept_table_slots),
-        (len(outputs.kept_table_slots),))
+    kept_logits = T.take_rows(outputs.token_logits, outputs.kept_table_slots)
     return T.bce_with_logits(kept_logits, outputs.kept_table_targets,
                              pos_weight=pos_weight)
 
@@ -536,8 +532,8 @@ def evaluate(model: DoTModel, examples: list[Example],
              scores_override=None) -> EvalReport:
     """Denotation accuracy plus score-gap statistics.
 
-    ``scores_override(seq, example)`` replaces the learned scorer per
-    example (oracle injection).
+    ``scores_override(seq, example)`` replaces the learned scorer with a
+    float array per example (oracle injection).
     """
     correct = []
     predictions = []

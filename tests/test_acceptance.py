@@ -18,7 +18,6 @@ from dotprune import encoder as enc
 from dotprune import pruning as pr
 from dotprune import synth
 from dotprune import tables as tb
-from dotprune import tensor as T
 from dotprune import training as tr
 from dotprune.tables import Vocabulary, linearized_length
 
@@ -285,18 +284,16 @@ def test_criterion_6_selection_oracles():
     for i in range(1000):
         seq = seqs[i % len(seqs)]
         values = -rng.random(len(seq)) * 5.0
-        scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(values),
-                                  logits=T.Tensor(values))
         qspan = seq.question_span()
         k = int(rng.integers(len(qspan), len(seq) + 2))
 
-        sel = pr.select_top_k_tokens(scores, seq, k)
+        sel = pr.select_top_k_tokens(values, seq, k)
         table = list(seq.table_indices())
         order = sorted(table, key=lambda j: (-values[j], j))
         expect = sorted(set(qspan) | set(order[:k - len(qspan)]))
         assert list(sel.kept_indices) == expect
 
-        col_sel = pr.select_columns(pr.column_scores(scores, seq), seq, k)
+        col_sel = pr.select_columns(pr.column_scores(values, seq), seq, k)
         members: dict[int, list[int]] = {}
         sums: dict[int, list[float]] = {}
         for j in table:

@@ -1,10 +1,11 @@
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
-from dotprune import cli
+from dotprune import cli, container
 from dotprune.errors import ConfigError, ContractError
 from dotprune.tables import read_jsonl
 
@@ -58,6 +59,17 @@ def test_cmd_params_reference_values(capsys):
     assert "11,105,280" in out and "11.1M" in out
     assert "299,880,192" in out and "299.9M" in out
     assert "272,670,208" in out and "272.7M" in out
+
+
+@pytest.mark.parametrize("spec", [
+    "TAPAS(huge)@256", "DoT(m->256->xl)@1024", "TAPAS(mini)@abc", "DoT(m->x->l)@1024",
+    "TAPAS(mini)@1.5", "TAPAS(mini)@-5", "TAPAS(mini)@0", "DoT(m->0->l)@1024",
+])
+def test_cmd_params_refuses_a_bad_spec(spec, capsys):
+    # an unknown size, a length or k that is not an integer, or one below 1
+    with pytest.raises(ConfigError, match="unknown preset|is not an integer >= 1"):
+        cli.main(["params", spec])
+    assert capsys.readouterr().out == ""
 
 
 def test_parse_model_spec_accepts_unicode_arrow():
@@ -384,6 +396,27 @@ def test_load_config_rejects_a_value_of_the_wrong_type(tmp_path, section, key, v
     path = write_config(tmp_path / "c.json", **sections)
     with pytest.raises(ConfigError, match=rf"config {section} key '{key}'"):
         cli.load_config(path)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "path", 0), ("data", "path", True), ("eval", "path", 1.5), ("data", "source", 5),
+])
+def test_load_config_requires_a_string_source_and_path(tmp_path, section, key, value):
+    dataset = dict({"source": "jsonl", "path": "data.jsonl"}, **{key: value})
+    path = write_config(tmp_path / "c.json", **{section: dataset})
+    with pytest.raises(ConfigError, match=rf"config {section} key '{key}' must be str"):
+        cli.load_config(path)
+
+
+@pytest.mark.parametrize("path", [0, 1, True, 1.5])
+def test_loaders_refuse_a_path_that_is_not_a_string(path):
+    # ``open`` would read an integer as a file descriptor, and close it
+    for load, error in ((cli.load_config, ConfigError), (read_jsonl, ContractError),
+                        (container.load_tensors, ContractError)):
+        with pytest.raises(error, match="input path must be a string"):
+            load(path)
+    os.fstat(0)
+    os.fstat(1)
 
 
 def test_cmd_gen_rejects_a_spec_value_of_the_wrong_type(tmp_path):

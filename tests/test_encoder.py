@@ -280,24 +280,13 @@ def test_forward_batch_rows_match_each_sequence_forward():
     seqs = [helpers.random_sequence(rng) for _ in range(3)]
     assert len({len(s) for s in seqs}) > 1
     w = enc.init_weights(tiny_config(), dtype=np.float64)
-    for mode in ("key", "symmetric"):
-        biases = [-rng.random(len(s)) for s in seqs]
-        biases[1][-1] = -np.inf
-        with T.no_grad():
-            hidden, pooled = enc.forward_batch(w, seqs, biases, mode=mode)
-            n = hidden.shape[0] // len(seqs)
-            for b, (seq, bias) in enumerate(zip(seqs, biases)):
-                own_h, own_p = enc.forward(w, seq, bias=bias, mode=mode)
-                rows = hidden.data[b * n:b * n + len(seq)]
-                assert np.max(np.abs(rows - own_h.data)) < 1e-12
-                assert np.max(np.abs(pooled.data[b] - own_p.data[0])) < 1e-12
-
-
-def test_forward_batch_refuses_query_mode_on_a_padded_batch():
-    rng = np.random.default_rng(12)
-    seqs = [helpers.random_sequence(rng) for _ in range(2)]
-    while len(seqs[0]) == len(seqs[1]):
-        seqs[1] = helpers.random_sequence(rng)
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
-    with pytest.raises(ContractError, match="padding"):
-        enc.forward_batch(w, seqs, [np.zeros(len(s)) for s in seqs], mode="query")
+    biases = [-rng.random(len(s)) for s in seqs]
+    biases[1][-1] = -np.inf
+    with T.no_grad():
+        hidden, pooled = enc.forward_batch(w, seqs, biases)
+        n = hidden.shape[0] // len(seqs)
+        for b, (seq, bias) in enumerate(zip(seqs, biases)):
+            own_h, own_p = enc.forward(w, seq, bias=bias, mode="key")
+            rows = hidden.data[b * n:b * n + len(seq)]
+            assert np.max(np.abs(rows - own_h.data)) < 1e-12
+            assert np.max(np.abs(pooled.data[b] - own_p.data[0])) < 1e-12

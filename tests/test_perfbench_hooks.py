@@ -82,3 +82,36 @@ def test_tracer_survives_batched_training_steps(perfbench):
     # the scorer runs once per step on the padded batch, through the traced
     # entry point
     assert sum(s.name == "pruning.score_tokens" for s in tracer.spans) == 2
+
+
+def test_single_tower_training_bypasses_and_freezes_the_scorer(perfbench):
+    # the train_full workload's override: the task tower trains alone on
+    # constant scores, which still go through selection and the bias
+    import helpers
+
+    tracer_mod, _ = perfbench
+    examples = synth.generate(synth.GeneratorSpec(seed=3, n_examples=4, min_rows=2,
+                                                  max_rows=4, max_cell_tokens=1,
+                                                  vocab_size=20))
+    model = helpers.tiny_model(examples, dtype=np.float32, hidden=8, layers=1)
+    scorer_before = [p.data.copy() for p in model.pruning_parameters()]
+    task_before = [p.data.copy() for p in model.task.parameters()]
+    tracer = tracer_mod.Tracer()
+    tracer.install_pipeline(MODULES, per_example_ops=False)
+    try:
+        tracer.register_model(model)
+        result = training.train(model.config,
+                                training.TrainConfig(num_steps=2, batch_size=2),
+                                examples, model=model,
+                                scores_override=lambda seq: pruning.constant_scores(seq, 0.0))
+    finally:
+        tracer.uninstall()
+    assert tracer_mod.unwrapped(MODULES)
+    assert len(result.metrics) == 2
+    assert all(np.array_equal(before, p.data)
+               for before, p in zip(scorer_before, model.pruning_parameters()))
+    assert any(not np.array_equal(before, p.data)
+               for before, p in zip(task_before, model.task.parameters()))
+    names = {s.name for s in tracer.spans}
+    assert "pruning.score_tokens" not in names
+    assert {"pruning.select_top_k_tokens", "pruning.build_bias"} <= names

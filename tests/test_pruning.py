@@ -17,12 +17,14 @@ def tiny_pruning(seed=0, dtype=np.float64):
     return enc.init_tower(cfg, cfg.seed + 101, dtype)
 
 
-def seq_with_scores(rng, values=None, **kw):
+def seq_with_values(rng, **kw):
     seq = helpers.random_sequence(rng, **kw)
-    if values is None:
-        values = -rng.random(len(seq))
-    return seq, pr.PruningScores(seq=seq, log_probs=T.Tensor(np.asarray(values, dtype=float)),
-                                 logits=T.Tensor(np.asarray(values, dtype=float)))
+    return seq, -rng.random(len(seq))
+
+
+def constant_pruning_scores(seq, values):
+    """Scores outside any graph, for ``build_bias``, which reads log_probs."""
+    return pr.PruningScores(seq=seq, log_probs=T.Tensor(values), logits=T.Tensor(values))
 
 
 def test_score_tokens_logit_zero_gives_log_half():
@@ -72,40 +74,38 @@ def test_score_gradient_reaches_head():
 
 def test_top_k_keeps_everything_when_k_large():
     rng = np.random.default_rng(4)
-    seq, scores = seq_with_scores(rng)
-    sel = pr.select_top_k_tokens(scores, seq, len(seq) + 5)
+    seq, values = seq_with_values(rng)
+    sel = pr.select_top_k_tokens(values, seq, len(seq) + 5)
     assert sel.kept_indices == tuple(range(len(seq)))
 
 
 def test_top_k_agrees_with_sort_oracle():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        seq, scores = seq_with_scores(rng)
+        seq, values = seq_with_values(rng)
         qspan = seq.question_span()
         k = int(rng.integers(len(qspan), len(seq) + 1))
-        sel = pr.select_top_k_tokens(scores, seq, k)
+        sel = pr.select_top_k_tokens(values, seq, k)
         budget = k - len(qspan)
         table = list(seq.table_indices())
-        order = sorted(table, key=lambda i: (-scores.values[i], i))
+        order = sorted(table, key=lambda i: (-values[i], i))
         expect = sorted(set(qspan) | set(order[:budget]))
         assert list(sel.kept_indices) == expect
 
 
 def test_top_k_tie_earlier_position_wins():
     seq = helpers.random_sequence(np.random.default_rng(6))
-    vals = np.full(len(seq), -1.0)
-    scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(vals), logits=T.Tensor(vals))
     qspan = seq.question_span()
-    sel = pr.select_top_k_tokens(scores, seq, len(qspan) + 1)
+    sel = pr.select_top_k_tokens(np.full(len(seq), -1.0), seq, len(qspan) + 1)
     table = seq.table_indices()
     assert set(sel.kept_indices) == set(qspan) | {table[0]}
 
 
 def test_top_k_budget_error():
     rng = np.random.default_rng(7)
-    seq, scores = seq_with_scores(rng)
+    seq, values = seq_with_values(rng)
     with pytest.raises(BudgetError):
-        pr.select_top_k_tokens(scores, seq, len(seq.question_span()) - 1)
+        pr.select_top_k_tokens(values, seq, len(seq.question_span()) - 1)
 
 
 def test_column_scores_single_column():
@@ -113,27 +113,25 @@ def test_column_scores_single_column():
     seq = tb.linearize(ex, tb.Vocabulary.from_examples([ex]))
     vals = np.zeros(len(seq))
     vals[seq.table_indices(),] = [-1.0, -2.0, -3.0]
-    scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(vals), logits=T.Tensor(vals))
-    assert pr.column_scores(scores, seq) == {1: -2.0}
+    assert pr.column_scores(vals, seq) == {1: -2.0}
 
 
 def test_column_scores_uniform():
     rng = np.random.default_rng(8)
-    seq, scores = seq_with_scores(rng, values=None)
+    seq = helpers.random_sequence(rng)
     c = -0.25
-    scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(np.full(len(seq), c)),
-                              logits=T.Tensor(np.full(len(seq), c)))
-    assert all(abs(v - c) < 1e-12 for v in pr.column_scores(scores, seq).values())
+    assert all(abs(v - c) < 1e-12
+               for v in pr.column_scores(np.full(len(seq), c), seq).values())
 
 
 def test_column_scores_matches_grouped_mean_oracle():
     rng = np.random.default_rng(9)
     for _ in range(25):
-        seq, scores = seq_with_scores(rng)
-        got = pr.column_scores(scores, seq)
+        seq, values = seq_with_values(rng)
+        got = pr.column_scores(values, seq)
         cols = {}
         for i in seq.table_indices():
-            cols.setdefault(seq.column_ids[i], []).append(scores.values[i])
+            cols.setdefault(seq.column_ids[i], []).append(values[i])
         expect = {c: float(np.mean(v)) for c, v in cols.items()}
         assert set(got) == set(expect)
         for c in got:
@@ -143,10 +141,10 @@ def test_column_scores_matches_grouped_mean_oracle():
 def test_select_columns_greedy_with_skip():
     rng = np.random.default_rng(10)
     for _ in range(40):
-        seq, scores = seq_with_scores(rng)
+        seq, values = seq_with_values(rng)
         qspan = seq.question_span()
         k = int(rng.integers(len(qspan), len(seq) + 2))
-        cs = pr.column_scores(scores, seq)
+        cs = pr.column_scores(values, seq)
         sel = pr.select_columns(cs, seq, k)
         # greedy oracle: walk columns in (-score, id) order, admit if it fits
         members = {}
@@ -165,11 +163,10 @@ def test_select_columns_greedy_with_skip():
 def test_select_columns_all_tied_uses_index_order():
     ex = tb.Example("q", tb.Table.make(["a", "b", "c"], [["t1", "t2", "t3"]]), label=0)
     seq = tb.linearize(ex, tb.Vocabulary.from_examples([ex]))
-    vals = np.full(len(seq), -0.5)
-    scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(vals), logits=T.Tensor(vals))
     qspan = seq.question_span()
     # room for exactly two 2-token columns
-    sel = pr.select_columns(pr.column_scores(scores, seq), seq, len(qspan) + 4)
+    sel = pr.select_columns(pr.column_scores(np.full(len(seq), -0.5), seq), seq,
+                            len(qspan) + 4)
     kept_cols = {seq.column_ids[i] for i in sel.kept_indices if seq.segment_ids[i] == 1}
     assert kept_cols == {1, 2}
 
@@ -178,35 +175,47 @@ def test_select_columns_all_tied_uses_index_order():
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["shift", "scale", "tanh"]))
 def test_selection_invariant_under_monotone_transform(seed, kind):
     rng = np.random.default_rng(seed)
-    seq, scores = seq_with_scores(rng)
+    seq, v = seq_with_values(rng)
     k = len(seq.question_span()) + 2
-    base = pr.select_top_k_tokens(scores, seq, k)
-    v = scores.values
+    base = pr.select_top_k_tokens(v, seq, k)
     if kind == "shift":
         tv = v - 3.0
     elif kind == "scale":
         tv = v * 0.25
     else:
         tv = np.tanh(v) - 1.0
-    transformed = pr.PruningScores(seq=seq, log_probs=T.Tensor(tv), logits=T.Tensor(tv))
-    assert pr.select_top_k_tokens(transformed, seq, k).kept_indices == base.kept_indices
+    assert pr.select_top_k_tokens(tv, seq, k).kept_indices == base.kept_indices
+
+
+def test_oracle_scores_follow_the_per_token_rule():
+    # the floor for table tokens outside every answer row, 0 for all others
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        ex = helpers.random_example(rng, n_rows=int(rng.integers(1, 5)), n_cols=2)
+        seq = tb.linearize(ex, tb.Vocabulary.from_examples([ex]))
+        answer_rows = {r for r, _ in ex.answer_coords}
+        expect = [pr.SCORE_FLOOR if seq.segment_ids[i] == 1
+                  and seq.row_ids[i] - 1 not in answer_rows else 0.0
+                  for i in range(len(seq))]
+        got = pr.oracle_scores(seq, ex.answer_coords)
+        assert got.dtype == np.float64 and got.tolist() == expect
 
 
 def test_build_bias_all_zero_scores_gives_zero_bias():
     rng = np.random.default_rng(11)
     seq = helpers.random_sequence(rng)
-    scores = pr.constant_scores(seq, 0.0)
-    sel = pr.select_top_k_tokens(scores, seq, len(seq))
+    scores = constant_pruning_scores(seq, pr.constant_scores(seq, 0.0))
+    sel = pr.select_top_k_tokens(scores.values, seq, len(seq))
     bias = pr.build_bias(sel, scores)
+    assert bias.shape == (len(seq),)
     np.testing.assert_array_equal(bias.data, 0.0)
 
 
 def test_build_bias_kept_token_carries_its_score():
     rng = np.random.default_rng(12)
     seq = helpers.random_sequence(rng)
-    vals = np.full(len(seq), np.log(0.5))
-    scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(vals), logits=T.Tensor(vals))
-    sel = pr.select_top_k_tokens(scores, seq, len(seq))
+    scores = constant_pruning_scores(seq, np.full(len(seq), np.log(0.5)))
+    sel = pr.select_top_k_tokens(scores.values, seq, len(seq))
     bias = pr.build_bias(sel, scores)
     for j, i in enumerate(sel.kept_indices):
         if seq.segment_ids[i] == 1:
@@ -222,8 +231,9 @@ def test_build_bias_soft_gradient_only_for_kept_tokens():
     scores = pr.score_tokens(w, [seq])[0]
     qspan = seq.question_span()
     k = len(qspan) + max(1, len(seq.table_indices()) // 2)
-    sel = pr.select_top_k_tokens(scores, seq, k)
+    sel = pr.select_top_k_tokens(scores.values, seq, k)
     bias = pr.build_bias(sel, scores)
+    assert bias.shape == (len(sel.kept_indices),)
     T.backward(T.tensor_sum(bias))
     g = scores.log_probs.grad
     kept_table = [i for i in sel.kept_indices if seq.segment_ids[i] == 1]
@@ -273,8 +283,8 @@ def test_full_keep_with_zero_scores_reproduces_unpruned_forward():
     cfg = enc.EncoderConfig(num_layers=2, hidden=16, num_heads=2, intermediate=32,
                             vocab_size=40, max_input=40, seed=8)
     w = enc.init_weights(cfg, dtype=np.float64)
-    scores = pr.constant_scores(seq, 0.0)
-    sel = pr.select_top_k_tokens(scores, seq, len(seq))
+    scores = constant_pruning_scores(seq, pr.constant_scores(seq, 0.0))
+    sel = pr.select_top_k_tokens(scores.values, seq, len(seq))
     bias = pr.build_bias(sel, scores)
     with T.no_grad():
         biased, _ = enc.forward(w, pr.compact(seq, sel), bias=bias)
@@ -287,8 +297,7 @@ def test_token_and_column_selection_agree_on_single_token_columns():
     seq = tb.linearize(ex, tb.Vocabulary.from_examples([ex]))
     vals = np.zeros(len(seq))
     vals[list(seq.table_indices())] = [-3.0, -1.0, -2.0]
-    scores = pr.PruningScores(seq=seq, log_probs=T.Tensor(vals), logits=T.Tensor(vals))
     k = len(seq.question_span()) + 2
-    tok = pr.select_top_k_tokens(scores, seq, k)
-    col = pr.select_columns(pr.column_scores(scores, seq), seq, k)
+    tok = pr.select_top_k_tokens(vals, seq, k)
+    col = pr.select_columns(pr.column_scores(vals, seq), seq, k)
     assert tok.kept_indices == col.kept_indices

@@ -273,6 +273,21 @@ def test_read_jsonl_names_a_file_it_cannot_open(tmp_path):
             tb.read_jsonl(path)
 
 
+def test_read_jsonl_names_file_and_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "data.jsonl"
+    good = b'{"question": "q", "header": ["h"], "rows": [["x"]], "label": 1}'
+    path.write_bytes(good + b"\n\xff\xfe{\"a\":1}\n")
+    with pytest.raises(ContractError, match=r"data\.jsonl, line 2: 'utf-8' codec"):
+        tb.read_jsonl(path)
+
+
+def test_read_jsonl_ends_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "data.jsonl"
+    good = b'{"question": "q", "header": ["h"], "rows": [["x"]], "label": 1}'
+    path.write_bytes(good + b"\r" + good + b"\r\n" + good + b"\n")
+    assert len(tb.read_jsonl(path)) == 3
+
+
 def assert_examples_or_contract_error(path):
     try:
         examples = tb.read_jsonl(path)
@@ -309,7 +324,7 @@ def test_structural_ids_past_the_embedding_tables_stay_distinct():
     groups = tb._cells_of(seq)
     assert len(groups) == 2 + 300 * 2 and all(len(g) == 1 for g in groups)
 
-    scores = pr.oracle_scores(seq, ex.answer_coords).values
+    scores = pr.oracle_scores(seq, ex.answer_coords)
     answer = seq.origin.index((279, 0))
     assert scores[answer] == 0.0
     at_zero = [i for i in seq.table_indices() if scores[i] == 0.0]

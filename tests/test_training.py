@@ -511,18 +511,22 @@ def test_every_node_of_the_loss_graph_has_the_model_dtype(dtype, mode, selection
             assert {node.dtype for node in T.trace(total).nodes} == {np.dtype(dtype)}
 
 
-def test_override_scores_in_a_graph_of_another_dtype_are_refused():
-    # a graph is refused whatever its dtype, the model's own included
+def test_override_scores_that_are_not_a_float_array_per_token_are_refused():
+    # a Tensor (graph or not), a PruningScores, a wrong-length array and an
+    # integer array are all refused
     data = lookup_data(n=1)
     model = tiny_model(data, dtype=np.float32)
-    for dtype in (np.float64, np.float32):
-
-        def graph_scores(seq):
-            t = T.Tensor(np.zeros(len(seq), dtype=dtype), requires_grad=True)
-            return pr.PruningScores(seq=seq, log_probs=t, logits=t)
-
-        with pytest.raises(ContractError, match=f"{np.dtype(dtype)} graph"):
-            tr.dot_forward(model, data[0], scores_override=graph_scores)
+    zeros = lambda seq: np.zeros(len(seq), dtype=np.float32)
+    overrides = {
+        "Tensor": lambda seq: T.Tensor(zeros(seq), requires_grad=True),
+        "PruningScores": lambda seq: pr.PruningScores(seq=seq, log_probs=T.Tensor(zeros(seq)),
+                                                      logits=T.Tensor(zeros(seq))),
+        r"float64 array of shape \(\d+,\)": lambda seq: np.zeros(len(seq) + 1),
+        "int64 array": lambda seq: np.zeros(len(seq), dtype=np.int64),
+    }
+    for got, override in overrides.items():
+        with pytest.raises(ContractError, match=f"float array of \\d+ values, got {got}"):
+            tr.dot_forward(model, data[0], scores_override=override)
 
 
 def test_clip_grad_norm_returns_the_norm_before_scaling():
