@@ -474,7 +474,7 @@ def cmd_eval(args) -> int:
 
 def parse_model_spec(spec: str):
     """Parse "TAPAS(size)@I" or "DoT(a->k->b)@I" (unicode arrows accepted);
-    I and k must be integers >= 1."""
+    I and k must be integers >= 1, and k at most I."""
 
     def count(text: str) -> int:
         if not (text.isdecimal() and int(text) >= 1):
@@ -494,7 +494,10 @@ def parse_model_spec(spec: str):
         parts = inner.split("->")
         if len(parts) != 3:
             raise ConfigError(f"model spec {spec!r}: expected DoT(size->k->size)")
-        return ("dot", parts[0], count(parts[1]), parts[2], input_len)
+        k = count(parts[1])
+        if k > input_len:
+            raise ConfigError(f"model spec {spec!r}: k={k} exceeds the input length {input_len}")
+        return ("dot", parts[0], k, parts[2], input_len)
     raise ConfigError(f"cannot parse model spec {spec!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -48,6 +49,9 @@ def save_tensors(path, named: dict[str, np.ndarray], header: dict | None = None)
 
 
 def _read(fh, n: int, path) -> bytes:
+    # a length field is refused before it sizes any buffer
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ContractError(f"{path} is truncated")
     data = fh.read(n)
     if len(data) != n:
         raise ContractError(f"{path} is truncated")

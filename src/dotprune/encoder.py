@@ -62,8 +62,12 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ConfigError("num_layers must be >= 1")
+        for f in fields(self):
+            value, least = getattr(self, f.name), 0 if f.name == "seed" else 1
+            # bool is an int subclass; a float or numpy int would also reach
+            # the checkpoint header
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{f.name} must be an int >= {least}, got {value!r}")
         if self.hidden % self.num_heads != 0:
             raise ConfigError(
                 f"hidden {self.hidden} not divisible by num_heads {self.num_heads}")

@@ -5,7 +5,9 @@ and kernels, a dynamically built graph of operation nodes for gradients,
 and a central-difference gradient checker for verification. Two precision
 modes are supported by construction: every op preserves the dtype of its
 inputs and binary ops refuse operands of two dtypes, so a graph built from
-float32 leaves stays float32 end to end.
+float32 leaves stays float32 end to end. After ``backward`` only leaves
+(tensors no op produced, such as parameters) keep a ``.grad``: an op
+result's gradient is released once passed on to its parents.
 
 GELU is exact in float64, through ``scipy.special.erf``, which is imported
 on the first float64 call. In float32 it is an in-package rational
@@ -42,8 +44,9 @@ _PHI_X = 5.7
 _PHI_P = (5965.9907, 561.7003, 69.07741, 2.7804408, 0.050059076, -0.0003201693,
           1.5406747e-06)  # P(t), constant term first
 _PHI_Q = (14954.526, 3900.3728, 449.39517, 28.8218)  # monic Q(t) = t^4 + ..., constant first
-# elements per pass of the float32 kernel, so its four 256 KB work buffers stay in L2
-_GELU_BLOCK = 1 << 16
+# elements per pass of the blocked kernels (float32 GELU, AdamW), so their
+# work buffers and the slices they stream stay in L2
+_BLOCK = 1 << 16
 
 _grad_enabled = True
 
@@ -65,7 +68,8 @@ class Tensor:
 
     ``data`` is always a numpy array; ``grad`` is populated by ``backward``
     and accumulates additively over fan-out. Operation results record their
-    parents and a backward closure; leaves record neither.
+    parents and a backward closure; leaves record neither, and only leaves
+    still hold ``grad`` once ``backward`` returns.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn")
@@ -169,10 +173,14 @@ def trace(root: Tensor) -> Graph:
 
 
 def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
-    """Populate ``.grad`` for every requires_grad tensor reachable from ``loss``.
+    """Populate ``.grad`` for every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be scalar. Tensors in ``params`` that the loss does not
-    depend on receive an explicit zero gradient.
+    depend on receive an explicit zero gradient. Only leaves keep ``.grad``:
+    each op result's gradient is set to None once its backward closure has
+    run. A parent's first gradient is the array the closure returned, not a
+    copy, unless that array is read-only, of another dtype, or may share
+    memory with one a sibling parent took from the same closure call.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -182,14 +190,20 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
         if node.backward_fn is None or node.grad is None:
             continue
         grads = node.backward_fn(node.grad)
+        node.grad = None
+        adopted: list[np.ndarray] = []
         for parent, g in zip(node.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                # copy: g may alias another node's buffer or be read-only
-                parent.grad = np.array(g, dtype=parent.data.dtype)
-            else:
+            if parent.grad is not None:
                 parent.grad += g
+            elif (g.flags.writeable and g.dtype == parent.data.dtype
+                  and not any(np.may_share_memory(g, a) for a in adopted)):
+                # fresh, or a view of node's released grad: nothing else holds it
+                parent.grad = g
+                adopted.append(g)
+            else:
+                parent.grad = np.array(g, dtype=parent.data.dtype)
     if params is not None:
         for p in params:
             if p.requires_grad and p.grad is None:
@@ -344,9 +358,9 @@ def _gelu_f32(x: np.ndarray, want_slope: bool):
     flat = np.ascontiguousarray(x).reshape(-1)
     out = np.empty_like(flat)
     slope = np.empty_like(flat) if want_slope else None
-    z, t, p, q = np.empty((4, min(_GELU_BLOCK, flat.size)), dtype=np.float32)
-    for start in range(0, flat.size, _GELU_BLOCK):
-        xs = flat[start:start + _GELU_BLOCK]
+    z, t, p, q = np.empty((4, min(_BLOCK, flat.size)), dtype=np.float32)
+    for start in range(0, flat.size, _BLOCK):
+        xs = flat[start:start + _BLOCK]
         m = xs.size
         zb, tb, pb, qb = z[:m], t[:m], p[:m], q[:m]
         np.clip(xs, -_PHI_X, _PHI_X, out=zb)
@@ -510,7 +524,10 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dic
                ) -> Sequence[Tensor]:
     """One AdamW update: bias-corrected moments, decoupled weight decay.
 
-    ``state`` is mutated in place; pass ``{}`` on the first call.
+    ``state`` is mutated in place; pass ``{}`` on the first call. Each
+    parameter is updated in blocks of ``_BLOCK`` elements through two work
+    buffers per dtype, with the whole-array formula's operations in its
+    order, so the result is bit-identical to that formula.
     """
     b1, b2 = betas
     step = state.get("step", 0) + 1
@@ -518,24 +535,46 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dic
     moments = state.setdefault("moments", {})
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step
+    work: dict[np.dtype, np.ndarray] = {}
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             continue
+        if g.shape != p.shape or g.dtype != p.dtype:
+            raise ContractError(f"adamw_step: gradient {g.shape} {g.dtype} for a "
+                                f"parameter {p.shape} {p.dtype}")
         if i not in moments:
-            moments[i] = (np.zeros_like(p.data), np.zeros_like(p.data))
-        m, v = moments[i]
-        # in-place moment updates; this loop is memory-bandwidth bound
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        update = np.sqrt(v / c2)
-        update += eps
-        np.divide(m / c1, update, out=update)
-        update *= lr
-        if weight_decay:
-            update += (lr * weight_decay) * p.data
-        p.data -= update
+            moments[i] = (np.zeros(p.shape, p.dtype), np.zeros(p.shape, p.dtype))
+        # reshape(-1) is a view only of a C-contiguous array: any other
+        # parameter is updated as a contiguous copy and written back
+        data = np.ascontiguousarray(p.data)
+        flat_p, flat_g = data.reshape(-1), g.reshape(-1)
+        flat_m, flat_v = (x.reshape(-1) for x in moments[i])
+        if p.dtype not in work:
+            work[p.dtype] = np.empty((2, _BLOCK), p.dtype)
+        t, u = work[p.dtype]
+        for start in range(0, flat_p.size, _BLOCK):
+            blk = slice(start, start + _BLOCK)
+            ps, gs, ms, vs = flat_p[blk], flat_g[blk], flat_m[blk], flat_v[blk]
+            tb, ub = t[:ps.size], u[:ps.size]
+            ms *= b1
+            np.multiply(gs, 1.0 - b1, out=tb)
+            ms += tb
+            vs *= b2
+            np.square(gs, out=tb)
+            tb *= 1.0 - b2
+            vs += tb
+            np.divide(vs, c2, out=ub)
+            np.sqrt(ub, out=ub)
+            ub += eps
+            np.divide(ms, c1, out=tb)
+            np.divide(tb, ub, out=ub)
+            ub *= lr
+            if weight_decay:
+                np.multiply(ps, lr * weight_decay, out=tb)
+                ub += tb
+            ps -= ub
+        if data is not p.data:
+            p.data[...] = data
     return params
 
 

@@ -618,8 +618,14 @@ def load_checkpoint(path) -> DoTModel:
         vocab = Vocabulary(header["vocab"][4:])  # reserved entries re-added by ctor
         configs = {prefix: _encoder_config(path, header[f"{prefix}_config"])
                    for prefix in ("pruning", "task")}
-    except (AttributeError, KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, ConfigError) as e:
         raise ContractError(f"{path}: malformed checkpoint header ({e!r})") from None
+    # every layer stores tensors: refuse a layer count the file cannot hold
+    # before building shape tables that grow with it
+    for prefix, cfg in configs.items():
+        if cfg.num_layers > len(tensors):
+            raise ContractError(f"{path}: {prefix} config has {cfg.num_layers} layers, "
+                                f"but the file holds {len(tensors)} tensors")
     towers = {}
     for prefix, cfg in configs.items():
         arrays = {}

@@ -1,5 +1,12 @@
 """Strict checkpoint files: exact names, shapes and dtypes, no stray errors."""
 
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +85,24 @@ def test_load_tensors_rejects_every_truncation(tmp_path):
             container.load_tensors(cut)
 
 
+@pytest.mark.parametrize("length", [2 ** 40, 2 ** 63])
+@pytest.mark.parametrize("field", ["header", "descriptor", "data"])
+def test_load_tensors_refuses_a_length_beyond_the_end_of_the_file(tmp_path, field, length):
+    header = b'{"kind":"test"}'
+    # a data length is read only once it matches the descriptor's shape
+    elems = length // 8 if field == "data" else 2
+    desc = json.dumps({"dtype": "<f8", "name": "a", "shape": [elems]}).encode()
+    lengths = {"header": len(header), "descriptor": len(desc), "data": 16, field: length}
+    blob = (container.MAGIC + struct.pack("<I", container.VERSION)
+            + struct.pack("<Q", lengths["header"]) + header + struct.pack("<I", 1)
+            + struct.pack("<Q", lengths["descriptor"]) + desc
+            + struct.pack("<Q", lengths["data"]) + bytes(16))
+    path = tmp_path / "t.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(ContractError, match="is truncated"):
+        container.load_tensors(path)
+
+
 def test_load_tensors_rejects_unknown_descriptor_dtype(tmp_path):
     path = tmp_path / "t.ckpt"
     container.save_tensors(path, {"a": np.arange(3, dtype=np.float32)})
@@ -95,6 +120,46 @@ def test_load_tensors_rejects_corrupt_header(tmp_path):
     path.write_bytes(blob.replace(b'{"kind"', b'\xff"kind"'))
     with pytest.raises(ContractError):
         container.load_tensors(path)
+
+
+def set_stored_task_config(path, **values):
+    header, tensors = container.load_tensors(path)
+    header["task_config"].update(values)
+    container.save_tensors(path, tensors, header)
+
+
+@pytest.mark.parametrize("values", [{"num_heads": 0}, {"num_layers": 1.5},
+                                    {"num_layers": True}])
+def test_a_bad_header_config_is_refused_naming_the_file(checkpoint, values):
+    set_stored_task_config(checkpoint, **values)
+    with pytest.raises(ContractError, match="malformed checkpoint header") as info:
+        tr.load_checkpoint(checkpoint)
+    assert str(checkpoint) in str(info.value)
+
+
+LOAD_UNDER_1GB = """
+import resource, sys
+from dotprune import training
+from dotprune.errors import ContractError
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))
+try:
+    training.load_checkpoint(sys.argv[1])
+except ContractError as e:
+    print(e)
+"""
+
+
+def test_a_layer_count_the_file_cannot_hold_is_refused_before_any_shape_table(checkpoint):
+    # in a child under a 1 GB address-space limit: a shape table for a million
+    # layers raises MemoryError there instead of exhausting this process
+    set_stored_task_config(checkpoint, num_layers=1_000_000)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", LOAD_UNDER_1GB, str(checkpoint)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "task config has 1000000 layers" in proc.stdout
 
 
 def set_stored_dropout(path, rates):

@@ -72,6 +72,14 @@ def test_cmd_params_refuses_a_bad_spec(spec, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cmd_params_refuses_a_dot_k_beyond_the_input_length(capsys):
+    with pytest.raises(ConfigError, match="k=500 exceeds the input length 256"):
+        cli.main(["params", "DoT(m->500->l)@256"])
+    assert capsys.readouterr().out == ""
+    assert cli.main(["params", "DoT(m->256->l)@256"]) == 0
+    assert "289,655,808" in capsys.readouterr().out
+
+
 def test_parse_model_spec_accepts_unicode_arrow():
     assert cli.parse_model_spec("DoT(s→256→l)@1024") == \
         ("dot", "s", 256, "l", 1024)

@@ -33,6 +33,17 @@ def test_zero_layer_config_rejected():
         enc.EncoderConfig(num_layers=0, hidden=16, num_heads=2, intermediate=32)
 
 
+@pytest.mark.parametrize("field", ["num_layers", "hidden", "num_heads", "intermediate",
+                                   "vocab_size", "max_input", "seed"])
+@pytest.mark.parametrize("value", [-1, 0, 1.5, True, "8", np.int64(8)])
+def test_integer_config_fields_refuse_non_ints_and_counts_below_one(field, value):
+    if field == "seed" and value == 0:
+        assert tiny_config(seed=0).seed == 0
+        return
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        tiny_config(**{field: value})
+
+
 def test_count_parameters_reference_values():
     assert enc.count_parameters(enc.preset("mini", max_input=256), 256) == 11_105_280
     assert enc.count_parameters(enc.preset("small"), 512) == 28_239_872

@@ -145,10 +145,10 @@ def test_gelu_f32_is_within_3e_7_of_the_normal_cdf():
 
 
 def test_gelu_f32_is_bit_exact_under_slicing():
-    n = 3 * T._GELU_BLOCK + 12345
+    n = 3 * T._BLOCK + 12345
     x = (np.random.default_rng(7).standard_normal(n) * 4).astype(np.float32)
     out, slope = _gelu_and_slope(x)
-    for start, stop in [(0, n), (1, n - 1), (T._GELU_BLOCK - 3, 2 * T._GELU_BLOCK + 5),
+    for start, stop in [(0, n), (1, n - 1), (T._BLOCK - 3, 2 * T._BLOCK + 5),
                         (n - 100, n), (12345, 12346)]:
         part_out, part_slope = _gelu_and_slope(x[start:stop])
         np.testing.assert_array_equal(part_out, out[start:stop])
@@ -195,6 +195,102 @@ def test_adamw_single_step_decreases_weight():
     T.adamw_step([w], [np.array([2.0])], state, lr=0.1, weight_decay=0.01)
     assert abs(w.data[0]) < 1.0
     assert state["step"] == 1
+
+
+def _adamw_whole_array(params, grads, state, lr, weight_decay, betas=(0.9, 0.999),
+                       eps=1e-6):
+    """The whole-array AdamW formula that the blocked ``adamw_step`` must equal
+    bit for bit."""
+    b1, b2 = betas
+    step = state.get("step", 0) + 1
+    state["step"] = step
+    moments = state.setdefault("moments", {})
+    c1 = 1.0 - b1 ** step
+    c2 = 1.0 - b2 ** step
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            continue
+        if i not in moments:
+            moments[i] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = moments[i]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        update = np.sqrt(v / c2)
+        update += eps
+        np.divide(m / c1, update, out=update)
+        update *= lr
+        if weight_decay:
+            update += (lr * weight_decay) * p.data
+        p.data -= update
+
+
+ADAMW_SHAPES = [(1,), (T._BLOCK - 1,), (T._BLOCK,), (T._BLOCK + 1,), (7 * T._BLOCK // 2,),
+                (257, 300)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_blocked_adamw_equals_the_whole_array_formula_bitwise(dtype, weight_decay):
+    rng = np.random.default_rng(11)
+    init = [rng.normal(size=shape).astype(dtype) for shape in ADAMW_SHAPES]
+    blocked = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+    whole = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+    blocked_state, whole_state = {}, {}
+    for step in range(1, 6):
+        grads = [rng.normal(size=shape).astype(dtype) for shape in ADAMW_SHAPES]
+        lr = 1e-3 * step / 5
+        T.adamw_step(blocked, grads, blocked_state, lr, weight_decay)
+        _adamw_whole_array(whole, grads, whole_state, lr, weight_decay)
+        for i, (b, w) in enumerate(zip(blocked, whole)):
+            assert b.data.tobytes() == w.data.tobytes()
+            for mb, mw in zip(blocked_state["moments"][i], whole_state["moments"][i]):
+                assert mb.tobytes() == mw.tobytes()
+    assert all(not np.array_equal(b.data, a) for b, a in zip(blocked, init))
+
+
+@pytest.mark.parametrize("view", [np.transpose, lambda a: a[:, :4]],
+                         ids=["transposed", "column-sliced"])
+def test_adamw_updates_a_parameter_that_is_not_c_contiguous(view):
+    rng = np.random.default_rng(12)
+    data = view(rng.normal(size=(4, 6)))
+    assert not data.flags.c_contiguous
+    p = T.Tensor(data, requires_grad=True)
+    q = T.Tensor(np.ascontiguousarray(data), requires_grad=True)
+    before = data.copy()
+    g = rng.normal(size=data.shape)
+    T.adamw_step([p], [g], {}, lr=0.1, weight_decay=0.01)
+    _adamw_whole_array([q], [g], {}, lr=0.1, weight_decay=0.01)
+    assert p.data is data
+    assert not np.array_equal(p.data, before)
+    np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_adamw_refuses_a_gradient_of_another_shape_or_dtype():
+    p = T.Tensor(np.zeros(3), requires_grad=True)
+    for g in (np.zeros(1), np.zeros(3, dtype=np.float32)):
+        with pytest.raises(ContractError, match="gradient"):
+            T.adamw_step([p], [g], {}, lr=0.1, weight_decay=0.0)
+
+
+@pytest.mark.parametrize("case", ["add(a, a)", "add(a, b)", "concat", "reshape"])
+def test_backward_leaves_own_their_gradients_and_nodes_release_theirs(case):
+    a = T.Tensor(np.zeros(4), requires_grad=True)
+    b = T.Tensor(np.zeros(4), requires_grad=True)
+    out = {"add(a, a)": lambda: T.add(a, a), "add(a, b)": lambda: T.add(a, b),
+           "concat": lambda: T.concat([a, b]),
+           "reshape": lambda: T.reshape(a, (2, 2))}[case]()
+    w = np.arange(1.0, out.data.size + 1)
+    loss = T.tensor_sum(T.mul(out, w.reshape(out.shape)))
+    nodes = [n for n in T.trace(loss).nodes if n.backward_fn is not None]
+    T.backward(loss, params=[a, b])
+    expect = {"add(a, a)": (2 * w, 0 * w), "add(a, b)": (w, w),
+              "concat": (w[:4], w[4:]), "reshape": (w, 0 * w)}[case]
+    np.testing.assert_array_equal(a.grad, expect[0])
+    np.testing.assert_array_equal(b.grad, expect[1])
+    assert not np.may_share_memory(a.grad, b.grad)
+    assert all(n.grad is None for n in nodes)
 
 
 def test_backward_sum_of_squares():

@@ -529,6 +529,26 @@ def test_override_scores_that_are_not_a_float_array_per_token_are_refused():
             tr.dot_forward(model, data[0], scores_override=override)
 
 
+def test_after_backward_only_parameters_hold_gradients_each_its_own():
+    data, model = padded_batch_model(np.float32, "J", "token")
+    params = model.parameters()
+    state = {}
+    for _ in range(2):  # the second backward runs with AdamW moments alive
+        T.zero_grads(params)
+        total, _ = summed_loss(model, data, batched=True)
+        nodes = [n for n in T.trace(total).nodes if n.backward_fn is not None]
+        T.backward(total, params=params)
+        assert nodes and all(n.grad is None for n in nodes)
+        grads = [p.grad for p in params]
+        held = [p.data for p in params] + [x for pair in state.get("moments", {}).values()
+                                           for x in pair]
+        for i, g in enumerate(grads):
+            assert not any(np.may_share_memory(g, other) for other in grads[i + 1:])
+            assert not any(np.may_share_memory(g, x) for x in held)
+        T.adamw_step(params, grads, state, 1e-3, 0.01)
+    assert len(state["moments"]) == len(params)
+
+
 def test_clip_grad_norm_returns_the_norm_before_scaling():
     rng = np.random.default_rng(0)
     params = [T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
