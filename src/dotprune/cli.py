@@ -20,7 +20,6 @@ import os
 import subprocess
 import sys
 import time
-import typing
 
 from .errors import ConfigError, open_input
 
@@ -41,34 +40,20 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
 def _check_fields(section: dict, cls, where: str) -> None:
-    """Keys must be fields of the dataclass ``cls`` and values of their types."""
-    _check_keys(section, _field_names(cls), where)
-    hints = typing.get_type_hints(cls)
-    for key, value in section.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        if not _has_kind(value, kinds):
-            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise ConfigError(f"config {where} key {key!r} must be {names}, got {value!r}")
-
-
-def _has_kind(value, kinds) -> bool:
-    """JSON true/false is not a number; an integer is also a float."""
-    if isinstance(value, bool):
-        return bool in kinds
-    if isinstance(value, int) and float in kinds:
-        return True
-    return type(value) in kinds
+    """Keys must be fields of the dataclass ``cls``, and ``cls`` must accept
+    their values."""
+    _check_keys(section, {f.name for f in dataclasses.fields(cls)}, where)
+    try:
+        cls(**section)
+    except ConfigError as e:
+        raise ConfigError(f"config {where}: {e}") from None
 
 
 def load_config(path) -> dict:
     """Read a strict-JSON config; section keys are the dataclasses' fields
-    and their values must have the fields' types. Any failure, opening the
-    file included, raises ``ConfigError``."""
+    and each section must build its dataclass. Any failure, opening the file
+    included, raises ``ConfigError``."""
     from .synth import DESK_BUCKET_EDGES, GeneratorSpec
     from .training import DoTConfig, TrainConfig
 

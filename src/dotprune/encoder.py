@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, InputTooLongError
+from .errors import ConfigError, ContractError, InputTooLongError, check_field_types
 from .tables import TokenizedSequence
 
 BIAS_MODES = ("key", "query", "symmetric")
@@ -62,11 +62,10 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for f in fields(self):
             value, least = getattr(self, f.name), 0 if f.name == "seed" else 1
-            # bool is an int subclass; a float or numpy int would also reach
-            # the checkpoint header
-            if type(value) is not int or value < least:
+            if value < least:
                 raise ConfigError(f"{f.name} must be an int >= {least}, got {value!r}")
         if self.hidden % self.num_heads != 0:
             raise ConfigError(

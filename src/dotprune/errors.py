@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and ``open_input``, which
-opens an input file so that failing to open it raises one of them."""
+"""Exception types shared across the package; ``open_input``, which opens
+an input file so that failing to open it raises one of them; and
+``check_field_types``, the one type rule of the config dataclasses."""
 
+import dataclasses
+import functools
 import os
+import typing
 
 
 class DotpruneError(Exception):
@@ -42,3 +46,28 @@ def open_input(path, error: type[DotpruneError], mode: str = "r", **kwargs):
         return open(path, mode, **kwargs)
     except OSError as e:
         raise error(f"cannot open {path}: {e.strerror or e}") from None
+
+
+@functools.cache
+def _field_kinds(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
+    """Each field's name and accepted types, read once per class from its
+    type hints: resolving the hints takes some 25 times as long as the rest
+    of a config's construction, and checkpoint loading builds three."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, typing.get_args(hints[f.name]) or (hints[f.name],))
+                 for f in dataclasses.fields(cls))
+
+
+def check_field_types(config) -> None:
+    """Raise ``ConfigError`` naming the first field of the dataclass
+    ``config`` whose value does not have the field's declared type.
+
+    The rule is JSON's: a value's type must be one the hint names, so
+    true/false is not a number and numpy scalars are refused, except that an
+    int is also a float (``X | None`` names None as well)."""
+    for name, kinds in _field_kinds(type(config)):
+        value = getattr(config, name)
+        if not (type(value) in kinds or (type(value) is int and float in kinds)):
+            kind = " or ".join("None" if k is type(None) else
+                               ("an " if k is int else "a ") + k.__name__ for k in kinds)
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .tables import Example, Table, linearized_length
+from .errors import ConfigError, check_field_types
+from .tables import Example, Table
 
 KEY_COLUMN = 0
 VALUE_COLUMN = 1
 
-PAPER_BUCKET_EDGES = (256, 512, 1024)
 DESK_BUCKET_EDGES = (64, 128, 256)
 
 
@@ -42,6 +41,7 @@ class GeneratorSpec:
     task_type: str = "lookup"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.min_rows < 1 or self.max_rows < self.min_rows:
             raise ConfigError("invalid row range")
         if self.min_cols < 2 or self.max_cols < self.min_cols:
@@ -116,16 +116,6 @@ def generate(spec: GeneratorSpec) -> list[Example]:
     return [make(spec, _example_rng(spec, i)) for i in range(spec.n_examples)]
 
 
-def scan_answer(example: Example) -> frozenset[tuple[int, int]]:
-    """Brute-force oracle: find the question's key and return its value cell."""
-    key = example.question.split()[-1]
-    hits = [r for r in range(example.table.n_rows)
-            if example.table.rows[r][KEY_COLUMN] == key]
-    if len(hits) != 1:
-        raise ValueError(f"key {key!r} found in {len(hits)} rows")
-    return frozenset({(hits[0], VALUE_COLUMN)})
-
-
 def bucket_label(length: int, edges) -> str:
     """Left-closed, right-open buckets: <e0, [e0,e1), ..., >=elast."""
     edges = tuple(edges)
@@ -135,11 +125,3 @@ def bucket_label(length: int, edges) -> str:
         if lo <= length < hi:
             return f"[{lo},{hi})"
     return f">={edges[-1]}"
-
-
-def bucketize(examples, edges=DESK_BUCKET_EDGES) -> dict[str, list[Example]]:
-    """Group examples by linearized length; empty buckets are absent."""
-    out: dict[str, list[Example]] = {}
-    for ex in examples:
-        out.setdefault(bucket_label(linearized_length(ex), edges), []).append(ex)
-    return out

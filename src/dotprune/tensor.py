@@ -68,8 +68,9 @@ class Tensor:
 
     ``data`` is always a numpy array; ``grad`` is populated by ``backward``
     and accumulates additively over fan-out. Operation results record their
-    parents and a backward closure; leaves record neither, and only leaves
-    still hold ``grad`` once ``backward`` returns.
+    parents and a backward closure until ``backward`` walks them; leaves
+    record neither, and only leaves still hold ``grad`` once ``backward``
+    returns.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn")
@@ -181,18 +182,25 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
     run. A parent's first gradient is the array the closure returned, not a
     copy, unless that array is read-only, of another dtype, or may share
     memory with one a sibling parent took from the same closure call.
+
+    The walk releases the graph as it goes: every op node it visits drops
+    its closure, and with it the activations the closure saved, and its
+    parents. So a graph can be walked only once.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     graph = trace(loss)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
-        if node.backward_fn is None or node.grad is None:
+        backward_fn, parents, grad = node.backward_fn, node.parents, node.grad
+        if backward_fn is None:
             continue
-        grads = node.backward_fn(node.grad)
-        node.grad = None
+        node.backward_fn, node.parents, node.grad = None, (), None
+        if grad is None:
+            continue
+        grads = backward_fn(grad)
         adopted: list[np.ndarray] = []
-        for parent, g in zip(node.parents, grads):
+        for parent, g in zip(parents, grads):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is not None:

@@ -31,7 +31,7 @@ from . import encoder as enc
 from . import pruning as pr
 from . import tensor as T
 from .container import load_tensors, save_tensors
-from .errors import ConfigError, ContractError, TrainingDivergedError
+from .errors import ConfigError, ContractError, TrainingDivergedError, check_field_types
 from .tables import Example, TokenizedSequence, Vocabulary, cc_select, hem_select, linearize
 
 LOSS_MODES = ("J", "P", "PJ")
@@ -56,6 +56,7 @@ class DoTConfig:
     positive_weight: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.k > self.pre_limit:
             raise ConfigError(f"k={self.k} exceeds pre_limit={self.pre_limit}")
         if self.beta < 0:
@@ -94,6 +95,7 @@ class TrainConfig:
     grad_clip: float | None = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_steps < 1:
             raise ConfigError("num_steps must be >= 1")
         if self.batch_size < 1:
@@ -626,6 +628,9 @@ def load_checkpoint(path) -> DoTModel:
         if cfg.num_layers > len(tensors):
             raise ContractError(f"{path}: {prefix} config has {cfg.num_layers} layers, "
                                 f"but the file holds {len(tensors)} tensors")
+        if len(vocab) > cfg.vocab_size:
+            raise ContractError(f"{path}: the vocabulary holds {len(vocab)} tokens, but the "
+                                f"{prefix} config's vocab_size is {cfg.vocab_size}")
     towers = {}
     for prefix, cfg in configs.items():
         arrays = {}

@@ -1,10 +1,14 @@
-"""Shared builders for tests: small random tables and token sequences."""
+"""Shared builders and oracles for tests: small random tables, token
+sequences and models, and brute-force checks of the synthetic data."""
 
 import numpy as np
 
 from dotprune import encoder as enc
+from dotprune import synth
 from dotprune import tables as tb
 from dotprune import training as tr
+
+PAPER_BUCKET_EDGES = (256, 512, 1024)
 
 
 def random_example(rng, n_rows=2, n_cols=2, cell_tokens=2, vocab_words=12,
@@ -57,3 +61,21 @@ def tiny_model(dataset, dot_config=None, dtype=np.float64, seed=0,
     return tr.build_model(cfg, vocab, dtype=dtype, seed=seed,
                           pruning_config=enc.EncoderConfig(seed=seed, **enc_kw),
                           task_config=enc.EncoderConfig(seed=seed + 1, **enc_kw))
+
+
+def scan_answer(example):
+    """Brute-force oracle: find the question's key and return its value cell."""
+    key = example.question.split()[-1]
+    hits = [r for r in range(example.table.n_rows)
+            if example.table.rows[r][synth.KEY_COLUMN] == key]
+    if len(hits) != 1:
+        raise ValueError(f"key {key!r} found in {len(hits)} rows")
+    return frozenset({(hits[0], synth.VALUE_COLUMN)})
+
+
+def bucketize(examples, edges=synth.DESK_BUCKET_EDGES):
+    """Group examples by linearized length; empty buckets are absent."""
+    out = {}
+    for ex in examples:
+        out.setdefault(synth.bucket_label(tb.linearized_length(ex), edges), []).append(ex)
+    return out

@@ -8,6 +8,7 @@ import pytest
 from dotprune import cli, container
 from dotprune.errors import ConfigError, ContractError
 from dotprune.tables import read_jsonl
+from helpers import bucketize
 
 
 def write_config(path, **sections):
@@ -329,13 +330,13 @@ def test_eval_runs_one_forward_pass_per_example(tmp_path, eval_inputs, monkeypat
 
 
 def test_eval_bucket_accuracy_matches_per_bucket_evaluate(tmp_path, eval_inputs, capsys):
-    from dotprune import synth, tables
+    from dotprune import tables
     from dotprune import training as tr
 
     ckpt, data, cfg, edges = eval_inputs
     report = run_eval(tmp_path, ckpt, data, cfg)
     model = tr.load_checkpoint(ckpt)
-    buckets = synth.bucketize(tables.read_jsonl(data), edges=edges)
+    buckets = bucketize(tables.read_jsonl(data), edges=edges)
     assert len(buckets) >= 2
     expected = {label: tr.evaluate(model, members).accuracy
                 for label, members in buckets.items()}
@@ -402,7 +403,7 @@ def test_load_config_rejects_a_value_of_the_wrong_type(tmp_path, section, key, v
         target = target[part]
     target[key] = value
     path = write_config(tmp_path / "c.json", **sections)
-    with pytest.raises(ConfigError, match=rf"config {section} key '{key}'"):
+    with pytest.raises(ConfigError, match=rf"config {section}: {key} must be"):
         cli.load_config(path)
 
 
@@ -428,7 +429,7 @@ def test_loaders_refuse_a_path_that_is_not_a_string(path):
 
 
 def test_cmd_gen_rejects_a_spec_value_of_the_wrong_type(tmp_path):
-    with pytest.raises(ConfigError, match="generator spec key 'n_examples'"):
+    with pytest.raises(ConfigError, match="generator spec: n_examples must be"):
         cli.main(["gen", "--output", str(tmp_path / "x.jsonl"),
                   "--spec", json.dumps({"n_examples": "3"})])
 
@@ -437,6 +438,14 @@ def test_config_takes_an_integer_for_a_float_field(tmp_path):
     path = write_config(tmp_path / "c.json", task=dict(TINY_TASK, beta=1),
                         train=dict(TINY_TRAIN, grad_clip=None))
     assert cli.load_config(path)["task"]["beta"] == 1
+
+
+def test_the_readme_commands_read_the_config_the_readme_tells_to_save():
+    # the config block itself is loaded by test_readme_train_config_builds_the_configs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert set(re.findall(r"--config (\S+)", readme)) == {"lookup.json"}
+    intro = readme[:readme.index("A train config looks like:")].rsplit("\n\n", 1)[-1]
+    assert "save" in intro and "`lookup.json`" in intro
 
 
 def test_eval_section_without_a_dataset_is_not_a_dataset(tmp_path, eval_inputs, capsys):

@@ -7,6 +7,7 @@ from dotprune import synth
 from dotprune import tables as tb
 from dotprune.errors import ConfigError
 from dotprune.tables import linearized_length
+from helpers import PAPER_BUCKET_EDGES, bucketize, scan_answer
 
 
 def test_single_row_table_answer_is_the_value_cell():
@@ -30,7 +31,7 @@ def test_different_seed_gives_different_dataset():
 def test_answers_verified_by_table_scan():
     spec = synth.GeneratorSpec(seed=3, n_examples=50)
     for ex in synth.generate(spec):
-        assert synth.scan_answer(ex) == ex.answer_coords
+        assert scan_answer(ex) == ex.answer_coords
 
 
 def test_keys_unique_per_table():
@@ -47,7 +48,7 @@ def test_lookup_solvable_from_answer_row_alone():
         reduced = tb.Table.make(ex.table.header, [ex.table.rows[row]])
         pruned = tb.Example(ex.question, reduced,
                             answer_coords=frozenset({(0, col)}))
-        assert synth.scan_answer(pruned) == frozenset({(0, col)})
+        assert scan_answer(pruned) == frozenset({(0, col)})
 
 
 def test_distractor_ratio_pads_rows():
@@ -83,7 +84,7 @@ def test_generator_spec_validation():
 def test_bucketize_single_bucket_for_short_examples():
     spec = synth.GeneratorSpec(seed=8, n_examples=10, min_rows=1, max_rows=1,
                                min_cols=2, max_cols=2, max_cell_tokens=1)
-    buckets = synth.bucketize(synth.generate(spec))
+    buckets = bucketize(synth.generate(spec))
     assert set(buckets) == {"<64"}
 
 
@@ -99,13 +100,13 @@ def test_bucketize_counts_sum_to_total():
     spec = synth.GeneratorSpec(seed=9, n_examples=40, max_rows=8,
                                distractor_ratio=0.5)
     examples = synth.generate(spec)
-    buckets = synth.bucketize(examples, edges=(32, 48, 64))
+    buckets = bucketize(examples, edges=(32, 48, 64))
     assert sum(len(v) for v in buckets.values()) == len(examples)
     assert all(buckets.values())  # absent, never empty
 
 
 def test_paper_bucket_edges_preset():
-    assert synth.bucket_label(2000, synth.PAPER_BUCKET_EDGES) == ">=1024"
+    assert synth.bucket_label(2000, PAPER_BUCKET_EDGES) == ">=1024"
 
 
 @settings(max_examples=20, deadline=None)

@@ -549,6 +549,18 @@ def test_after_backward_only_parameters_hold_gradients_each_its_own():
     assert len(state["moments"]) == len(params)
 
 
+@pytest.mark.parametrize("mode,selection", MODES)
+def test_backward_releases_every_op_node_of_the_loss_graph(mode, selection):
+    # the closures hold the forward activations; a walked graph keeps none
+    data, model = padded_batch_model(np.float32, mode, selection)
+    total, _ = summed_loss(model, data, batched=True)
+    nodes = [n for n in T.trace(total).nodes if n.backward_fn is not None]
+    T.backward(total, params=model.parameters())
+    assert nodes and all(n.backward_fn is None and n.parents == () and n.grad is None
+                         for n in nodes)
+    assert T.trace(total).nodes == [total]
+
+
 def test_clip_grad_norm_returns_the_norm_before_scaling():
     rng = np.random.default_rng(0)
     params = [T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
