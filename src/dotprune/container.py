@@ -48,14 +48,27 @@ def save_tensors(path, named: dict[str, np.ndarray], header: dict | None = None)
             fh.write(data)
 
 
-def _read(fh, n: int, path) -> bytes:
+def _check_left(fh, n: int, path) -> None:
     # a length field is refused before it sizes any buffer
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ContractError(f"{path} is truncated")
+
+
+def _read(fh, n: int, path) -> bytes:
+    _check_left(fh, n, path)
     data = fh.read(n)
     if len(data) != n:
         raise ContractError(f"{path} is truncated")
     return data
+
+
+def _read_array(fh, n: int, dtype: str, shape: tuple[int, ...], path) -> np.ndarray:
+    """The next ``n`` bytes read straight into a fresh writable array."""
+    _check_left(fh, n, path)
+    arr = np.empty(shape, dtype=dtype)
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != n:
+        raise ContractError(f"{path} is truncated")
+    return arr
 
 
 def _read_json(fh, n: int, path):
@@ -94,6 +107,5 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
             if blen != np.dtype(dtype).itemsize * math.prod(shape):
                 raise ContractError(f"{path}: tensor {name!r} has {blen} bytes "
                                     f"for shape {list(shape)}")
-            raw = _read(fh, blen, path)
-            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            tensors[name] = _read_array(fh, blen, dtype, shape, path)
     return header, tensors

@@ -4,6 +4,7 @@ an input file so that failing to open it raises one of them; and
 
 import dataclasses
 import functools
+import math
 import os
 import typing
 
@@ -64,10 +65,14 @@ def check_field_types(config) -> None:
 
     The rule is JSON's: a value's type must be one the hint names, so
     true/false is not a number and numpy scalars are refused, except that an
-    int is also a float (``X | None`` names None as well)."""
+    int is also a float (``X | None`` names None as well). A float must be
+    finite: NaN passes no range check written ``x < 0``, and Python's
+    ``json`` reads ``NaN`` and ``Infinity``."""
     for name, kinds in _field_kinds(type(config)):
         value = getattr(config, name)
         if not (type(value) in kinds or (type(value) is int and float in kinds)):
             kind = " or ".join("None" if k is type(None) else
                                ("an " if k is int else "a ") + k.__name__ for k in kinds)
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")

@@ -172,7 +172,8 @@ def preselect(seq: TokenizedSequence, example: Example, config: DoTConfig
 
 
 def dot_forward(model: DoTModel, example: Example,
-                scores_override: Callable[[TokenizedSequence], np.ndarray] | None = None,
+                scores_override: Callable[[TokenizedSequence, Example],
+                                          np.ndarray] | None = None,
                 selection_override: pr.Selection | None = None,
                 selection_noise: tuple[float, np.random.Generator] | None = None
                 ) -> DotOutputs:
@@ -188,7 +189,7 @@ def dot_forward(model: DoTModel, example: Example,
 
 
 def dot_forward_batch(model: DoTModel, examples: list[Example],
-                      scores_override: Callable[[TokenizedSequence],
+                      scores_override: Callable[[TokenizedSequence, Example],
                                                 np.ndarray] | None = None,
                       selection_overrides: list[pr.Selection] | None = None,
                       selection_noise: tuple[float, np.random.Generator] | None = None
@@ -196,8 +197,9 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
     """Full pipeline for a batch; each tower runs once on a padded stack.
 
     Selection and compaction run per example; every output tensor is a
-    per-example slice of the batch's tensors. ``scores_override`` replaces
-    the learned scorer with a float array (oracle and constant baselines).
+    per-example slice of the batch's tensors. ``scores_override(seq,
+    example)`` replaces the learned scorer with a float array per
+    preselected sequence (oracle and constant baselines).
     In the P loss mode the bias is detached, so the task loss does not
     reach the scorer. ``selection_overrides`` pins each example's kept set.
     ``selection_noise`` perturbs only the selection, never the bias: the
@@ -208,7 +210,8 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
     dtype = model.task.head_w.dtype
     pre_seqs = [preselect(linearize(ex, model.vocab), ex, cfg) for ex in examples]
     if scores_override is not None:
-        all_scores = [_fixed_scores(seq, scores_override(seq), dtype) for seq in pre_seqs]
+        all_scores = [_fixed_scores(seq, scores_override(seq, ex), dtype)
+                      for seq, ex in zip(pre_seqs, examples)]
     else:
         all_scores = pr.score_tokens(model.pruning, pre_seqs)
 
@@ -391,8 +394,9 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     (``grad_norm`` is the global gradient norm before clipping); examples-per-second is
     computed around forward+backward+update only and excludes the first 10
     steps. ``stop_condition`` may end the run early (checked after
-    ``step_callback``, every step). ``scores_override`` bypasses the scoring
-    tower entirely (single-tower baselines); only the task tower trains.
+    ``step_callback``, every step). ``scores_override(seq)`` bypasses the
+    scoring tower entirely (single-tower baselines); only the task tower
+    trains.
     A passed ``model`` must have been built for ``dot_config`` in the
     precision of ``train_config``.
     """
@@ -410,6 +414,9 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     groups = [(model.task.parameters(), 1.0, {})]
     if scores_override is None:
         groups.insert(0, (model.pruning.parameters(), train_config.pruning_lr_scale, {}))
+        override = None
+    else:
+        override = lambda seq, _example: scores_override(seq)
     params = [p for g, _, _ in groups for p in g]
     data_rng = np.random.Generator(np.random.PCG64(train_config.seed + 1))
     explore_rng = np.random.Generator(np.random.PCG64(train_config.seed + 3))
@@ -429,7 +436,7 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         noise = (sigma, explore_rng) if train_config.exploration_noise > 0 else None
 
         t0 = time.perf_counter()
-        outs = dot_forward_batch(model, batch, scores_override=scores_override,
+        outs = dot_forward_batch(model, batch, scores_override=override,
                                  selection_noise=noise)
         losses = [compute_loss(model, out, ex) for out, ex in zip(outs, batch)]
         gaps = [g for g in (answer_score_gap(out.scores, out.selection, ex)
@@ -519,6 +526,11 @@ def predict_cells(outputs: DotOutputs) -> frozenset[tuple[int, int]]:
     return frozenset({best})
 
 
+# padded tokens per evaluation chunk: a chunk's attention scores hold at
+# most EVAL_CHUNK_TOKENS * heads * pre_limit values, however long the inputs
+EVAL_CHUNK_TOKENS = 2048
+
+
 @dataclass
 class EvalReport:
     accuracy: float
@@ -534,29 +546,31 @@ def evaluate(model: DoTModel, examples: list[Example],
              scores_override=None) -> EvalReport:
     """Denotation accuracy plus score-gap statistics.
 
-    ``scores_override(seq, example)`` replaces the learned scorer with a
-    float array per example (oracle injection).
+    Both towers run once per chunk of ``EVAL_CHUNK_TOKENS // pre_limit``
+    examples (at least one). ``scores_override(seq, example)`` replaces the
+    learned scorer with a float array per example (oracle injection).
     """
+    chunk = max(1, EVAL_CHUNK_TOKENS // model.config.pre_limit)
     correct = []
     predictions = []
     gaps = []
     pruned = 0
     with T.no_grad():
-        for ex in examples:
-            override = (None if scores_override is None
-                        else (lambda s, ex=ex: scores_override(s, ex)))
-            out = dot_forward(model, ex, scores_override=override)
-            if model.config.task_type == "cell_selection":
-                pred = predict_cells(out)
-                correct.append(pred == ex.answer_coords)
-            else:
-                pred = int(out.cls_logit.data.ravel()[0] > 0)
-                correct.append(pred == ex.label)
-            predictions.append(pred)
-            gap = answer_score_gap(out.scores, out.selection, ex)
-            if gap is not None:
-                gaps.append(gap)
-            pruned += int(out.answer_pruned)
+        for start in range(0, len(examples), chunk):
+            batch = examples[start:start + chunk]
+            outs = dot_forward_batch(model, batch, scores_override=scores_override)
+            for ex, out in zip(batch, outs):
+                if model.config.task_type == "cell_selection":
+                    pred = predict_cells(out)
+                    correct.append(pred == ex.answer_coords)
+                else:
+                    pred = int(out.cls_logit.data.ravel()[0] > 0)
+                    correct.append(pred == ex.label)
+                predictions.append(pred)
+                gap = answer_score_gap(out.scores, out.selection, ex)
+                if gap is not None:
+                    gaps.append(gap)
+                pruned += int(out.answer_pruned)
     return EvalReport(
         accuracy=float(np.mean(correct)) if correct else 0.0,
         n_examples=len(examples),
@@ -618,6 +632,12 @@ def load_checkpoint(path) -> DoTModel:
     try:
         config = DoTConfig(**header["config"])
         vocab = Vocabulary(header["vocab"][4:])  # reserved entries re-added by ctor
+        tokens = vocab.tokens()
+        if tokens != header["vocab"] or not all(isinstance(t, str) for t in tokens):
+            # a repeated token would shift every later token's id, and a token
+            # that is not a string would leave its word to [UNK]
+            raise ContractError(f"{path}: the stored vocabulary is not the reserved "
+                                f"entries followed by distinct strings")
         configs = {prefix: _encoder_config(path, header[f"{prefix}_config"])
                    for prefix in ("pruning", "task")}
     except (AttributeError, KeyError, TypeError, ConfigError) as e:

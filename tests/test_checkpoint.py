@@ -85,6 +85,21 @@ def test_load_tensors_rejects_every_truncation(tmp_path):
             container.load_tensors(cut)
 
 
+def test_load_tensors_reads_every_shape_into_its_own_writable_array(tmp_path):
+    path = tmp_path / "t.ckpt"
+    named = {"empty": np.zeros((0, 3), np.float32),
+             "matrix": np.arange(6, dtype=np.float32).reshape(2, 3),
+             "vector": np.linspace(-1.0, 1.0, 5)}
+    container.save_tensors(path, named)
+    _, loaded = container.load_tensors(path)
+    assert sorted(loaded) == sorted(named)
+    for name, arr in named.items():
+        got = loaded[name]
+        assert got.dtype == arr.dtype and got.shape == arr.shape
+        np.testing.assert_array_equal(got, arr)
+        assert got.flags.writeable and got.flags.owndata and got.flags.c_contiguous
+
+
 @pytest.mark.parametrize("length", [2 ** 40, 2 ** 63])
 @pytest.mark.parametrize("field", ["header", "descriptor", "data"])
 def test_load_tensors_refuses_a_length_beyond_the_end_of_the_file(tmp_path, field, length):

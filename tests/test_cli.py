@@ -312,21 +312,38 @@ def run_eval(tmp_path, ckpt, data, cfg):
     return json.loads((out / "report.json").read_text())
 
 
-def test_eval_runs_one_forward_pass_per_example(tmp_path, eval_inputs, monkeypatch, capsys):
+def test_eval_scores_every_example_once_in_chunks(tmp_path, monkeypatch, capsys):
+    import math
+
+    import numpy as np
+
+    import helpers
+    from dotprune import pruning, synth, tables
     from dotprune import training as tr
 
-    ckpt, data, cfg, _ = eval_inputs
-    calls = []
-    original = tr.dot_forward
+    examples = synth.generate(synth.GeneratorSpec(
+        seed=5, n_examples=11, min_rows=1, max_rows=4, min_cols=2, max_cols=3,
+        max_cell_tokens=1, vocab_size=24))
+    model = helpers.tiny_model(examples, tr.DoTConfig(pre_limit=256, k=12),
+                               dtype=np.float32, hidden=8, layers=1)
+    ckpt, data = tmp_path / "model.ckpt", tmp_path / "data.jsonl"
+    tr.save_checkpoint(ckpt, model)
+    tables.write_jsonl(data, examples)
+    batches = []
+    original = pruning.score_tokens
 
-    def counting(model, example, *args, **kwargs):
-        calls.append(id(example))
-        return original(model, example, *args, **kwargs)
+    def counting(weights, seqs):
+        batches.append([tuple(seq.token_ids) for seq in seqs])
+        return original(weights, seqs)
 
-    monkeypatch.setattr(tr, "dot_forward", counting)
-    report = run_eval(tmp_path, ckpt, data, cfg)
-    assert len(calls) == report["n_examples"] == 10
-    assert len(set(calls)) == 10
+    monkeypatch.setattr(pruning, "score_tokens", counting)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                     "--out", str(tmp_path / "eval")]) == 0
+    chunk = max(1, tr.EVAL_CHUNK_TOKENS // model.config.pre_limit)
+    assert len(batches) == math.ceil(len(examples) / chunk) == 2
+    assert [ids for batch in batches for ids in batch] == [
+        tuple(tr.preselect(tables.linearize(ex, model.vocab), ex, model.config).token_ids)
+        for ex in examples]
 
 
 def test_eval_bucket_accuracy_matches_per_bucket_evaluate(tmp_path, eval_inputs, capsys):

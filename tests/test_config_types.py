@@ -3,6 +3,7 @@ a config reaches it: a Python call, a checkpoint header and a config file."""
 
 import dataclasses
 import json
+import math
 import typing
 
 import numpy as np
@@ -63,6 +64,43 @@ def test_numpy_scalars_are_refused(value):
         tr.DoTConfig(**{field: value})
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+FLOAT_FIELDS = [(cls, f.name) for cls in VALID for f in dataclasses.fields(cls)
+                if accepts(cls, f.name, 0.5)]
+
+
+def test_every_config_class_with_a_float_field_is_tried():
+    assert {cls for cls, _ in FLOAT_FIELDS} == {tr.DoTConfig, tr.TrainConfig,
+                                                synth.GeneratorSpec}
+    assert len(FLOAT_FIELDS) == 9
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("cls,field", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{f}" for c, f in FLOAT_FIELDS])
+def test_a_float_field_refuses_nan_and_infinity(cls, field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value!r}$"):
+        cls(**dict(VALID[cls], **{field: value}))
+
+
+def refused_values(cls):
+    """Each (field, value) that ``cls`` refuses by the type rule: the wrong
+    kinds, and NaN and ±inf in a float field."""
+    return ([tuple(param.values[1:]) for param in wrong_kind_cases([cls])]
+            + [(f, value) for c, f in FLOAT_FIELDS if c is cls for value in NON_FINITE])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(FLOAT_FIELDS), value=st.floats())
+def test_a_float_field_holds_a_finite_value_or_raises_config_error(case, value):
+    cls, field = case
+    try:
+        config = cls(**dict(VALID[cls], **{field: value}))
+    except ConfigError:
+        return
+    assert math.isfinite(getattr(config, field))
+
+
 # ---------------------------------------------------------------------------
 # checkpoint headers
 # ---------------------------------------------------------------------------
@@ -101,9 +139,7 @@ HEADER_SECTIONS = {"config": tr.DoTConfig, "pruning_config": enc.EncoderConfig,
 @pytest.mark.parametrize("section", HEADER_SECTIONS)
 def test_a_header_value_of_the_wrong_kind_is_refused_naming_file_and_field(
         tmp_path, stored, section):
-    cls = HEADER_SECTIONS[section]
-    for param in wrong_kind_cases([cls]):
-        _, field, value = param.values
+    for field, value in refused_values(HEADER_SECTIONS[section]):
         path = write_header(tmp_path / "bad.ckpt", stored,
                             lambda h: h[section].update({field: value}))
         with pytest.raises(ContractError, match="malformed checkpoint header") as info:
@@ -115,6 +151,22 @@ def test_a_fractional_k_in_the_header_is_refused(tmp_path, stored):
     path = write_header(tmp_path / "bad.ckpt", stored, lambda h: h["config"].update(k=10.5))
     with pytest.raises(ContractError, match=r"k must be an int, got 10\.5"):
         tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda vocab: vocab.insert(4, vocab[5]),
+    lambda vocab: vocab.append(vocab[-1]),
+    lambda vocab: vocab.append("[PAD]"),
+    lambda vocab: vocab.pop(1),
+    lambda vocab: vocab.insert(0, vocab.pop(2)),
+    lambda vocab: vocab.__setitem__(5, 5),
+], ids=["repeat_first_token", "repeat_last_token", "repeat_reserved", "drop_reserved",
+        "reorder_reserved", "non_string_token"])
+def test_a_vocabulary_whose_ids_would_shift_is_refused(tmp_path, stored, edit):
+    path = write_header(tmp_path / "vocab.ckpt", stored, lambda h: edit(h["vocab"]))
+    with pytest.raises(ContractError, match="followed by distinct strings") as info:
+        tr.load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("extra", [1, 50])
@@ -137,7 +189,8 @@ def test_a_vocabulary_that_fills_the_embedding_tables_loads(tmp_path, stored):
 # a number of the wrong kind passes the range checks and fails only later,
 # where a string, list or None fails at once; so numbers are drawn most often
 OTHER_VALUES = (st.none() | st.just(...) | st.lists(st.integers(0, 3), max_size=2)
-                | st.sampled_from(["", "x", "hem", "column", "PJ", "entailment"]))
+                | st.sampled_from(["", "x", "hem", "column", "PJ", "entailment"])
+                | st.sampled_from(NON_FINITE))
 
 
 def near(value):
@@ -192,15 +245,14 @@ CONFIG_SECTIONS = {"task": tr.DoTConfig, "train": tr.TrainConfig,
 @pytest.mark.parametrize("section", CONFIG_SECTIONS)
 def test_a_config_file_value_of_the_wrong_kind_is_refused_naming_section_and_field(
         tmp_path, section):
-    for param in wrong_kind_cases([CONFIG_SECTIONS[section]]):
-        _, field, value = param.values
+    for field, value in refused_values(CONFIG_SECTIONS[section]):
         cfg = {"schema_version": 1}
         target = cfg
         for part in section.split("."):
             target = target.setdefault(part, {})
         target[field] = value
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg))  # a non-finite float as NaN or Infinity
         with pytest.raises(ConfigError, match=rf"^config {section}: {field} must be"):
             cli.load_config(path)
 

@@ -86,7 +86,8 @@ def test_forward_with_zero_scores_matches_plain_task_model():
     cfg = tr.DoTConfig(pre_limit=48, k=48)
     model = tiny_model(data, cfg)
     ex = data[0]
-    out = tr.dot_forward(model, ex, scores_override=lambda s: pr.constant_scores(s, 0.0))
+    out = tr.dot_forward(model, ex,
+                         scores_override=lambda s, _ex: pr.constant_scores(s, 0.0))
     with T.no_grad():
         from dotprune.tables import linearize
         pre = tr.preselect(linearize(ex, model.vocab), ex, cfg)
@@ -205,7 +206,7 @@ def test_p_equals_pj_value_when_bias_zero_everywhere():
     data = lookup_data()
     model = tiny_model(data)
     ex = data[0]
-    override = lambda s: pr.constant_scores(s, 0.0)
+    override = lambda s, _ex: pr.constant_scores(s, 0.0)
     detached = forward_in(model, ex, "P", scores_override=override)
     attached = forward_in(model, ex, "PJ", scores_override=override)
     p = loss_of(model, detached, ex, "P", 0.7).item()
@@ -262,7 +263,8 @@ def test_answer_score_gap_uniform_scores_zero():
     data = lookup_data()
     model = tiny_model(data)
     ex = data[0]
-    out = tr.dot_forward(model, ex, scores_override=lambda s: pr.constant_scores(s, -0.3))
+    out = tr.dot_forward(model, ex,
+                         scores_override=lambda s, _ex: pr.constant_scores(s, -0.3))
     assert tr.answer_score_gap(out.scores, out.selection, ex) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -271,7 +273,7 @@ def test_answer_score_gap_positive_when_answers_score_highest():
     model = tiny_model(data)
     ex = data[0]
     out = tr.dot_forward(
-        model, ex, scores_override=lambda s: pr.oracle_scores(s, ex.answer_coords))
+        model, ex, scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))
     assert tr.answer_score_gap(out.scores, out.selection, ex) > 0.0
 
 
@@ -396,7 +398,7 @@ def test_oracle_scores_match_plain_task_model_on_answer_rows():
     from dotprune.tables import linearize
     for ex in data:
         out = tr.dot_forward(
-            model, ex, scores_override=lambda s: pr.oracle_scores(s, ex.answer_coords))
+            model, ex, scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))
         # plain task model fed exactly question + answer-row tokens
         pre = tr.preselect(linearize(ex, model.vocab), ex, cfg)
         answer_rows = {r for r, _ in ex.answer_coords}
@@ -443,13 +445,84 @@ def test_evaluate_with_oracle_scores_is_perfect_when_task_sees_answers():
     model = tiny_model(data, cfg)
     for ex in data:
         out = tr.dot_forward(
-            model, ex, scores_override=lambda s: pr.oracle_scores(s, ex.answer_coords))
+            model, ex, scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))
         assert not out.answer_pruned
         forced = np.zeros(len(out.compact_seq))
         for j in out.kept_table_slots:
             forced[j] = 30.0 if out.compact_seq.origin[j] in ex.answer_coords else -30.0
         out.token_logits = T.Tensor(forced)
         assert tr.predict_cells(out) == ex.answer_coords
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the one-example-at-a-time path
+# ---------------------------------------------------------------------------
+
+
+def per_example_evaluate(model, examples, scores_override=None):
+    """The reference: ``evaluate``'s report fields, computed one example at a
+    time through ``dot_forward``, and each example's outputs."""
+    outs, predictions, correct, gaps = [], [], [], []
+    with T.no_grad():
+        for ex in examples:
+            out = tr.dot_forward(model, ex, scores_override=scores_override)
+            if model.config.task_type == "cell_selection":
+                pred = tr.predict_cells(out)
+                correct.append(pred == ex.answer_coords)
+            else:
+                pred = int(out.cls_logit.data.ravel()[0] > 0)
+                correct.append(pred == ex.label)
+            predictions.append(pred)
+            gap = tr.answer_score_gap(out.scores, out.selection, ex)
+            if gap is not None:
+                gaps.append(gap)
+            outs.append(out)
+    pruned_rate = sum(out.answer_pruned for out in outs) / len(examples)
+    return predictions, correct, gaps, pruned_rate, outs
+
+
+EVAL_CASES = {"token": {}, "column": {"selection_mode": "column"},
+              "classification": {"task_type": "classification"}, "oracle": {}}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", EVAL_CASES)
+def test_batched_evaluate_matches_the_per_example_path(monkeypatch, case, dtype):
+    # eleven examples of unequal length at pre_limit 256: chunks of 8 + 3
+    task = "entailment" if case == "classification" else "lookup"
+    data = lookup_data(n=11, seed=12, max_rows=5, max_cols=4, max_cell_tokens=2,
+                       task_type=task)
+    model = tiny_model(data, tr.DoTConfig(pre_limit=256, k=12, **EVAL_CASES[case]),
+                       dtype=dtype)
+    override = ((lambda s, ex: pr.oracle_scores(s, ex.answer_coords))
+                if case == "oracle" else None)
+    chunks = []
+    original = tr.dot_forward_batch
+
+    def recording(model, examples, **kw):
+        chunks.append(original(model, examples, **kw))
+        return chunks[-1]
+
+    monkeypatch.setattr(tr, "dot_forward_batch", recording)
+    report = tr.evaluate(model, data, scores_override=override)
+    monkeypatch.undo()
+    assert [len(chunk) for chunk in chunks] == [8, 3]
+    predictions, correct, gaps, pruned_rate, ref_outs = per_example_evaluate(
+        model, data, override)
+    outs = [out for chunk in chunks for out in chunk]
+    assert len({len(out.pre_seq) for out in outs}) > 1
+    for out, ref in zip(outs, ref_outs):
+        assert out.selection == ref.selection
+        got, want = ((out.token_logits, ref.token_logits) if case != "classification"
+                     else (out.cls_logit, ref.cls_logit))
+        np.testing.assert_allclose(got.data, want.data, rtol=0,
+                                   atol=1e-6 if dtype == np.float32 else 1e-12)
+    if dtype == np.float64:
+        assert report.predictions == predictions
+        assert report.correct_flags == correct
+        assert report.answer_pruned_rate == pruned_rate
+        np.testing.assert_allclose(report.gaps, gaps, rtol=1e-12, atol=0)
+    assert report.n_examples == 11
 
 
 MODES = [(mode, selection) for mode in ("J", "P", "PJ") for selection in ("token", "column")]
@@ -503,8 +576,8 @@ def test_batched_loss_and_gradients_match_batch_of_one(dtype, tol, mode, selecti
 @pytest.mark.parametrize("mode,selection", MODES)
 def test_every_node_of_the_loss_graph_has_the_model_dtype(dtype, mode, selection):
     data, model = padded_batch_model(dtype, mode, selection)
-    overrides = (None, lambda seq: pr.constant_scores(seq, 0.0),
-                 lambda seq: pr.oracle_scores(seq, data[0].answer_coords))
+    overrides = (None, lambda seq, _ex: pr.constant_scores(seq, 0.0),
+                 lambda seq, _ex: pr.oracle_scores(seq, data[0].answer_coords))
     for override in overrides:
         for batched in (False, True):
             total, _ = summed_loss(model, data[:2], batched, scores_override=override)
@@ -518,11 +591,11 @@ def test_override_scores_that_are_not_a_float_array_per_token_are_refused():
     model = tiny_model(data, dtype=np.float32)
     zeros = lambda seq: np.zeros(len(seq), dtype=np.float32)
     overrides = {
-        "Tensor": lambda seq: T.Tensor(zeros(seq), requires_grad=True),
-        "PruningScores": lambda seq: pr.PruningScores(seq=seq, log_probs=T.Tensor(zeros(seq)),
-                                                      logits=T.Tensor(zeros(seq))),
-        r"float64 array of shape \(\d+,\)": lambda seq: np.zeros(len(seq) + 1),
-        "int64 array": lambda seq: np.zeros(len(seq), dtype=np.int64),
+        "Tensor": lambda seq, _ex: T.Tensor(zeros(seq), requires_grad=True),
+        "PruningScores": lambda seq, _ex: pr.PruningScores(
+            seq=seq, log_probs=T.Tensor(zeros(seq)), logits=T.Tensor(zeros(seq))),
+        r"float64 array of shape \(\d+,\)": lambda seq, _ex: np.zeros(len(seq) + 1),
+        "int64 array": lambda seq, _ex: np.zeros(len(seq), dtype=np.int64),
     }
     for got, override in overrides.items():
         with pytest.raises(ContractError, match=f"float array of \\d+ values, got {got}"):
@@ -592,6 +665,6 @@ def test_override_scores_are_clipped_at_the_score_floor_in_the_model_dtype():
     data = lookup_data(n=1)
     model = tiny_model(data, dtype=np.float32)
     out = tr.dot_forward(model, data[0],
-                         scores_override=lambda s: pr.constant_scores(s, -80.0))
+                         scores_override=lambda s, _ex: pr.constant_scores(s, -80.0))
     assert out.scores.log_probs.dtype == np.float32
     assert (out.scores.values == pr.SCORE_FLOOR).all()
