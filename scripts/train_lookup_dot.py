@@ -71,7 +71,7 @@ def main():
     final = tr.evaluate(result.model, eval_set)
     print(f"final: accuracy {final.accuracy:.3f}, "
           f"mean answer-score gap {final.mean_answer_score_gap:+.4f}, "
-          f"NPE/s {result.npe_s:.2f}, wall {time.perf_counter() - t0:.0f}s")
+          f"wall {time.perf_counter() - t0:.0f}s")
 
 
 if __name__ == "__main__":

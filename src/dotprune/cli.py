@@ -337,12 +337,11 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return out
 
 
-def write_metrics(out_dir, metrics: list[dict]) -> str:
-    path = os.path.join(out_dir, "metrics.jsonl")
+def write_metrics(path, records: list[dict]) -> None:
+    """One JSON object per line, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in metrics:
+        for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return path
 
 
 def cmd_train(args) -> int:
@@ -354,15 +353,17 @@ def cmd_train(args) -> int:
     train_config = tr.TrainConfig(**cfg.get("train", {}))
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
-    result = tr.train(dot_config, train_config, dataset)
-    write_metrics(out_dir, result.metrics)
-    ckpt = os.path.join(out_dir, "checkpoint.ckpt")
-    tr.save_checkpoint(ckpt, result.model)
-    report = {
-        "final_loss": result.metrics[-1]["loss"],
-        "steps": len(result.metrics),
-        "npe_s": result.npe_s,
-    }
+    # perfbench's definition: a step's time is the gap between consecutive
+    # callbacks, so step 1 is not timed
+    stamps: list[float] = []
+    result = tr.train(dot_config, train_config, dataset,
+                      step_callback=lambda _step, _model: stamps.append(time.perf_counter()))
+    seconds = [b - a for a, b in zip(stamps, stamps[1:])]
+    write_metrics(os.path.join(out_dir, "metrics.jsonl"), result.metrics)
+    write_metrics(os.path.join(out_dir, "timings.jsonl"),
+                  [{"step": s, "seconds": t} for s, t in enumerate(seconds, start=2)])
+    tr.save_checkpoint(os.path.join(out_dir, "checkpoint.ckpt"), result.model)
+    report = {"final_loss": result.metrics[-1]["loss"], "steps": len(result.metrics)}
     if _eval_data_section(cfg) is not None:
         eval_set = _dataset_from_section(cfg["eval"])
         eval_report = tr.evaluate(result.model, eval_set)
@@ -372,8 +373,9 @@ def cmd_train(args) -> int:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     write_manifest(out_dir, cfg, args, threads_applied=args._threads_applied)
-    print(f"trained {report['steps']} steps, final loss {report['final_loss']:.6f}, "
-          f"NPE/s {report['npe_s']:.2f}")
+    rate = (f", NPE/s {train_config.batch_size * len(seconds) / sum(seconds):.2f}"
+            if seconds else "")
+    print(f"trained {report['steps']} steps, final loss {report['final_loss']:.6f}{rate}")
     return 0
 
 

@@ -36,7 +36,7 @@ def save_tensors(path, named: dict[str, np.ndarray], header: dict | None = None)
         fh.write(header_bytes)
         fh.write(struct.pack("<I", len(named)))
         for name in sorted(named):
-            arr = np.ascontiguousarray(named[name])
+            arr = np.asarray(named[name], order="C")
             dtype = arr.dtype.newbyteorder("<").str
             if dtype not in _DTYPES:
                 raise ContractError(f"unsupported dtype {arr.dtype} for tensor {name!r}")

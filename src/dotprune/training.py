@@ -14,15 +14,14 @@ Three loss modes differ in how the scorer learns:
   auxiliary per-token relevance loss against answer-cell membership.
 * ``PJ``: both paths at once.
 
-The trainer is deterministic given (config, seed, thread count): metrics
-records contain no wall-clock values, timing is reported separately.
+The trainer is deterministic given (config, seed, thread count) and keeps
+no clock: a caller times steps from ``step_callback``.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,6 +56,8 @@ class DoTConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         if self.k > self.pre_limit:
             raise ConfigError(f"k={self.k} exceeds pre_limit={self.pre_limit}")
         if self.beta < 0:
@@ -108,6 +109,12 @@ class TrainConfig:
             raise ConfigError("pruning_lr_scale must be >= 0")
         if self.exploration_noise < 0:
             raise ConfigError("exploration_noise must be >= 0")
+        if self.learning_rate < 0:
+            raise ConfigError("learning_rate must be >= 0")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ConfigError("grad_clip must be > 0 or None")
 
     @property
     def dtype(self):
@@ -378,8 +385,6 @@ def lr_at(step: int, config: TrainConfig) -> float:
 class TrainResult:
     model: DoTModel
     metrics: list[dict]
-    npe_s: float
-    step_seconds: list[float] = field(default_factory=list)
 
 
 def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Example],
@@ -391,9 +396,8 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
 
     Each step runs both towers once on the padded batch, then backward,
     gradient clipping and AdamW. Per-step metrics records carry no timing
-    (``grad_norm`` is the global gradient norm before clipping); examples-per-second is
-    computed around forward+backward+update only and excludes the first 10
-    steps. ``stop_condition`` may end the run early (checked after
+    (``grad_norm`` is the global gradient norm before clipping).
+    ``stop_condition`` may end the run early (checked after
     ``step_callback``, every step). ``scores_override(seq)`` bypasses the
     scoring tower entirely (single-tower baselines); only the task tower
     trains.
@@ -424,7 +428,6 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
 
     order: list[int] = []
     metrics: list[dict] = []
-    step_seconds: list[float] = []
     for step in range(1, train_config.num_steps + 1):
         while len(order) < train_config.batch_size:
             epoch = list(data_rng.permutation(len(dataset)))
@@ -435,7 +438,6 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         sigma = train_config.exploration_noise * max(0.0, 1.0 - step / anneal_until)
         noise = (sigma, explore_rng) if train_config.exploration_noise > 0 else None
 
-        t0 = time.perf_counter()
         outs = dot_forward_batch(model, batch, scores_override=override,
                                  selection_noise=noise)
         losses = [compute_loss(model, out, ex) for out, ex in zip(outs, batch)]
@@ -455,7 +457,6 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         for group, scale, opt_state in groups:
             T.adamw_step(group, [p.grad for p in group], opt_state, lr * scale,
                          train_config.weight_decay)
-        step_seconds.append(time.perf_counter() - t0)
 
         metrics.append({
             "step": step,
@@ -469,11 +470,7 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
             step_callback(step, model)
         if stop_condition is not None and stop_condition(step, model):
             break
-
-    steady = step_seconds[10:] if len(step_seconds) > 10 else step_seconds
-    npe_s = (train_config.batch_size * len(steady) / sum(steady)) if steady else 0.0
-    return TrainResult(model=model, metrics=metrics, npe_s=npe_s,
-                       step_seconds=step_seconds)
+    return TrainResult(model=model, metrics=metrics)
 
 
 def _sum_losses(losses: list[T.Tensor]) -> T.Tensor:

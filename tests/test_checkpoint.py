@@ -89,7 +89,8 @@ def test_load_tensors_reads_every_shape_into_its_own_writable_array(tmp_path):
     path = tmp_path / "t.ckpt"
     named = {"empty": np.zeros((0, 3), np.float32),
              "matrix": np.arange(6, dtype=np.float32).reshape(2, 3),
-             "vector": np.linspace(-1.0, 1.0, 5)}
+             "vector": np.linspace(-1.0, 1.0, 5),
+             "scalar": np.array(2.5)}
     container.save_tensors(path, named)
     _, loaded = container.load_tensors(path)
     assert sorted(loaded) == sorted(named)

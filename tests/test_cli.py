@@ -145,13 +145,26 @@ def test_cmd_train_writes_artifacts(tmp_path, capsys):
     assert (out_dir / "metrics.jsonl").exists()
     assert (out_dir / "checkpoint.ckpt").exists()
     report = json.loads((out_dir / "report.json").read_text())
-    assert report["steps"] == 4
+    assert report["steps"] == 4 and "npe_s" not in report
+    timings = [json.loads(line)
+               for line in (out_dir / "timings.jsonl").read_text().splitlines()]
+    assert [t["step"] for t in timings] == [2, 3, 4]
+    assert all(t["seconds"] > 0 for t in timings)
+    assert "NPE/s" in capsys.readouterr().out
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert {"config_hash", "seed", "precision", "threads", "commit"} <= set(manifest)
     lines = (out_dir / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 4
     rec = json.loads(lines[0])
     assert {"step", "loss", "lr", "answer_score_gap", "answer_pruned"} <= set(rec)
+
+
+def test_cmd_train_of_one_step_times_no_step(tmp_path, capsys):
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK,
+                       train=dict(TINY_TRAIN, num_steps=1), data=TINY_DATA)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "timings.jsonl").read_text() == ""
+    assert "NPE/s" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field", ["batch_size", "num_steps"])
@@ -168,8 +181,8 @@ def test_cmd_train_metrics_deterministic(tmp_path):
                        data=TINY_DATA)
     cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")])
     cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "b")])
-    assert (tmp_path / "a" / "metrics.jsonl").read_bytes() == \
-        (tmp_path / "b" / "metrics.jsonl").read_bytes()
+    for name in ("metrics.jsonl", "report.json", "checkpoint.ckpt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_cmd_eval_reports_and_histogram(tmp_path, capsys):
@@ -233,7 +246,7 @@ def test_config_reaches_every_dataclass_field(tmp_path, monkeypatch):
     class Captured(Exception):
         pass
 
-    def capture(dot_config, train_config, dataset):
+    def capture(dot_config, train_config, dataset, step_callback):
         seen["dot"], seen["train"] = dot_config, train_config
         raise Captured
 

@@ -147,10 +147,17 @@ def test_a_header_value_of_the_wrong_kind_is_refused_naming_file_and_field(
         assert str(path) in str(info.value) and f"{field} must be" in str(info.value)
 
 
-def test_a_fractional_k_in_the_header_is_refused(tmp_path, stored):
-    path = write_header(tmp_path / "bad.ckpt", stored, lambda h: h["config"].update(k=10.5))
-    with pytest.raises(ContractError, match=r"k must be an int, got 10\.5"):
+@pytest.mark.parametrize("edit,message", [
+    ({"k": 10.5}, r"k must be an int, got 10\.5"),
+    # evaluation would divide by pre_limit
+    ({"pre_limit": 0, "k": 0}, "k must be >= 1"),
+], ids=["fractional_k", "zero_k_and_pre_limit"])
+def test_a_header_k_the_config_refuses_is_refused_naming_the_file(
+        tmp_path, stored, edit, message):
+    path = write_header(tmp_path / "bad.ckpt", stored, lambda h: h["config"].update(edit))
+    with pytest.raises(ContractError, match=message) as info:
         tr.load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("edit", [
@@ -257,10 +264,29 @@ def test_a_config_file_value_of_the_wrong_kind_is_refused_naming_section_and_fie
             cli.load_config(path)
 
 
-def test_a_range_error_surfaces_when_the_config_is_loaded(tmp_path):
+RANGE_ERRORS = [
+    ("task", {"pre_limit": 16, "k": 32}, "k=32 exceeds pre_limit=16"),
+    ("task", {"k": 0}, "k must be >= 1"),
+    ("task", {"pre_limit": 0, "k": 0}, "k must be >= 1"),
+    ("train", {"learning_rate": -1e-4}, "learning_rate must be >= 0"),
+    ("train", {"weight_decay": -0.01}, "weight_decay must be >= 0"),
+    # a negative clip flips every gradient, and a zero one zeroes it
+    ("train", {"grad_clip": -1.0}, "grad_clip must be > 0 or None"),
+    ("train", {"grad_clip": 0}, "grad_clip must be > 0 or None"),
+]
+
+
+@pytest.mark.parametrize("section,values,message", RANGE_ERRORS,
+                         ids=[f"{s}:" + ",".join(f"{k}={v}" for k, v in values.items())
+                              for s, values, _ in RANGE_ERRORS])
+def test_a_range_error_surfaces_when_the_config_is_loaded(tmp_path, section, values,
+                                                          message):
+    cls = CONFIG_SECTIONS[section]
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        cls(**values)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"schema_version": 1, "task": {"pre_limit": 16, "k": 32}}))
-    with pytest.raises(ConfigError, match="^config task: k=32 exceeds pre_limit=16"):
+    path.write_text(json.dumps({"schema_version": 1, section: values}))
+    with pytest.raises(ConfigError, match=f"^config {section}: {message}$"):
         cli.load_config(path)
 
 

@@ -13,7 +13,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ("train_lookup_dot.py", ["--steps", "2", "--n-train", "8", "--n-eval", "4",
                              "--eval-every", "1"]),
     ("loss_mode_comparison.py", ["--steps", "2", "--seeds", "0", "--modes", "J"]),
-    ("throughput_ladder.py", ["--steps", "2"]),
 ])
 def test_script_exits_zero(script, args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
