@@ -21,68 +21,75 @@ import subprocess
 import sys
 import time
 
-from .errors import ConfigError, open_input
+from .errors import ConfigError, ContractError, field_kinds, open_input
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-_DATA_KEYS = {"source", "path", "spec"}
-_EVAL_KEYS = {"source", "path", "spec", "bucket_edges"}
-_TOP_KEYS = {"schema_version", "task", "train", "data", "eval"}
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A config's sections, each built into its dataclass, and the JSON they
+    were built from, which the manifest hashes."""
+
+    raw: dict
+    task: object
+    train: object
+    data: object
+    eval: object
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+def _build(cls, section, where: str):
+    """The dataclass ``cls`` built from the config object ``section``, whose
+    keys must be fields of ``cls``; a field typed by a dataclass takes an
+    object built the same way, named ``where.key`` in errors."""
     if not isinstance(section, dict):
-        raise ConfigError(f"config {where} must be a JSON object")
-    unknown = set(section) - allowed
+        raise ConfigError(f"config {where} must be a JSON object, got {section!r}")
+    kinds = dict(field_kinds(cls))
+    unknown = set(section) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
-
-
-def _check_fields(section: dict, cls, where: str) -> None:
-    """Keys must be fields of the dataclass ``cls``, and ``cls`` must accept
-    their values."""
-    _check_keys(section, {f.name for f in dataclasses.fields(cls)}, where)
+    values = {key: _build(kinds[key][0], value, f"{where}.{key}")
+              if value is not None and dataclasses.is_dataclass(kinds[key][0]) else value
+              for key, value in section.items()}
     try:
-        cls(**section)
+        return cls(**values)
     except ConfigError as e:
         raise ConfigError(f"config {where}: {e}") from None
 
 
-def load_config(path) -> dict:
-    """Read a strict-JSON config; section keys are the dataclasses' fields
-    and each section must build its dataclass. Any failure, opening the file
-    included, raises ``ConfigError``."""
-    from .synth import DESK_BUCKET_EDGES, GeneratorSpec
+def load_config(path=None, **train) -> RunConfig:
+    """Read the strict-JSON config at ``path`` (with none, every section
+    takes its defaults) and build each section into its dataclass. ``train``
+    holds a command's overrides of train fields; the hashed JSON holds them
+    too. Any failure, opening the file included, raises ``ConfigError``."""
+    from .synth import DataConfig, EvalConfig
     from .training import DoTConfig, TrainConfig
 
-    with open_input(path, ConfigError, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as e:
-            raise ConfigError(f"{path} is not valid JSON ({e})") from None
-    _check_keys(cfg, _TOP_KEYS, "top level")
+    sections = {"task": DoTConfig, "train": TrainConfig, "data": DataConfig,
+                "eval": EvalConfig}
+    cfg = {"schema_version": SCHEMA_VERSION}
+    if path is not None:
+        with open_input(path, ConfigError, encoding="utf-8") as fh:
+            try:
+                cfg = json.load(fh)
+            except ValueError as e:
+                raise ConfigError(f"{path} is not valid JSON ({e})") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config top level must be a JSON object")
+    unknown = set(cfg) - {"schema_version", *sections}
+    if unknown:
+        raise ConfigError(f"unknown config keys in top level: {sorted(unknown)}")
     if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"config must declare schema_version {SCHEMA_VERSION}")
-    _check_fields(cfg.get("task", {}), DoTConfig, "task")
-    _check_fields(cfg.get("train", {}), TrainConfig, "train")
-    for section in ("data", "eval"):
-        if section in cfg:
-            allowed = _DATA_KEYS if section == "data" else _EVAL_KEYS
-            _check_keys(cfg[section], allowed, section)
-            for key in ("source", "path"):
-                value = cfg[section].get(key, "")
-                if not isinstance(value, str):
-                    raise ConfigError(f"config {section} key {key!r} must be str, "
-                                      f"got {value!r}")
-            _check_fields(cfg[section].get("spec", {}), GeneratorSpec, f"{section}.spec")
-    edges = cfg.get("eval", {}).get("bucket_edges", list(DESK_BUCKET_EDGES))
-    if not (isinstance(edges, list) and edges and all(type(e) is int for e in edges)
-            and 0 < edges[0] and all(a < b for a, b in zip(edges, edges[1:]))):
-        raise ConfigError("config eval key 'bucket_edges' must be a non-empty list of "
-                          f"strictly increasing positive integers, got {edges!r}")
-    return cfg
+        raise ConfigError(f"config must declare schema_version {SCHEMA_VERSION} (from "
+                          "version 1, drop each source key: a dataset is named by its "
+                          f"path or its spec), got {cfg.get('schema_version')!r}")
+    built = {name: _build(cls, cfg.get(name, {}), name) for name, cls in sections.items()}
+    if train:
+        cfg["train"] = {**cfg.get("train", {}), **train}
+        built["train"] = dataclasses.replace(built["train"], **train)
+    return RunConfig(cfg, **built)
 
 
 def config_hash(cfg: dict) -> str:
@@ -115,26 +122,6 @@ def write_manifest(out_dir, cfg: dict, args, threads_applied: bool) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _dataset_from_section(section: dict):
-    from . import synth, tables
-
-    source = section.get("source", "synthetic")
-    if source == "jsonl":
-        if "path" not in section:
-            raise ConfigError("a jsonl data source needs a path")
-        return tables.read_jsonl(section["path"])
-    if source == "synthetic":
-        return synth.generate(synth.GeneratorSpec(**section.get("spec", {})))
-    raise ConfigError(f"unknown data source {source!r}")
-
-
-def _eval_data_section(cfg: dict) -> dict | None:
-    """The eval section when it names a dataset; one holding only settings
-    such as bucket_edges names none."""
-    section = cfg.get("eval")
-    return section if section is not None and _DATA_KEYS & set(section) else None
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +287,8 @@ def run_parameter_suite(count_fn=None) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise ConfigError(f"--cases must be >= 1, got {args.cases}")
     t0 = time.perf_counter()
     suites = {
         "gradients": run_gradient_suite(),
@@ -326,17 +315,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    train = dict(cfg.get("train", {}))
-    if args.seed is not None:
-        train["seed"] = args.seed
-    if args.precision is not None:
-        train["precision"] = args.precision
-    out = dict(cfg)
-    out["train"] = train
-    return out
-
-
 def write_metrics(path, records: list[dict]) -> None:
     """One JSON object per line, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -347,16 +325,15 @@ def write_metrics(path, records: list[dict]) -> None:
 def cmd_train(args) -> int:
     from . import training as tr
 
-    cfg = _apply_overrides(load_config(args.config), args)
-    dataset = _dataset_from_section(cfg.get("data", {}))
-    dot_config = tr.DoTConfig(**cfg.get("task", {}))
-    train_config = tr.TrainConfig(**cfg.get("train", {}))
+    flags = {"seed": args.seed, "precision": args.precision}
+    cfg = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
+    dataset = cfg.data.examples()
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     # perfbench's definition: a step's time is the gap between consecutive
     # callbacks, so step 1 is not timed
     stamps: list[float] = []
-    result = tr.train(dot_config, train_config, dataset,
+    result = tr.train(cfg.task, cfg.train, dataset,
                       step_callback=lambda _step, _model: stamps.append(time.perf_counter()))
     seconds = [b - a for a, b in zip(stamps, stamps[1:])]
     write_metrics(os.path.join(out_dir, "metrics.jsonl"), result.metrics)
@@ -364,16 +341,15 @@ def cmd_train(args) -> int:
                   [{"step": s, "seconds": t} for s, t in enumerate(seconds, start=2)])
     tr.save_checkpoint(os.path.join(out_dir, "checkpoint.ckpt"), result.model)
     report = {"final_loss": result.metrics[-1]["loss"], "steps": len(result.metrics)}
-    if _eval_data_section(cfg) is not None:
-        eval_set = _dataset_from_section(cfg["eval"])
-        eval_report = tr.evaluate(result.model, eval_set)
+    if cfg.eval.names_dataset:
+        eval_report = tr.evaluate(result.model, cfg.eval.examples())
         report["eval_accuracy"] = eval_report.accuracy
         report["eval_answer_score_gap"] = eval_report.mean_answer_score_gap
         report["eval_answer_pruned_rate"] = eval_report.answer_pruned_rate
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    write_manifest(out_dir, cfg, args, threads_applied=args._threads_applied)
-    rate = (f", NPE/s {train_config.batch_size * len(seconds) / sum(seconds):.2f}"
+    write_manifest(out_dir, cfg.raw, args, threads_applied=args._threads_applied)
+    rate = (f", NPE/s {cfg.train.batch_size * len(seconds) / sum(seconds):.2f}"
             if seconds else "")
     print(f"trained {report['steps']} steps, final loss {report['final_loss']:.6f}{rate}")
     return 0
@@ -410,17 +386,18 @@ def cmd_eval(args) -> int:
     from . import synth
     from . import training as tr
 
-    cfg = load_config(args.config) if args.config else {"schema_version": 1}
-    section = _eval_data_section(cfg) or cfg.get("data")
-    if not (args.dataset or section is not None):
-        raise ConfigError("eval needs --dataset, an eval section naming a dataset "
-                          f"({', '.join(sorted(_DATA_KEYS))}) or a data section")
+    cfg = load_config(args.config)
+    # --dataset, else the eval section's dataset, else the data section's
+    dataset = next((d for d in (synth.DataConfig(path=args.dataset), cfg.eval, cfg.data)
+                    if d.names_dataset), None)
+    if dataset is None:
+        raise ConfigError("eval needs --dataset, or an eval or data section naming "
+                          "a dataset by its path or its spec")
     model = tr.load_checkpoint(args.checkpoint)
-    if args.dataset:
-        from . import tables
-        examples = tables.read_jsonl(args.dataset)
-    else:
-        examples = _dataset_from_section(section)
+    examples = dataset.examples()
+    if args.oracle and any(ex.answer_coords is None for ex in examples):
+        raise ContractError("--oracle keeps the answer rows, and an example with a "
+                            "label instead of answer cells has none")
     out_dir = args.out or "eval"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -435,20 +412,20 @@ def cmd_eval(args) -> int:
     recheck = (sum(p == g for p, g in zip(report_obj.predictions, golds))
                / len(examples)) if examples else 0.0
 
-    edges = cfg.get("eval", {}).get("bucket_edges", synth.DESK_BUCKET_EDGES)
     report = {
         "accuracy": report_obj.accuracy,
         "accuracy_recheck": recheck,
         "n_examples": report_obj.n_examples,
         "mean_answer_score_gap": report_obj.mean_answer_score_gap,
         "answer_pruned_rate": report_obj.answer_pruned_rate,
-        "bucket_accuracy": _bucket_accuracy(examples, report_obj.correct_flags, edges),
+        "bucket_accuracy": _bucket_accuracy(examples, report_obj.correct_flags,
+                                            cfg.eval.bucket_edges),
         "oracle_scores": bool(args.oracle),
     }
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     write_histogram(out_dir, report_obj.gaps)
-    write_manifest(out_dir, cfg, args, threads_applied=args._threads_applied)
+    write_manifest(out_dir, cfg.raw, args, threads_applied=args._threads_applied)
     print(f"accuracy {report['accuracy']:.4f} over {report['n_examples']} examples "
           f"(recheck {report['accuracy_recheck']:.4f})")
     return 0 if report["accuracy"] == recheck else 1
@@ -521,7 +498,7 @@ def cmd_gen(args) -> int:
         spec_kw = json.loads(args.spec) if args.spec else {}
     except ValueError as e:
         raise ConfigError(f"generator spec is not valid JSON ({e})") from None
-    _check_fields(spec_kw, synth.GeneratorSpec, "generator spec")
+    _build(synth.GeneratorSpec, spec_kw, "generator spec")
     if args.seed is not None:
         spec_kw["seed"] = args.seed
     spec = synth.GeneratorSpec(**spec_kw)
@@ -583,6 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     threads_applied = False
     if args.threads is not None and "numpy" not in sys.modules:
         for var in _THREAD_ENV:

@@ -1,6 +1,7 @@
 """Exception types shared across the package; ``open_input``, which opens
-an input file so that failing to open it raises one of them; and
-``check_field_types``, the one type rule of the config dataclasses."""
+an input file so that failing to open it raises one of them;
+``check_field_types``, the one type rule of the config dataclasses; and
+``field_kinds``, the types it reads from each field's hint."""
 
 import dataclasses
 import functools
@@ -50,7 +51,7 @@ def open_input(path, error: type[DotpruneError], mode: str = "r", **kwargs):
 
 
 @functools.cache
-def _field_kinds(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
+def field_kinds(cls) -> tuple[tuple[str, tuple[type, ...]], ...]:
     """Each field's name and accepted types, read once per class from its
     type hints: resolving the hints takes some 25 times as long as the rest
     of a config's construction, and checkpoint loading builds three."""
@@ -68,7 +69,7 @@ def check_field_types(config) -> None:
     int is also a float (``X | None`` names None as well). A float must be
     finite: NaN passes no range check written ``x < 0``, and Python's
     ``json`` reads ``NaN`` and ``Infinity``."""
-    for name, kinds in _field_kinds(type(config)):
+    for name, kinds in field_kinds(type(config)):
         value = getattr(config, name)
         if not (type(value) in kinds or (type(value) is int and float in kinds)):
             kind = " or ".join("None" if k is type(None) else

@@ -13,10 +13,11 @@ order-independent and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tables
 from .errors import ConfigError, check_field_types
 from .tables import Example, Table
 
@@ -114,6 +115,49 @@ def generate(spec: GeneratorSpec) -> list[Example]:
     """Materialize ``spec.n_examples`` examples; same spec, same dataset."""
     make = _lookup_example if spec.task_type == "lookup" else _entailment_example
     return [make(spec, _example_rng(spec, i)) for i in range(spec.n_examples)]
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """A dataset: the JSONL file at ``path`` or the generator run on
+    ``spec``, not both. It names a dataset when it has either; with
+    neither, ``examples`` runs the default generator."""
+
+    path: str | None = None
+    spec: GeneratorSpec | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.path is not None and self.spec is not None:
+            raise ConfigError("path and spec both given: a dataset is the JSONL file "
+                              "at path or the generator run on spec")
+
+    @property
+    def names_dataset(self) -> bool:
+        return self.path is not None or self.spec is not None
+
+    def examples(self) -> list[Example]:
+        if self.path is not None:
+            # through the module, so perfbench's tracer, which wraps
+            # tables.read_jsonl, sees the call
+            return tables.read_jsonl(self.path)
+        return generate(self.spec or GeneratorSpec())
+
+
+@dataclass(frozen=True)
+class EvalConfig(DataConfig):
+    """An eval dataset, named as in ``DataConfig``, and the edges of the
+    eval report's linearized-length buckets (see ``bucket_label``)."""
+
+    bucket_edges: list = field(default_factory=lambda: list(DESK_BUCKET_EDGES))
+
+    def __post_init__(self):
+        super().__post_init__()
+        edges = self.bucket_edges
+        if not (edges and all(type(e) is int for e in edges) and 0 < edges[0]
+                and all(a < b for a, b in zip(edges, edges[1:]))):
+            raise ConfigError("bucket_edges must be a non-empty list of strictly "
+                              f"increasing positive integers, got {edges!r}")
 
 
 def bucket_label(length: int, edges) -> str:

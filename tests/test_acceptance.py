@@ -317,13 +317,12 @@ def test_criterion_6_selection_oracles():
 def test_criterion_10_determinism(tmp_path):
     """Identical config+seed+threads give byte-identical metrics.jsonl."""
     cfg = {
-        "schema_version": 1,
+        "schema_version": 2,
         "task": {"pruning_preset": "mini", "task_preset": "mini",
                  "pre_limit": 32, "k": 8, "loss_mode": "J"},
         "train": {"num_steps": 12, "batch_size": 2, "learning_rate": 1e-3,
                   "seed": 7, "precision": "f32"},
-        "data": {"source": "synthetic",
-                 "spec": {"seed": 3, "n_examples": 16, "min_rows": 2,
+        "data": {"spec": {"seed": 3, "n_examples": 16, "min_rows": 2,
                           "max_rows": 3, "min_cols": 2, "max_cols": 3,
                           "max_cell_tokens": 1, "vocab_size": 24}},
     }

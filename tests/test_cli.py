@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from helpers import bucketize
 
 
 def write_config(path, **sections):
-    cfg = {"schema_version": 1}
+    cfg = {"schema_version": 2}
     cfg.update(sections)
     path.write_text(json.dumps(cfg))
     return path
@@ -22,10 +24,9 @@ TINY_TASK = {"pruning_preset": "mini", "task_preset": "mini", "pre_limit": 32,
              "k": 8, "loss_mode": "J"}
 TINY_TRAIN = {"num_steps": 4, "batch_size": 2, "learning_rate": 1e-3, "seed": 0,
               "precision": "f32"}
-TINY_DATA = {"source": "synthetic",
-             "spec": {"seed": 1, "n_examples": 8, "min_rows": 2, "max_rows": 2,
-                      "min_cols": 2, "max_cols": 2, "max_cell_tokens": 1,
-                      "vocab_size": 24}}
+TINY_DATA = {"spec": {"seed": 1, "n_examples": 8, "min_rows": 2, "max_rows": 2,
+                     "min_cols": 2, "max_cols": 2, "max_cell_tokens": 1,
+                     "vocab_size": 24}}
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -44,6 +45,14 @@ def test_load_config_requires_schema_version(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"task": {}}))
     with pytest.raises(ConfigError, match="schema_version"):
+        cli.load_config(path)
+
+
+def test_load_config_refuses_a_version_1_file_naming_version_2(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schema_version": 1,
+                                "data": dict(TINY_DATA, source="synthetic")}))
+    with pytest.raises(ConfigError, match="schema_version 2 .*drop each source key"):
         cli.load_config(path)
 
 
@@ -288,8 +297,8 @@ def test_readme_train_config_builds_the_configs(tmp_path):
     path = tmp_path / "readme.json"
     path.write_text(block.group(1))
     cfg = cli.load_config(path)
-    tr.DoTConfig(**cfg["task"])
-    assert tr.TrainConfig(**cfg["train"]).learning_rate == tr.TrainConfig.learning_rate
+    assert isinstance(cfg.task, tr.DoTConfig) and cfg.data.names_dataset
+    assert cfg.train.learning_rate == tr.TrainConfig.learning_rate
 
 
 @pytest.fixture
@@ -393,11 +402,29 @@ def test_load_config_rejects_non_object_section(tmp_path):
         cli.load_config(path)
 
 
-def test_jsonl_data_source_needs_a_path(tmp_path):
-    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN,
-                       data={"source": "jsonl"})
-    with pytest.raises(ConfigError, match="path"):
-        cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+def test_a_data_path_trains_on_the_jsonl_at_that_path(tmp_path):
+    data = tmp_path / "data.jsonl"
+    assert cli.main(["gen", "--output", str(data),
+                     "--spec", json.dumps(TINY_DATA["spec"])]) == 0
+    for name, dataset in (("spec", TINY_DATA), ("path", {"path": str(data)})):
+        cfg = write_config(tmp_path / f"{name}.json", task=TINY_TASK, train=TINY_TRAIN,
+                           data=dataset)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    # the JSONL holds the generator's examples, so both runs train alike
+    assert ((tmp_path / "path" / "metrics.jsonl").read_bytes()
+            == (tmp_path / "spec" / "metrics.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("section", ["data", "eval"])
+@pytest.mark.parametrize("dataset,message", [
+    ({"path": "d.jsonl", "spec": {}}, "^config {}: path and spec both given"),
+    ({"source": "jsonl", "path": "d.jsonl"}, r"^unknown config keys in {}: \['source'\]$"),
+])
+def test_load_config_refuses_a_dataset_named_twice_or_by_source(tmp_path, section, dataset,
+                                                                message):
+    path = write_config(tmp_path / "c.json", **{section: dataset})
+    with pytest.raises(ConfigError, match=message.format(section)):
+        cli.load_config(path)
 
 
 def test_eval_without_dataset_or_data_section_is_an_error(tmp_path, eval_inputs):
@@ -437,13 +464,10 @@ def test_load_config_rejects_a_value_of_the_wrong_type(tmp_path, section, key, v
         cli.load_config(path)
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("data", "path", 0), ("data", "path", True), ("eval", "path", 1.5), ("data", "source", 5),
-])
-def test_load_config_requires_a_string_source_and_path(tmp_path, section, key, value):
-    dataset = dict({"source": "jsonl", "path": "data.jsonl"}, **{key: value})
-    path = write_config(tmp_path / "c.json", **{section: dataset})
-    with pytest.raises(ConfigError, match=rf"config {section} key '{key}' must be str"):
+@pytest.mark.parametrize("section,value", [("data", 0), ("data", True), ("eval", 1.5)])
+def test_load_config_requires_a_string_path(tmp_path, section, value):
+    path = write_config(tmp_path / "c.json", **{section: {"path": value}})
+    with pytest.raises(ConfigError, match=rf"config {section}: path must be a str or None"):
         cli.load_config(path)
 
 
@@ -467,7 +491,7 @@ def test_cmd_gen_rejects_a_spec_value_of_the_wrong_type(tmp_path):
 def test_config_takes_an_integer_for_a_float_field(tmp_path):
     path = write_config(tmp_path / "c.json", task=dict(TINY_TASK, beta=1),
                         train=dict(TINY_TRAIN, grad_clip=None))
-    assert cli.load_config(path)["task"]["beta"] == 1
+    assert cli.load_config(path).task.beta == 1
 
 
 def test_the_readme_commands_read_the_config_the_readme_tells_to_save():
@@ -514,3 +538,68 @@ def test_eval_of_missing_inputs_fails_before_writing(tmp_path, eval_inputs, monk
             cli.main(["eval", "--checkpoint", ckpt, "--dataset", "nope.jsonl",
                       "--out", "X"])
         assert not (tmp_path / "X").exists()
+
+
+@pytest.mark.parametrize("cases", [0, -1])
+def test_verify_refuses_a_case_count_below_one_before_any_suite(tmp_path, monkeypatch, cases):
+    ran = []
+    for suite in ("run_gradient_suite", "run_equivalence_suite", "run_parameter_suite"):
+        monkeypatch.setattr(cli, suite, lambda *a, _name=suite, **kw: ran.append(_name))
+    with pytest.raises(ConfigError, match=f"--cases must be >= 1, got {cases}"):
+        cli.main(["verify", "--cases", str(cases), "--out", str(tmp_path / "v")])
+    assert ran == [] and not (tmp_path / "v").exists()
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a new interpreter that imports the package from ``src``,
+    with no BLAS thread variable set."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # --threads takes effect only while numpy is not loaded
+    code = "import sys\nfrom dotprune import cli\nprint('numpy' in sys.modules)"
+    assert run_fresh(code).stdout == "False\n"
+
+
+def test_threads_below_one_is_refused_before_any_variable_is_set():
+    code = """
+import os
+from dotprune import cli
+from dotprune.errors import ConfigError
+try:
+    cli.main(["--threads", "0", "params", "TAPAS(mini)@256"])
+except ConfigError as e:
+    print(e)
+print(sorted(set(cli._THREAD_ENV) & set(os.environ)))
+"""
+    assert run_fresh(code).stdout == "--threads must be >= 1, got 0\n[]\n"
+
+
+def test_eval_oracle_refuses_examples_without_answer_cells_before_writing(tmp_path):
+    import numpy as np
+
+    import helpers
+    from dotprune import synth, tables
+    from dotprune import training as tr
+
+    examples = synth.generate(synth.GeneratorSpec(
+        seed=2, n_examples=4, min_rows=2, max_rows=3, max_cell_tokens=1, vocab_size=24,
+        task_type="entailment"))
+    model = helpers.tiny_model(examples, tr.DoTConfig(pre_limit=48, k=12,
+                                                      task_type="classification"),
+                               dtype=np.float32, hidden=8, layers=1)
+    ckpt, data, out = tmp_path / "model.ckpt", tmp_path / "data.jsonl", tmp_path / "eval"
+    tr.save_checkpoint(ckpt, model)
+    tables.write_jsonl(data, examples)
+    argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)]
+    with pytest.raises(ContractError, match="--oracle"):
+        cli.main(argv + ["--oracle"])
+    assert not out.exists()
+    assert cli.main(argv) == 0

@@ -24,6 +24,8 @@ VALID = {
     tr.DoTConfig: {},
     tr.TrainConfig: {},
     synth.GeneratorSpec: {},
+    synth.DataConfig: {},
+    synth.EvalConfig: {},
     enc.EncoderConfig: dict(num_layers=1, hidden=4, num_heads=2, intermediate=8),
 }
 
@@ -51,7 +53,7 @@ def test_a_config_dataclass_refuses_a_value_of_the_wrong_kind(cls, field, value)
 
 
 def test_every_field_is_tried_and_each_class_takes_its_valid_values():
-    assert len(wrong_kind_cases(VALID)) == 210
+    assert len(wrong_kind_cases(VALID)) == 233
     for cls, kwargs in VALID.items():
         cls(**kwargs)
     assert tr.TrainConfig(grad_clip=None, learning_rate=1).learning_rate == 1
@@ -253,7 +255,7 @@ CONFIG_SECTIONS = {"task": tr.DoTConfig, "train": tr.TrainConfig,
 def test_a_config_file_value_of_the_wrong_kind_is_refused_naming_section_and_field(
         tmp_path, section):
     for field, value in refused_values(CONFIG_SECTIONS[section]):
-        cfg = {"schema_version": 1}
+        cfg = {"schema_version": 2}
         target = cfg
         for part in section.split("."):
             target = target.setdefault(part, {})
@@ -285,16 +287,16 @@ def test_a_range_error_surfaces_when_the_config_is_loaded(tmp_path, section, val
     with pytest.raises(ConfigError, match=f"^{message}$"):
         cls(**values)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"schema_version": 1, section: values}))
+    path.write_text(json.dumps({"schema_version": 2, section: values}))
     with pytest.raises(ConfigError, match=f"^config {section}: {message}$"):
         cli.load_config(path)
 
 
-BASE_CONFIG = {"schema_version": 1,
+BASE_CONFIG = {"schema_version": 2,
                "task": {"pre_limit": 32, "k": 8, "beta": 1.0, "loss_mode": "PJ"},
                "train": {"learning_rate": 1e-3, "num_steps": 4, "grad_clip": None},
-               "data": {"source": "synthetic", "spec": {"n_examples": 8, "vocab_size": 24}},
-               "eval": {"source": "jsonl", "path": "e.jsonl", "bucket_edges": [16, 32]}}
+               "data": {"spec": {"n_examples": 8, "vocab_size": 24}},
+               "eval": {"path": "e.jsonl", "bucket_edges": [16, 32]}}
 
 
 @settings(max_examples=100, deadline=None,
