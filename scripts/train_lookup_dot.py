@@ -18,6 +18,12 @@ from dotprune import synth, training as tr
 from dotprune.tables import Vocabulary, linearized_length
 
 
+def signed(value, digits):
+    """``value`` with its sign; n/a for None, when no eval example kept an
+    answer token after preselection."""
+    return "n/a" if value is None else f"{value:+.{digits}f}"
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=2000)
@@ -59,7 +65,7 @@ def main():
             rep = tr.evaluate(m, eval_set)
             best["acc"] = max(best["acc"], rep.accuracy)
             print(f"step {step:5d}  acc {rep.accuracy:.3f}  "
-                  f"gap {rep.mean_answer_score_gap:+.3f}  "
+                  f"gap {signed(rep.mean_answer_score_gap, 3)}  "
                   f"answer-pruned {rep.answer_pruned_rate:.3f}  "
                   f"[{time.perf_counter() - t0:.0f}s]", flush=True)
 
@@ -70,7 +76,7 @@ def main():
                       step_callback=callback, stop_condition=stop)
     final = tr.evaluate(result.model, eval_set)
     print(f"final: accuracy {final.accuracy:.3f}, "
-          f"mean answer-score gap {final.mean_answer_score_gap:+.4f}, "
+          f"mean answer-score gap {signed(final.mean_answer_score_gap, 4)}, "
           f"wall {time.perf_counter() - t0:.0f}s")
 
 

@@ -98,28 +98,32 @@ def config_hash(cfg: dict) -> str:
 
 
 def _git_commit() -> str:
+    """The commit checked out where this package lives, else "unknown"."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                             cwd=os.path.dirname(os.path.abspath(__file__)), timeout=5)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return "unknown"
 
 
-def write_manifest(out_dir, cfg: dict, args, threads_applied: bool) -> None:
+def write_manifest(path, hashed: dict, args, seed, precision, **extra) -> None:
+    """Write to ``path`` the manifest of the run ``main`` parsed ``args`` for:
+    ``hashed``'s hash, the seed and precision, threads, commit, argv, ``extra``."""
     manifest = {
-        "config_hash": config_hash(cfg),
-        "seed": cfg.get("train", {}).get("seed"),
-        "precision": cfg.get("train", {}).get("precision"),
+        "config_hash": config_hash(hashed),
+        "seed": seed,
+        "precision": precision,
         "threads": args.threads,
-        "threads_applied": threads_applied,
+        "threads_applied": args._threads_applied,
         "commit": _git_commit(),
-        "command": sys.argv[1:],
+        "command": args._argv,
         "schema_version": SCHEMA_VERSION,
+        **extra,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -305,8 +309,9 @@ def cmd_verify(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, default=str)
-        write_manifest(args.out, {"command": "verify", "cases": args.cases},
-                       args, threads_applied=False)
+        write_manifest(os.path.join(args.out, "manifest.json"),
+                       {"command": "verify", "cases": args.cases}, args,
+                       seed=args.seed, precision="f64")  # every suite runs in 64-bit
     return 0 if all(s["ok"] for s in suites.values()) else 1
 
 
@@ -327,6 +332,8 @@ def cmd_train(args) -> int:
 
     flags = {"seed": args.seed, "precision": args.precision}
     cfg = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
+    if not cfg.data.names_dataset:
+        raise ConfigError("train needs a data section naming a dataset by path or spec")
     dataset = cfg.data.examples()
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
@@ -348,7 +355,8 @@ def cmd_train(args) -> int:
         report["eval_answer_pruned_rate"] = eval_report.answer_pruned_rate
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    write_manifest(out_dir, cfg.raw, args, threads_applied=args._threads_applied)
+    write_manifest(os.path.join(out_dir, "manifest.json"), cfg.raw, args,
+                   seed=cfg.train.seed, precision=cfg.train.precision)
     rate = (f", NPE/s {cfg.train.batch_size * len(seconds) / sum(seconds):.2f}"
             if seconds else "")
     print(f"trained {report['steps']} steps, final loss {report['final_loss']:.6f}{rate}")
@@ -425,7 +433,9 @@ def cmd_eval(args) -> int:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     write_histogram(out_dir, report_obj.gaps)
-    write_manifest(out_dir, cfg.raw, args, threads_applied=args._threads_applied)
+    # evaluation draws no random numbers and runs in the checkpoint's precision
+    write_manifest(os.path.join(out_dir, "manifest.json"), cfg.raw, args, seed=None,
+                   precision=f"f{8 * model.task.head_w.dtype.itemsize}")
     print(f"accuracy {report['accuracy']:.4f} over {report['n_examples']} examples "
           f"(recheck {report['accuracy_recheck']:.4f})")
     return 0 if report["accuracy"] == recheck else 1
@@ -498,16 +508,13 @@ def cmd_gen(args) -> int:
         spec_kw = json.loads(args.spec) if args.spec else {}
     except ValueError as e:
         raise ConfigError(f"generator spec is not valid JSON ({e})") from None
-    _build(synth.GeneratorSpec, spec_kw, "generator spec")
-    if args.seed is not None:
+    if args.seed is not None and isinstance(spec_kw, dict):  # _build refuses a non-object
         spec_kw["seed"] = args.seed
-    spec = synth.GeneratorSpec(**spec_kw)
+    spec = _build(synth.GeneratorSpec, spec_kw, "generator spec")
     examples = synth.generate(spec)
     tables.write_jsonl(args.output, examples)
-    manifest = {"config_hash": config_hash(spec_kw), "spec": spec_kw,
-                "commit": _git_commit(), "command": sys.argv[1:]}
-    with open(str(args.output) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_manifest(str(args.output) + ".manifest.json", spec_kw, args, seed=spec.seed,
+                   precision=None, spec=spec_kw)
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
 
@@ -568,6 +575,7 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
         threads_applied = True
     args._threads_applied = threads_applied
+    args._argv = list(argv)
     return args.fn(args)
 
 

@@ -87,9 +87,10 @@ def constant_scores(seq: TokenizedSequence, value: float = 0.0) -> np.ndarray:
 
 def oracle_scores(seq: TokenizedSequence, answer_coords) -> np.ndarray:
     """Score 0 for tokens in any answer row, ``SCORE_FLOOR`` for other table tokens."""
-    answer_row_ids = [r + 1 for r, _ in answer_coords]
-    pruned = (np.asarray(seq.segment_ids) == 1) & ~np.isin(seq.row_ids, answer_row_ids)
-    return np.where(pruned, SCORE_FLOOR, 0.0)
+    answer_rows = {r for r, _ in answer_coords}
+    kept = [s == 0 or (cell is not None and cell[0] in answer_rows)
+            for s, cell in zip(seq.segment_ids, map(seq.cell, range(len(seq))))]
+    return np.where(kept, 0.0, SCORE_FLOOR)
 
 
 def select_top_k_tokens(values: np.ndarray, seq: TokenizedSequence,
@@ -109,16 +110,16 @@ def select_top_k_tokens(values: np.ndarray, seq: TokenizedSequence,
 
 
 def column_scores(values: np.ndarray, seq: TokenizedSequence) -> dict[int, float]:
-    """Mean score per column id over header and cell tokens."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for i in seq.table_indices():
-        c = seq.column_ids[i]
-        sums[c] = sums.get(c, 0.0) + float(values[i])
-        counts[c] = counts.get(c, 0) + 1
-    if not sums:
+    """Mean score per column id over header and cell tokens, summed in index order."""
+    means: dict[int, float] = {}
+    for c, members in seq.tokens_by_column().items():
+        total = 0.0
+        for i in members:
+            total += float(values[i])
+        means[c] = total / len(members)
+    if not means:
         raise ContractError("sequence has no table tokens")
-    return {c: sums[c] / counts[c] for c in sums}
+    return means
 
 
 def select_columns(col_scores: dict[int, float], seq: TokenizedSequence,
@@ -132,9 +133,7 @@ def select_columns(col_scores: dict[int, float], seq: TokenizedSequence,
     if k < len(qspan):
         raise BudgetError(f"k={k} below question span {len(qspan)}")
     budget = k - len(qspan)
-    members: dict[int, list[int]] = {}
-    for i in seq.table_indices():
-        members.setdefault(seq.column_ids[i], []).append(i)
+    members = seq.tokens_by_column()
     kept = set(qspan)
     for c in sorted(col_scores, key=lambda c: (-col_scores[c], c)):
         size = len(members.get(c, ()))

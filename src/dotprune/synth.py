@@ -120,8 +120,8 @@ def generate(spec: GeneratorSpec) -> list[Example]:
 @dataclass(frozen=True)
 class DataConfig:
     """A dataset: the JSONL file at ``path`` or the generator run on
-    ``spec``, not both. It names a dataset when it has either; with
-    neither, ``examples`` runs the default generator."""
+    ``spec``, not both. It names a dataset when it has either; ``examples``
+    needs one named."""
 
     path: str | None = None
     spec: GeneratorSpec | None = None
@@ -141,7 +141,7 @@ class DataConfig:
             # through the module, so perfbench's tracer, which wraps
             # tables.read_jsonl, sees the call
             return tables.read_jsonl(self.path)
-        return generate(self.spec or GeneratorSpec())
+        return generate(self.spec)
 
 
 @dataclass(frozen=True)

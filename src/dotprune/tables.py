@@ -16,6 +16,8 @@ import json
 import string
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractError, InputTooLongError, open_input
 
 PAD_ID = 0
@@ -143,8 +145,9 @@ class TokenizedSequence:
     (header tokens carry row 0 and their column id).
     ``rank_ids``: 1-based position of a token within its cell, 0 for
     non-table tokens. These ids are never capped; only the encoder clamps
-    them to its embedding tables. ``origin``: 0-based (row, col) of the body
-    cell a token came from, None for header/question/special tokens.
+    them to its embedding tables. The row and column ids alone say which
+    cell a token came from: ``cell``, ``answer_mask`` and
+    ``tokens_by_column`` are the one reading of them.
     ``positions``: original position ids; None means 0..len-1. Selections
     that compact a sequence for the task model keep original positions so
     masked and compacted forwards are interchangeable.
@@ -155,12 +158,11 @@ class TokenizedSequence:
     column_ids: tuple[int, ...]
     row_ids: tuple[int, ...]
     rank_ids: tuple[int, ...]
-    origin: tuple[tuple[int, int] | None, ...]
     positions: tuple[int, ...] | None = None
 
     def __post_init__(self):
         n = len(self.token_ids)
-        for name in ("segment_ids", "column_ids", "row_ids", "rank_ids", "origin"):
+        for name in ("segment_ids", "column_ids", "row_ids", "rank_ids"):
             if len(getattr(self, name)) != n:
                 raise ContractError(f"{name} length != token count")
         if self.positions is not None and len(self.positions) != n:
@@ -179,6 +181,24 @@ class TokenizedSequence:
     def table_indices(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.segment_ids) if s == 1)
 
+    def cell(self, i: int) -> tuple[int, int] | None:
+        """0-based (row, col) of the body cell token ``i`` came from; None for
+        header, question and special tokens, whose row id is 0."""
+        row_id = self.row_ids[i]
+        return (row_id - 1, self.column_ids[i] - 1) if row_id > 0 else None
+
+    def answer_mask(self, answer_coords) -> np.ndarray:
+        """Boolean mask of the tokens whose cell is in ``answer_coords``."""
+        return np.array([self.cell(i) in answer_coords for i in range(len(self))],
+                        dtype=bool)
+
+    def tokens_by_column(self) -> dict[int, list[int]]:
+        """Table-token indices by column id, ascending; columns by first token."""
+        by_column: dict[int, list[int]] = {}
+        for i in self.table_indices():
+            by_column.setdefault(self.column_ids[i], []).append(i)
+        return by_column
+
     def subsequence(self, kept: list[int] | tuple[int, ...],
                     keep_positions: bool) -> "TokenizedSequence":
         """Restrict to ``kept`` indices (must be ascending).
@@ -191,30 +211,26 @@ class TokenizedSequence:
         if any(b <= a for a, b in zip(kept, kept[1:])):
             raise ContractError("kept indices must be strictly ascending")
         base = self.effective_positions()
+        channels = (self.token_ids, self.segment_ids, self.column_ids, self.row_ids,
+                    self.rank_ids)
         return TokenizedSequence(
-            token_ids=tuple(self.token_ids[i] for i in kept),
-            segment_ids=tuple(self.segment_ids[i] for i in kept),
-            column_ids=tuple(self.column_ids[i] for i in kept),
-            row_ids=tuple(self.row_ids[i] for i in kept),
-            rank_ids=tuple(self.rank_ids[i] for i in kept),
-            origin=tuple(self.origin[i] for i in kept),
-            positions=tuple(base[i] for i in kept) if keep_positions else None,
-        )
+            *(tuple(ids[i] for i in kept) for ids in channels),
+            positions=tuple(base[i] for i in kept) if keep_positions else None)
 
 
 def _table_cells_reading_order(table: Table):
-    """Yield (row_id, col_id, origin, tokens) with header first, 1-based ids."""
+    """Yield (row_id, col_id, tokens) with header first, 1-based ids."""
     for c, name in enumerate(table.header):
-        yield 0, c + 1, None, tokenize(name)
+        yield 0, c + 1, tokenize(name)
     for r, row in enumerate(table.rows):
         for c, cell in enumerate(row):
-            yield r + 1, c + 1, (r, c), tokenize(cell)
+            yield r + 1, c + 1, tokenize(cell)
 
 
 def linearized_length(example: Example) -> int:
     """Token count of the full linearization, computable without a vocabulary."""
     n = 2 + len(tokenize(example.question))
-    for _, _, _, toks in _table_cells_reading_order(example.table):
+    for _, _, toks in _table_cells_reading_order(example.table):
         n += len(toks)
     return n
 
@@ -225,40 +241,25 @@ def linearize(example: Example, vocab: Vocabulary) -> TokenizedSequence:
     Never truncates: budgets are enforced afterwards by ``cc_select`` or
     ``hem_select``.
     """
-    q_tokens = tokenize(example.question)
-    ids = [CLS_ID] + [vocab.id_of(t) for t in q_tokens] + [SEP_ID]
-    seg = [0] * len(ids)
-    col = [0] * len(ids)
-    row = [0] * len(ids)
-    rank = [0] * len(ids)
-    origin: list[tuple[int, int] | None] = [None] * len(ids)
-
-    for row_id, col_id, org, toks in _table_cells_reading_order(example.table):
-        for j, tok in enumerate(toks):
-            ids.append(vocab.id_of(tok))
-            seg.append(1)
-            col.append(col_id)
-            row.append(row_id)
-            rank.append(j + 1)
-            origin.append(org)
-
-    return TokenizedSequence(tuple(ids), tuple(seg), tuple(col), tuple(row),
-                             tuple(rank), tuple(origin))
+    # one (token, segment, column, row, rank) id tuple per token
+    tokens = ([(CLS_ID, 0, 0, 0, 0)]
+              + [(vocab.id_of(t), 0, 0, 0, 0) for t in tokenize(example.question)]
+              + [(SEP_ID, 0, 0, 0, 0)]
+              + [(vocab.id_of(t), 1, col_id, row_id, rank)
+                 for row_id, col_id, toks in _table_cells_reading_order(example.table)
+                 for rank, t in enumerate(toks, 1)])
+    return TokenizedSequence(*map(tuple, zip(*tokens)))
 
 
-def _cells_of(seq: TokenizedSequence, columns: set[int] | None = None) -> list[list[int]]:
-    """Group table-token indices by cell, in reading order.
+def _cells_of(seq: TokenizedSequence, indices) -> list[list[int]]:
+    """Group the table-token ``indices`` by cell, in reading order.
 
     Reading order is header row left-to-right, then body rows top-to-bottom,
     left-to-right; linearize emits tokens in exactly that order, so cells
     appear in order of their first token.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(seq)):
-        if seq.segment_ids[i] != 1:
-            continue
-        if columns is not None and seq.column_ids[i] not in columns:
-            continue
+    for i in indices:
         groups.setdefault((seq.row_ids[i], seq.column_ids[i]), []).append(i)
     return [groups[k] for k in sorted(groups, key=lambda k: groups[k][0])]
 
@@ -294,7 +295,7 @@ def cc_select(seq: TokenizedSequence, limit: int) -> TokenizedSequence:
             f"limit {limit} below question span {len(qspan)}")
     if len(seq) <= limit:
         return seq
-    picked = _round_robin(_cells_of(seq), limit - len(qspan))
+    picked = _round_robin(_cells_of(seq, seq.table_indices()), limit - len(qspan))
     kept = sorted(set(qspan) | set(picked))
     return seq.subsequence(kept, keep_positions=False)
 
@@ -331,21 +332,18 @@ def hem_select(seq: TokenizedSequence, question: str, table: Table,
         return seq
 
     budget = limit - len(qspan)
-    by_column: dict[int, list[int]] = {}
-    for i in seq.table_indices():
-        by_column.setdefault(seq.column_ids[i], []).append(i)
+    by_column = seq.tokens_by_column()
 
     picked: list[int] = []
     for col0, _score in hem_rank_columns(question, table):
-        col_id = col0 + 1
-        members = by_column.get(col_id, [])
+        members = by_column.get(col0 + 1, [])
         if len(members) <= budget:
             picked.extend(members)
             budget -= len(members)
             if budget == 0:
                 break
         else:
-            picked.extend(_round_robin(_cells_of(seq, columns={col_id}), budget))
+            picked.extend(_round_robin(_cells_of(seq, members), budget))
             break
     kept = sorted(set(qspan) | set(picked))
     return seq.subsequence(kept, keep_positions=False)

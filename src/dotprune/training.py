@@ -260,8 +260,7 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
     outputs = []
     for b, ex in enumerate(examples):
         pre_seq, compact_seq, selection = pre_seqs[b], compact_seqs[b], selections[b]
-        kept_table_slots = [j for j, i in enumerate(selection.kept_indices)
-                            if pre_seq.segment_ids[i] == 1]
+        kept_table_slots = list(compact_seq.table_indices())
         token_logits = None
         cls_logit = None
         kept_table_targets = None
@@ -269,9 +268,8 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
         if cfg.task_type == "cell_selection":
             token_logits = T.take_rows(all_token_logits, b * n + np.arange(len(compact_seq)))
             if ex.answer_coords is not None:
-                kept_table_targets = np.array(
-                    [1.0 if compact_seq.origin[j] in ex.answer_coords else 0.0
-                     for j in kept_table_slots])
+                kept_table_targets = compact_seq.answer_mask(
+                    ex.answer_coords)[kept_table_slots].astype(np.float64)
                 answer_pruned = bool(kept_table_targets.sum() == 0)
         else:
             cls_logit = T.take_rows(all_cls_logits, [b])
@@ -325,9 +323,7 @@ def _pruning_scalar_loss(outputs: DotOutputs, example: Example,
     """
     if example.answer_coords is None:
         return T.Tensor(np.asarray(0.0, dtype=outputs.scores.logits.dtype))
-    pre = outputs.pre_seq
-    targets = np.array([1.0 if pre.origin[i] in example.answer_coords else 0.0
-                        for i in range(len(pre))])
+    targets = outputs.pre_seq.answer_mask(example.answer_coords).astype(np.float64)
     return T.bce_with_logits(outputs.scores.logits, targets, pos_weight=pos_weight)
 
 
@@ -357,12 +353,11 @@ def answer_score_gap(scores: pr.PruningScores, selection: pr.Selection,
     """
     if example.answer_coords is None:
         return None
-    seq = scores.seq
-    answer_idx = [i for i in range(len(seq)) if seq.origin[i] in example.answer_coords]
-    if not answer_idx:
+    answers = scores.seq.answer_mask(example.answer_coords)
+    if not answers.any():
         return None
     s = scores.values
-    return float(s[answer_idx].mean() - s[list(selection.kept_indices)].mean())
+    return float(s[answers].mean() - s[list(selection.kept_indices)].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +503,12 @@ def clip_grad_norm(params, max_norm: float) -> float:
 
 def predict_cells(outputs: DotOutputs) -> frozenset[tuple[int, int]]:
     """Predicted answer cells: the kept cell with the highest mean token logit."""
-    if not outputs.kept_table_slots:
-        return frozenset()
     logits = outputs.token_logits.data
-    seq = outputs.compact_seq
     by_cell: dict[tuple[int, int], list[float]] = {}
     for j in outputs.kept_table_slots:
-        org = seq.origin[j]
-        if org is not None:
-            by_cell.setdefault(org, []).append(float(logits[j]))
+        cell = outputs.compact_seq.cell(j)
+        if cell is not None:
+            by_cell.setdefault(cell, []).append(float(logits[j]))
     if not by_cell:
         return frozenset()
     best = max(by_cell, key=lambda cell: (np.mean(by_cell[cell]), (-cell[0], -cell[1])))

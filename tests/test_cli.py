@@ -603,3 +603,90 @@ def test_eval_oracle_refuses_examples_without_answer_cells_before_writing(tmp_pa
         cli.main(argv + ["--oracle"])
     assert not out.exists()
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("data", [None, {}], ids=["no_section", "empty_section"])
+def test_train_refuses_a_config_naming_no_dataset_before_writing(tmp_path, data):
+    sections = {} if data is None else {"data": data}
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN, **sections)
+    with pytest.raises(ConfigError, match="train needs a data section naming a dataset"):
+        cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field, value", [("seed", 0), ("precision", "f32")])
+def test_manifest_records_the_seed_and_precision_the_run_used(tmp_path, field, value):
+    # the config leaves both to their defaults, which the run still uses
+    train = {k: v for k, v in dict(TINY_TRAIN, num_steps=1).items()
+             if k not in ("seed", "precision")}
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=train, data=TINY_DATA)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())[field] == value
+
+
+def gen_manifest(tmp_path, monkeypatch, *flags):
+    """Run ``dotprune gen`` from a directory outside any checkout; return its
+    argv and its manifest."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "--output", "data.jsonl", "--spec", json.dumps(TINY_DATA["spec"]), *flags]
+    assert cli.main(argv) == 0
+    return argv, json.loads((tmp_path / "data.jsonl.manifest.json").read_text())
+
+
+def test_manifest_records_the_commit_of_the_package_checkout(tmp_path, monkeypatch):
+    package = Path(cli.__file__).resolve().parent
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=package, capture_output=True,
+                          text=True)
+    expect = head.stdout.strip() if head.returncode == 0 else "unknown"
+    assert gen_manifest(tmp_path, monkeypatch)[1]["commit"] == expect
+
+
+def test_manifest_records_the_argv_given_to_main(tmp_path, monkeypatch):
+    argv, manifest = gen_manifest(tmp_path, monkeypatch)
+    assert manifest["command"] == argv
+
+
+def test_gen_manifest_has_the_fields_of_every_run_manifest(tmp_path, monkeypatch):
+    _, manifest = gen_manifest(tmp_path, monkeypatch, "--seed", "7")
+    assert {"config_hash", "seed", "precision", "threads", "threads_applied", "commit",
+            "command", "schema_version"} <= set(manifest)
+    assert manifest["seed"] == 7 and manifest["spec"]["seed"] == 7
+
+
+def test_gen_builds_its_spec_once_with_the_seed_flag(tmp_path, monkeypatch):
+    import dataclasses
+
+    from dotprune import synth
+
+    built = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Counted(synth.GeneratorSpec):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(synth, "GeneratorSpec", Counted)
+    gen_manifest(tmp_path, monkeypatch, "--seed", "7")
+    assert [spec.seed for spec in built] == [7]
+    spec = dict(TINY_DATA["spec"], seed=7)
+    assert read_jsonl(tmp_path / "data.jsonl") == synth.generate(synth.GeneratorSpec(**spec))
+
+
+def test_eval_manifest_records_the_checkpoint_precision_and_no_seed(tmp_path):
+    import numpy as np
+
+    import helpers
+    from dotprune import synth, tables
+    from dotprune import training as tr
+
+    examples = synth.generate(synth.GeneratorSpec(**TINY_DATA["spec"]))
+    model = helpers.tiny_model(examples, tr.DoTConfig(pre_limit=32, k=8),
+                               dtype=np.float64, hidden=8, layers=1)
+    ckpt, data, out = tmp_path / "model.ckpt", tmp_path / "data.jsonl", tmp_path / "eval"
+    tr.save_checkpoint(ckpt, model)
+    tables.write_jsonl(data, examples)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["precision"], manifest["seed"]) == ("f64", None)

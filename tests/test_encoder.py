@@ -170,7 +170,6 @@ def test_pad_tail_with_symmetric_mask_matches_unpadded():
         column_ids=seq.column_ids + (0, 0, 0),
         row_ids=seq.row_ids + (0, 0, 0),
         rank_ids=seq.rank_ids + (0, 0, 0),
-        origin=seq.origin + (None, None, None),
     )
     cfg = tiny_config()
     w = enc.init_weights(cfg, dtype=np.float64)

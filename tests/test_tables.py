@@ -41,7 +41,7 @@ def test_linearize_single_cell_layout():
     assert seq.segment_ids[3] == 1 and seq.segment_ids[4] == 1
     assert (seq.row_ids[3], seq.column_ids[3]) == (0, 1)
     assert (seq.row_ids[4], seq.column_ids[4], seq.rank_ids[4]) == (1, 1, 1)
-    assert seq.origin[3] is None and seq.origin[4] == (0, 0)
+    assert seq.cell(3) is None and seq.cell(4) == (0, 0)
 
 
 def test_linearize_rank_ids_count_within_cell():
@@ -321,14 +321,14 @@ def test_structural_ids_past_the_embedding_tables_stay_distinct():
     vocab = vocab_for(ex)
     seq = tb.linearize(ex, vocab)
     assert max(seq.row_ids) == 300
-    groups = tb._cells_of(seq)
+    groups = tb._cells_of(seq, seq.table_indices())
     assert len(groups) == 2 + 300 * 2 and all(len(g) == 1 for g in groups)
 
     scores = pr.oracle_scores(seq, ex.answer_coords)
-    answer = seq.origin.index((279, 0))
+    answer = [seq.cell(i) for i in range(len(seq))].index((279, 0))
     assert scores[answer] == 0.0
     at_zero = [i for i in seq.table_indices() if scores[i] == 0.0]
-    assert [seq.origin[i] for i in at_zero] == [(279, 0), (279, 1)]
+    assert [seq.cell(i) for i in at_zero] == [(279, 0), (279, 1)]
 
     cfg = enc.EncoderConfig(num_layers=1, hidden=8, num_heads=2, intermediate=16,
                             vocab_size=len(vocab), max_input=len(seq))
@@ -343,3 +343,68 @@ def test_hem_select_admits_a_column_past_the_embedding_tables():
     qspan = len(seq.question_span())
     out = tb.hem_select(seq, ex.question, ex.table, qspan + 2)
     assert [out.column_ids[i] for i in out.table_indices()] == [280, 280]
+
+
+@st.composite
+def unique_token_examples(draw):
+    """A question about a table whose header and cell tokens are all distinct
+    ("t0", "t1", ...), so a token's text alone names the cell it came from;
+    the question repeats some of them so HEM has overlaps to rank."""
+    n_cols, n_rows = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    counter = iter(range(10**6))
+
+    def cell():
+        return " ".join(f"t{next(counter)}" for _ in range(draw(st.integers(0, 3))))
+
+    header = [cell() for _ in range(n_cols)]
+    rows = [[cell() for _ in range(n_cols)] for _ in range(n_rows)]
+    words = " ".join(header + [text for row in rows for text in row]).split()
+    question = " ".join(draw(st.lists(st.sampled_from(words), max_size=3))) if words else ""
+    answers = draw(st.frozensets(st.tuples(st.integers(0, n_rows - 1),
+                                           st.integers(0, n_cols - 1)), max_size=3)
+                   ) if n_rows else frozenset()
+    return tb.Example(question, tb.Table.make(header, rows), answer_coords=answers)
+
+
+def walk_table(ex, vocab):
+    """Oracle from the Table alone: the cells of the full linearization in
+    reading order (None off the body), and each table token's (cell, column)."""
+    n_question = 2 + len(tb.tokenize(ex.question))
+    cells, owner = [None] * n_question, {}
+    for c, name in enumerate(ex.table.header):
+        for tok in tb.tokenize(name):
+            cells.append(None)
+            owner[vocab.id_of(tok)] = (None, c + 1)
+    for r, row in enumerate(ex.table.rows):
+        for c, text in enumerate(row):
+            for tok in tb.tokenize(text):
+                cells.append((r, c))
+                owner[vocab.id_of(tok)] = ((r, c), c + 1)
+    return n_question, cells, owner
+
+
+@settings(max_examples=80, deadline=None)
+@given(unique_token_examples(), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_cells_answers_and_columns_follow_the_table(ex, extra_budget, seed):
+    vocab = vocab_for(ex)
+    seq = tb.linearize(ex, vocab)
+    n_question, walked, owner = walk_table(ex, vocab)
+    assert [seq.cell(i) for i in range(len(seq))] == walked
+    limit = n_question + extra_budget
+    rng = np.random.default_rng(seed)
+    derived = [seq]
+    for pre in (tb.cc_select(seq, limit), tb.hem_select(seq, ex.question, ex.table, limit)):
+        k = n_question + int(rng.integers(0, len(pre) - n_question + 1))
+        selection = pr.select_top_k_tokens(rng.normal(size=len(pre)), pre, k)
+        derived += [pre, pr.compact(pre, selection)]
+    for s in derived:
+        # the question span leads every derived sequence; past it, a token's
+        # text names its cell and column
+        expect = [None] * n_question + [owner[t][0] for t in s.token_ids[n_question:]]
+        assert [s.cell(i) for i in range(len(s))] == expect
+        assert s.answer_mask(ex.answer_coords).tolist() == [
+            cell in ex.answer_coords for cell in expect]
+        by_column = {}
+        for i in range(n_question, len(s)):
+            by_column.setdefault(owner[s.token_ids[i]][1], []).append(i)
+        assert list(s.tokens_by_column().items()) == list(by_column.items())

@@ -195,7 +195,7 @@ def test_pruning_term_zero_at_perfect_scores():
     ex = data[0]
     out = tr.dot_forward(model, ex)
     pre = out.pre_seq
-    perfect = np.array([40.0 if pre.origin[i] in ex.answer_coords else -40.0
+    perfect = np.array([40.0 if pre.cell(i) in ex.answer_coords else -40.0
                         for i in range(len(pre))])
     out.scores = pr.PruningScores(seq=pre, log_probs=T.Tensor(perfect),
                                   logits=T.Tensor(perfect))
@@ -288,7 +288,7 @@ def test_answer_score_gap_matches_two_mean_oracle():
                               logits=T.Tensor(vals))
     got = tr.answer_score_gap(scores, out.selection, ex)
     ans = [i for i in range(len(out.pre_seq))
-           if out.pre_seq.origin[i] in ex.answer_coords]
+           if out.pre_seq.cell(i) in ex.answer_coords]
     expect = vals[ans].mean() - vals[list(out.selection.kept_indices)].mean()
     assert got == pytest.approx(expect, abs=1e-12)
 
@@ -448,7 +448,7 @@ def test_evaluate_with_oracle_scores_is_perfect_when_task_sees_answers():
         assert not out.answer_pruned
         forced = np.zeros(len(out.compact_seq))
         for j in out.kept_table_slots:
-            forced[j] = 30.0 if out.compact_seq.origin[j] in ex.answer_coords else -30.0
+            forced[j] = 30.0 if out.compact_seq.cell(j) in ex.answer_coords else -30.0
         out.token_logits = T.Tensor(forced)
         assert tr.predict_cells(out) == ex.answer_coords
 
