@@ -97,28 +97,35 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _git_commit() -> str:
-    """The commit checked out where this package lives, else "unknown"."""
+def _git_state() -> tuple[str, bool | None]:
+    """The commit checked out where this package lives and whether the
+    package's files differ from it, else ("unknown", None)."""
+    run = dict(capture_output=True, text=True, timeout=5,
+               cwd=os.path.dirname(os.path.abspath(__file__)))
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-                             cwd=os.path.dirname(os.path.abspath(__file__)), timeout=5)
-        if out.returncode == 0:
-            return out.stdout.strip()
+        head = subprocess.run(["git", "rev-parse", "HEAD"], **run)
+        status = subprocess.run(["git", "status", "--porcelain", "--", "."], **run)
+        if head.returncode == 0:
+            return head.stdout.strip(), (bool(status.stdout) if status.returncode == 0
+                                         else None)
     except (OSError, subprocess.TimeoutExpired):
         pass
-    return "unknown"
+    return "unknown", None
 
 
 def write_manifest(path, hashed: dict, args, seed, precision, **extra) -> None:
     """Write to ``path`` the manifest of the run ``main`` parsed ``args`` for:
-    ``hashed``'s hash, the seed and precision, threads, commit, argv, ``extra``."""
+    ``hashed``'s hash, the seed and precision, threads, commit and whether
+    the package differs from it, argv, ``extra``."""
+    commit, dirty = _git_state()
     manifest = {
         "config_hash": config_hash(hashed),
         "seed": seed,
         "precision": precision,
         "threads": args.threads,
         "threads_applied": args._threads_applied,
-        "commit": _git_commit(),
+        "commit": commit,
+        "commit_dirty": dirty,
         "command": args._argv,
         "schema_version": SCHEMA_VERSION,
         **extra,
@@ -335,6 +342,9 @@ def cmd_train(args) -> int:
     if not cfg.data.names_dataset:
         raise ConfigError("train needs a data section naming a dataset by path or spec")
     dataset = cfg.data.examples()
+    if not dataset:
+        raise ContractError(f"train needs at least one example, and "
+                            f"{cfg.data.path or 'the data spec'} holds none")
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     # perfbench's definition: a step's time is the gap between consecutive

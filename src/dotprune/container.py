@@ -20,7 +20,7 @@ from .errors import ContractError, open_input
 MAGIC = b"DOTC"
 VERSION = 1
 
-_DTYPES = {"<f4": "<f4", "<f8": "<f8"}
+_DTYPES = ("<f4", "<f8")
 
 
 def _canon(obj) -> bytes:

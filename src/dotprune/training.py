@@ -282,14 +282,20 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
 
 
 def _fixed_scores(seq: TokenizedSequence, values: np.ndarray, dtype) -> pr.PruningScores:
-    """An override's float array of one score per token as constant scores
-    in the model's dtype, clipped at ``pr.SCORE_FLOOR``; anything else is refused."""
+    """An override's float array of one score per token, each <= 0 or -inf, as
+    constant scores in the model's dtype, clipped at ``pr.SCORE_FLOOR``;
+    anything else is refused."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
             and values.shape == (len(seq),)):
         got = (f"{values.dtype} array of shape {values.shape}"
                if isinstance(values, np.ndarray) else type(values).__name__)
         raise ContractError(f"override scores must be a float array of {len(seq)} "
                             f"values, got {got}")
+    bad = ~(values <= 0)  # NaN compares false, so it is refused too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(f"override scores must be <= 0 or -inf, got {values[i]} "
+                            f"at position {i}")
     logits = values.astype(dtype)
     return pr.PruningScores(seq=seq, log_probs=T.Tensor(np.maximum(logits, pr.SCORE_FLOOR)),
                             logits=T.Tensor(logits))
@@ -593,27 +599,11 @@ def save_checkpoint(path, model: DoTModel) -> None:
     save_tensors(path, named, header)
 
 
-def _encoder_config(path, stored: dict) -> enc.EncoderConfig:
-    """An encoder config from a checkpoint header. Older checkpoints also
-    store dropout rates; they load only when both rates are zero."""
-    dropout = {k: stored[k] for k in ("hidden_dropout", "attention_dropout") if k in stored}
-    if any(rate != 0.0 for rate in dropout.values()):
-        raise ContractError(f"{path}: dropout {dropout} is not supported")
-    return enc.EncoderConfig(**{k: v for k, v in stored.items() if k not in dropout})
-
-
-# rows of the type tables older checkpoints store; every token read row 0
-_FOLDED_TYPE_TABLES = {"type_binary": 2, "type_relation": 10, "type_inv_rank": 256}
-
-
 def load_checkpoint(path) -> DoTModel:
     """Rebuild a model from ``save_checkpoint`` output, strictly.
 
     Every tensor of both towers must be present with its expected shape and
-    one shared dtype, and nothing else may be stored. Older checkpoints also
-    store the three ``_FOLDED_TYPE_TABLES``, all or none: every token read
-    row 0 of each and exactly one segment row, so their row-0 sum is added
-    to every ``type_segment`` row, which leaves the model's function as is.
+    one shared dtype, and nothing else may be stored.
     """
     header, tensors = load_tensors(path)
     if header.get("kind") != "dot_model":
@@ -627,7 +617,7 @@ def load_checkpoint(path) -> DoTModel:
             # that is not a string would leave its word to [UNK]
             raise ContractError(f"{path}: the stored vocabulary is not the reserved "
                                 f"entries followed by distinct strings")
-        configs = {prefix: _encoder_config(path, header[f"{prefix}_config"])
+        configs = {prefix: enc.EncoderConfig(**header[f"{prefix}_config"])
                    for prefix in ("pruning", "task")}
     except (AttributeError, KeyError, TypeError, ConfigError) as e:
         raise ContractError(f"{path}: malformed checkpoint header ({e!r})") from None
@@ -650,15 +640,6 @@ def load_checkpoint(path) -> DoTModel:
                 raise ContractError(f"{path}: tensor {prefix}.{name} is {found}, "
                                     f"expected shape {shape}")
             arrays[name] = arr
-        folded = {name: tensors.pop(f"{prefix}.{name}", None) for name in _FOLDED_TYPE_TABLES}
-        if any(arr is not None for arr in folded.values()):
-            for name, arr in folded.items():
-                shape = (_FOLDED_TYPE_TABLES[name], cfg.hidden)
-                if arr is None or arr.shape != shape:
-                    raise ContractError(f"{path}: type tables load all three or none; "
-                                        f"{prefix}.{name} is not of shape {shape}")
-            arrays["type_segment"] = arrays["type_segment"] + sum(
-                arr[0] for arr in folded.values())
         towers[prefix] = enc.Tower.from_arrays(cfg, arrays)
     if tensors:
         raise ContractError(f"{path}: unexpected tensors {sorted(tensors)}")

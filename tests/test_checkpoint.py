@@ -60,17 +60,31 @@ def test_loaded_tensors_are_trainable_and_keep_dtype(checkpoint):
     assert all(p.data.flags.writeable for p in params)
 
 
+# the row-0-only type tables a checkpoint stored before they were folded into
+# the segment table; a layout nothing writes is refused like any stray tensor
+OLD_TYPE_TABLES = {"type_binary": np.zeros((2, 4), np.float32),
+                   "type_relation": np.zeros((10, 4), np.float32),
+                   "type_inv_rank": np.zeros((256, 4), np.float32)}
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda t: t.pop("task.layer0.wq"), "missing"),
     (lambda t: t.update({"task.extra": np.zeros(2, np.float32)}), "unexpected"),
     (lambda t: t.update({"task.renamed_wq": t.pop("task.layer0.wq")}), "missing"),
     (lambda t: t.update({"pruning.head_w": np.zeros((5, 1), np.float32)}), "shape"),
     (lambda t: t.update({"task.head_b": t["task.head_b"].astype(np.float64)}), "mixed"),
-], ids=["missing", "extra", "renamed", "reshaped", "mixed_dtype"])
+    (lambda t: t.update({f"{prefix}.{name}": table for prefix in ("pruning", "task")
+                         for name, table in OLD_TYPE_TABLES.items()}), "unexpected"),
+    (lambda t: t.update({"pruning.type_binary": OLD_TYPE_TABLES["type_binary"]}),
+     "unexpected"),
+    (lambda t: t.update({"task.type_relation": np.zeros((9, 4), np.float32)}), "unexpected"),
+], ids=["missing", "extra", "renamed", "reshaped", "mixed_dtype",
+        "type_tables_all", "type_tables_one", "type_tables_reshaped"])
 def test_load_checkpoint_is_strict(checkpoint, edit, match):
     rewrite(checkpoint, edit)
-    with pytest.raises(ContractError, match=match):
+    with pytest.raises(ContractError, match=match) as info:
         tr.load_checkpoint(checkpoint)
+    assert str(checkpoint) in str(info.value)
 
 
 def test_load_tensors_rejects_every_truncation(tmp_path):
@@ -179,66 +193,23 @@ def test_a_layer_count_the_file_cannot_hold_is_refused_before_any_shape_table(ch
 
 
 def set_stored_dropout(path, rates):
-    """Give both stored encoder configs the dropout keys older checkpoints carry."""
+    """Give both stored encoder configs the dropout keys checkpoints carried
+    before dropout was removed."""
     header, tensors = container.load_tensors(path)
     for prefix in ("pruning", "task"):
         header[f"{prefix}_config"].update(rates)
     container.save_tensors(path, tensors, header)
 
 
-def test_checkpoint_with_zero_dropout_rates_loads(checkpoint):
-    expected = tr.load_checkpoint(checkpoint)
-    set_stored_dropout(checkpoint, {"hidden_dropout": 0.0, "attention_dropout": 0.0})
-    model = tr.load_checkpoint(checkpoint)
-    assert model.task.encoder.config == expected.task.encoder.config
-    assert all(np.array_equal(a.data, b.data)
-               for a, b in zip(model.parameters(), expected.parameters()))
-
-
 @pytest.mark.parametrize("rates", [{"hidden_dropout": 0.1, "attention_dropout": 0.0},
-                                   {"hidden_dropout": 0.0, "attention_dropout": 0.1}])
+                                   {"hidden_dropout": 0.0, "attention_dropout": 0.1},
+                                   {"hidden_dropout": 0.0, "attention_dropout": 0.0}])
 def test_checkpoint_with_nonzero_dropout_rate_is_rejected(checkpoint, rates):
+    # a rate of 0.0 is refused too: the encoder config has no dropout field
     set_stored_dropout(checkpoint, rates)
-    with pytest.raises(ContractError, match="dropout"):
+    with pytest.raises(ContractError, match="malformed checkpoint header.*dropout") as info:
         tr.load_checkpoint(checkpoint)
-
-
-TYPE_TABLE_ROWS = {"type_binary": 2, "type_relation": 10, "type_inv_rank": 256}
-
-
-def add_type_tables(tensors, names=tuple(TYPE_TABLE_ROWS), shape_of=None):
-    """Store the row-0-only type tables that checkpoints carried before the
-    runtime folded them into the segment table."""
-    rng = np.random.default_rng(7)
-    for prefix in ("pruning", "task"):
-        hidden = tensors[f"{prefix}.type_segment"].shape[1]
-        for name in names:
-            shape = (shape_of or {}).get(name, (TYPE_TABLE_ROWS[name], hidden))
-            tensors[f"{prefix}.{name}"] = rng.normal(size=shape).astype(np.float32)
-
-
-def test_older_type_tables_fold_into_the_segment_table(checkpoint):
-    rewrite(checkpoint, add_type_tables)
-    _, stored = container.load_tensors(checkpoint)
-    model = tr.load_checkpoint(checkpoint)
-    for prefix in ("pruning", "task"):
-        rows0 = [stored[f"{prefix}.{name}"][0] for name in TYPE_TABLE_ROWS]
-        assert all(np.abs(r).min() > 0 for r in rows0)
-        c = rows0[0] + rows0[1] + rows0[2]
-        loaded = getattr(model, prefix).encoder.type_segment.data
-        np.testing.assert_array_equal(loaded, stored[f"{prefix}.type_segment"] + c)
-        assert loaded.dtype == np.float32
-
-
-@pytest.mark.parametrize("names, shape_of", [
-    (("type_binary",), None),
-    (("type_relation", "type_inv_rank"), None),
-    (tuple(TYPE_TABLE_ROWS), {"type_relation": (9, 4)}),
-], ids=["one", "two", "reshaped"])
-def test_an_incomplete_or_misshapen_type_table_set_is_rejected(checkpoint, names, shape_of):
-    rewrite(checkpoint, lambda t: add_type_tables(t, names, shape_of))
-    with pytest.raises(ContractError, match="type tables"):
-        tr.load_checkpoint(checkpoint)
+    assert str(checkpoint) in str(info.value)
 
 
 def test_load_tensors_names_a_file_it_cannot_open(tmp_path):

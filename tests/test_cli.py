@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -614,6 +615,16 @@ def test_train_refuses_a_config_naming_no_dataset_before_writing(tmp_path, data)
     assert not (tmp_path / "run").exists()
 
 
+def test_train_refuses_an_empty_dataset_before_writing(tmp_path):
+    data = tmp_path / "empty.jsonl"
+    data.write_text("")
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN,
+                       data={"path": str(data)})
+    with pytest.raises(ContractError, match=f"{data} holds none"):
+        cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("field, value", [("seed", 0), ("precision", "f32")])
 def test_manifest_records_the_seed_and_precision_the_run_used(tmp_path, field, value):
     # the config leaves both to their defaults, which the run still uses
@@ -641,6 +652,39 @@ def test_manifest_records_the_commit_of_the_package_checkout(tmp_path, monkeypat
     assert gen_manifest(tmp_path, monkeypatch)[1]["commit"] == expect
 
 
+def test_manifest_records_whether_the_package_differs_from_its_commit(tmp_path):
+    # a copy of the package run from outside any checkout, then committed,
+    # then edited; git looks no higher than tmp_path for a repository
+    root = tmp_path / "copy"
+    shutil.copytree(Path(cli.__file__).resolve().parent, root / "dotprune",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(root), GIT_CEILING_DIRECTORIES=str(tmp_path))
+
+    def gen_state():
+        out = tmp_path / "data.jsonl"
+        subprocess.run([sys.executable, "-m", "dotprune.cli", "gen", "--output", str(out),
+                        "--spec", json.dumps(TINY_DATA["spec"])],
+                       env=env, check=True, capture_output=True, timeout=120)
+        manifest = json.loads((tmp_path / "data.jsonl.manifest.json").read_text())
+        return manifest["commit"], manifest["commit_dirty"]
+
+    def git(*args):
+        config = ["-c", "user.name=test", "-c", "user.email=test@example.com",
+                  "-c", "commit.gpgsign=false"]
+        return subprocess.run(["git", *config, *args], cwd=root, env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    assert gen_state() == ("unknown", None)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "package copy")
+    head = git("rev-parse", "HEAD")
+    assert gen_state() == (head, False)
+    with open(root / "dotprune" / "errors.py", "a", encoding="utf-8") as fh:
+        fh.write("# an uncommitted edit\n")
+    assert gen_state() == (head, True)
+
+
 def test_manifest_records_the_argv_given_to_main(tmp_path, monkeypatch):
     argv, manifest = gen_manifest(tmp_path, monkeypatch)
     assert manifest["command"] == argv
@@ -649,7 +693,7 @@ def test_manifest_records_the_argv_given_to_main(tmp_path, monkeypatch):
 def test_gen_manifest_has_the_fields_of_every_run_manifest(tmp_path, monkeypatch):
     _, manifest = gen_manifest(tmp_path, monkeypatch, "--seed", "7")
     assert {"config_hash", "seed", "precision", "threads", "threads_applied", "commit",
-            "command", "schema_version"} <= set(manifest)
+            "commit_dirty", "command", "schema_version"} <= set(manifest)
     assert manifest["seed"] == 7 and manifest["spec"]["seed"] == 7
 
 

@@ -585,20 +585,39 @@ def test_every_node_of_the_loss_graph_has_the_model_dtype(dtype, mode, selection
 
 def test_override_scores_that_are_not_a_float_array_per_token_are_refused():
     # a Tensor (graph or not), a PruningScores, a wrong-length array and an
-    # integer array are all refused
+    # integer array are all refused, and so is a float array holding NaN or
+    # a score above 0, on a table token or a question token
     data = lookup_data(n=1)
     model = tiny_model(data, dtype=np.float32)
     zeros = lambda seq: np.zeros(len(seq), dtype=np.float32)
+
+    pre = tr.dot_forward(model, data[0]).pre_seq
+    table, question = pre.table_indices()[-1], pre.question_span()[0]
+
+    def bad_at(value, *positions):
+        def override(seq, _ex):
+            values = zeros(seq)
+            values[list(positions)] = value
+            return values
+        return override
+
+    shape = "a float array of \\d+ values, got "
     overrides = {
-        "Tensor": lambda seq, _ex: T.Tensor(zeros(seq), requires_grad=True),
-        "PruningScores": lambda seq, _ex: pr.PruningScores(
+        shape + "Tensor": lambda seq, _ex: T.Tensor(zeros(seq), requires_grad=True),
+        shape + "PruningScores": lambda seq, _ex: pr.PruningScores(
             seq=seq, log_probs=T.Tensor(zeros(seq)), logits=T.Tensor(zeros(seq))),
-        r"float64 array of shape \(\d+,\)": lambda seq, _ex: np.zeros(len(seq) + 1),
-        "int64 array": lambda seq, _ex: np.zeros(len(seq), dtype=np.int64),
+        shape + r"float64 array of shape \(\d+,\)": lambda seq, _ex: np.zeros(len(seq) + 1),
+        shape + r"int64 array of shape \(\d+,\)": lambda seq, _ex: np.zeros(
+            len(seq), dtype=np.int64),
+        f"<= 0 or -inf, got nan at position {table}": bad_at(np.nan, table),
+        f"<= 0 or -inf, got inf at position {table}": bad_at(np.inf, table),
+        f"<= 0 or -inf, got 0.5 at position {question}": bad_at(0.5, question, table),
     }
-    for got, override in overrides.items():
-        with pytest.raises(ContractError, match=f"float array of \\d+ values, got {got}"):
+    for message, override in overrides.items():
+        with pytest.raises(ContractError, match=f"override scores must be {message}$"):
             tr.dot_forward(model, data[0], scores_override=override)
+    out = tr.dot_forward(model, data[0], scores_override=bad_at(-np.inf, table))
+    assert out.scores.log_probs.data[table] == pr.SCORE_FLOOR
 
 
 def test_after_backward_only_parameters_hold_gradients_each_its_own():
