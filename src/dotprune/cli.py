@@ -185,11 +185,12 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
     # spread the scores so the base point is interior to the hard selection
     model.pruning.head_w.data *= 30.0
     ex = data[0]
-    margin = selection_margin(model, ex)
+    out = tr.dot_forward(model, ex)
+    margin = selection_margin(out)
     # freeze the kept set: the loss is a step function of the scores at the
     # selection boundary, and the frozen-selection gradient equals the true
     # gradient at any interior point
-    frozen = tr.dot_forward(model, ex).selection
+    frozen = out.selection
 
     def dot_loss(params):
         out = tr.dot_forward(model, ex, selection_override=frozen)
@@ -202,15 +203,12 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
             "dot_loss_max_err": dot_err, "selection_margin": margin}
 
 
-def selection_margin(model, example) -> float:
-    """Score gap between the last kept and first dropped table token."""
+def selection_margin(out) -> float:
+    """Score gap between the last kept and first dropped table token of ``out``."""
     import numpy as np
 
-    from . import training as tr
-
-    out = tr.dot_forward(model, example)
     table = list(out.pre_seq.table_indices())
-    budget = model.config.k - len(out.pre_seq.question_span())
+    budget = out.selection.k - len(out.pre_seq.question_span())
     if budget <= 0 or budget >= len(table):
         return float("inf")
     ranked = np.sort(out.scores.values[table])[::-1]
@@ -342,9 +340,7 @@ def cmd_train(args) -> int:
     if not cfg.data.names_dataset:
         raise ConfigError("train needs a data section naming a dataset by path or spec")
     dataset = cfg.data.examples()
-    if not dataset:
-        raise ContractError(f"train needs at least one example, and "
-                            f"{cfg.data.path or 'the data spec'} holds none")
+    eval_examples = cfg.eval.examples() if cfg.eval.names_dataset else None
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     # perfbench's definition: a step's time is the gap between consecutive
@@ -358,8 +354,8 @@ def cmd_train(args) -> int:
                   [{"step": s, "seconds": t} for s, t in enumerate(seconds, start=2)])
     tr.save_checkpoint(os.path.join(out_dir, "checkpoint.ckpt"), result.model)
     report = {"final_loss": result.metrics[-1]["loss"], "steps": len(result.metrics)}
-    if cfg.eval.names_dataset:
-        eval_report = tr.evaluate(result.model, cfg.eval.examples())
+    if eval_examples is not None:
+        eval_report = tr.evaluate(result.model, eval_examples)
         report["eval_accuracy"] = eval_report.accuracy
         report["eval_answer_score_gap"] = eval_report.mean_answer_score_gap
         report["eval_answer_pruned_rate"] = eval_report.answer_pruned_rate
@@ -427,8 +423,7 @@ def cmd_eval(args) -> int:
     # independent re-tally of the accuracy from raw predictions
     golds = [ex.answer_coords if model.config.task_type == "cell_selection" else ex.label
              for ex in examples]
-    recheck = (sum(p == g for p, g in zip(report_obj.predictions, golds))
-               / len(examples)) if examples else 0.0
+    recheck = sum(p == g for p, g in zip(report_obj.predictions, golds)) / len(examples)
 
     report = {
         "accuracy": report_obj.accuracy,

@@ -103,6 +103,8 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
                     raise ValueError
             except (KeyError, TypeError, ValueError):
                 raise ContractError(f"{path}: bad tensor descriptor {desc!r}") from None
+            if name in tensors:
+                raise ContractError(f"{path}: tensor {name!r} is stored twice")
             (blen,) = struct.unpack("<Q", _read(fh, 8, path))
             if blen != np.dtype(dtype).itemsize * math.prod(shape):
                 raise ContractError(f"{path}: tensor {name!r} has {blen} bytes "

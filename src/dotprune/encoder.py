@@ -270,6 +270,10 @@ class Tower:
     def parameters(self) -> list[T.Tensor]:
         return self.encoder.parameters() + [self.head_w, self.head_b]
 
+    def head(self, x: T.Tensor) -> T.Tensor:
+        """One logit per row of ``x``: hidden states or pooled vectors."""
+        return T.reshape(T.add(T.matmul(x, self.head_w), self.head_b), (x.shape[0],))
+
     @staticmethod
     def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
         return tensor_shapes(config) | {"head_w": (config.hidden, 1), "head_b": (1,)}
@@ -393,8 +397,8 @@ def forward_batch(weights: EncoderWeights, seqs: list[TokenizedSequence],
                   biases: list | None = None) -> tuple[T.Tensor, T.Tensor]:
     """Run the encoder stack once on a batch padded to its longest sequence.
 
-    Returns hidden states (B*n, H), where example b owns rows b*n to
-    b*n + len(seqs[b]) - 1, and pooled CLS vectors (B, H). ``biases[b]``
+    Returns hidden states (B*n, H), of which ``batch_rows(seqs)[b]`` are
+    example b's, and pooled CLS vectors (B, H). ``biases[b]``
     applies to example b as in ``forward``'s key mode; padded keys get a -inf
     bias, so every example's rows equal its own unpadded forward up to rounding.
     """
@@ -403,6 +407,13 @@ def forward_batch(weights: EncoderWeights, seqs: list[TokenizedSequence],
         # (the benchmark's tracer) see batches of one
         return forward(weights, seqs[0], None if biases is None else biases[0])
     return _forward_padded(weights, seqs, biases, "key")
+
+
+def batch_rows(seqs: list[TokenizedSequence]) -> list[np.ndarray]:
+    """Each sequence's rows of the stack ``forward_batch`` returns: rows b*n
+    to b*n + len(seqs[b]) - 1 for example b, where n is the longest length."""
+    n = max(len(s) for s in seqs)
+    return [b * n + np.arange(len(s)) for b, s in enumerate(seqs)]
 
 
 def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],

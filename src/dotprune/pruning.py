@@ -68,16 +68,11 @@ def score_tokens(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[Prun
     its own rows of the result.
     """
     hidden, _ = enc.forward_batch(weights.encoder, seqs)
-    rows = hidden.shape[0]
-    logits = T.reshape(T.add(T.matmul(hidden, weights.head_w), weights.head_b), (rows,))
+    logits = weights.head(hidden)
     log_probs = T.maximum_scalar(T.log_sigmoid(logits), SCORE_FLOOR)
-    n = rows // len(seqs)
-    out = []
-    for b, seq in enumerate(seqs):
-        own = b * n + np.arange(len(seq))
-        out.append(PruningScores(seq=seq, log_probs=T.take_rows(log_probs, own),
-                                 logits=T.take_rows(logits, own)))
-    return out
+    return [PruningScores(seq=seq, log_probs=T.take_rows(log_probs, own),
+                          logits=T.take_rows(logits, own))
+            for seq, own in zip(seqs, enc.batch_rows(seqs))]
 
 
 def constant_scores(seq: TokenizedSequence, value: float = 0.0) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tables
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, ContractError, check_field_types
 from .tables import Example, Table
 
 KEY_COLUMN = 0
@@ -43,6 +43,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.n_examples < 1:
+            raise ConfigError("n_examples must be >= 1")
         if self.min_rows < 1 or self.max_rows < self.min_rows:
             raise ConfigError("invalid row range")
         if self.min_cols < 2 or self.max_cols < self.min_cols:
@@ -121,7 +123,7 @@ def generate(spec: GeneratorSpec) -> list[Example]:
 class DataConfig:
     """A dataset: the JSONL file at ``path`` or the generator run on
     ``spec``, not both. It names a dataset when it has either; ``examples``
-    needs one named."""
+    needs one named, and refuses a file that holds no example."""
 
     path: str | None = None
     spec: GeneratorSpec | None = None
@@ -140,7 +142,10 @@ class DataConfig:
         if self.path is not None:
             # through the module, so perfbench's tracer, which wraps
             # tables.read_jsonl, sees the call
-            return tables.read_jsonl(self.path)
+            examples = tables.read_jsonl(self.path)
+            if not examples:
+                raise ContractError(f"a dataset needs an example, and {self.path} holds none")
+            return examples
         return generate(self.spec)
 
 

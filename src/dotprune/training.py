@@ -163,8 +163,7 @@ class DotOutputs:
     compact_seq: TokenizedSequence
     scores: pr.PruningScores
     selection: pr.Selection
-    token_logits: T.Tensor | None  # (n_kept,), cell_selection only
-    cls_logit: T.Tensor | None  # (1, 1), classification only
+    logits: T.Tensor  # one per compact_seq token, or the CLS logit (1,) to classify
     kept_table_slots: list[int]  # positions within compact_seq with table tokens
     kept_table_targets: np.ndarray | None  # answer-cell membership of those slots
     answer_pruned: bool
@@ -249,35 +248,24 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
         biases.append(bias.detach() if detach else bias)
 
     hidden, pooled = enc.forward_batch(model.task.encoder, compact_seqs, biases)
-    head_w, head_b = model.task.head_w, model.task.head_b
-    if cfg.task_type == "cell_selection":
-        rows = hidden.shape[0]
-        n = rows // len(examples)
-        all_token_logits = T.reshape(T.add(T.matmul(hidden, head_w), head_b), (rows,))
-    else:
-        all_cls_logits = T.add(T.matmul(pooled, head_w), head_b)
+    cell_selection = cfg.task_type == "cell_selection"
+    logits = model.task.head(hidden if cell_selection else pooled)
+    rows = (enc.batch_rows(compact_seqs) if cell_selection
+            else [[b] for b in range(len(examples))])
 
     outputs = []
-    for b, ex in enumerate(examples):
-        pre_seq, compact_seq, selection = pre_seqs[b], compact_seqs[b], selections[b]
+    for b, (ex, compact_seq) in enumerate(zip(examples, compact_seqs)):
         kept_table_slots = list(compact_seq.table_indices())
-        token_logits = None
-        cls_logit = None
         kept_table_targets = None
-        answer_pruned = False
-        if cfg.task_type == "cell_selection":
-            token_logits = T.take_rows(all_token_logits, b * n + np.arange(len(compact_seq)))
-            if ex.answer_coords is not None:
-                kept_table_targets = compact_seq.answer_mask(
-                    ex.answer_coords)[kept_table_slots].astype(np.float64)
-                answer_pruned = bool(kept_table_targets.sum() == 0)
-        else:
-            cls_logit = T.take_rows(all_cls_logits, [b])
+        if cell_selection and ex.answer_coords is not None:
+            kept_table_targets = compact_seq.answer_mask(
+                ex.answer_coords)[kept_table_slots].astype(np.float64)
         outputs.append(DotOutputs(
-            pre_seq=pre_seq, compact_seq=compact_seq, scores=all_scores[b],
-            selection=selection, token_logits=token_logits, cls_logit=cls_logit,
+            pre_seq=pre_seqs[b], compact_seq=compact_seq, scores=all_scores[b],
+            selection=selections[b], logits=T.take_rows(logits, rows[b]),
             kept_table_slots=kept_table_slots, kept_table_targets=kept_table_targets,
-            answer_pruned=answer_pruned, bias_detached=detach))
+            answer_pruned=kept_table_targets is not None and not kept_table_targets.any(),
+            bias_detached=detach))
     return outputs
 
 
@@ -301,19 +289,18 @@ def _fixed_scores(seq: TokenizedSequence, values: np.ndarray, dtype) -> pr.Pruni
                             logits=T.Tensor(logits))
 
 
-def _task_scalar_loss(outputs: DotOutputs, example: Example,
+def _task_scalar_loss(outputs: DotOutputs, example: Example, task_type: str,
                       pos_weight: float = 1.0) -> T.Tensor:
     """Binary cross-entropy head loss, over kept table tokens or the CLS logit."""
-    if outputs.cls_logit is not None:
+    if task_type == "classification":
         if example.label is None:
             raise ContractError("classification loss needs a label")
-        return T.bce_with_logits(T.reshape(outputs.cls_logit, (1,)),
-                                 np.array([float(example.label)]))
+        return T.bce_with_logits(outputs.logits, np.array([float(example.label)]))
     if example.answer_coords is None:
         raise ContractError("cell-selection loss needs answer coordinates")
     if not outputs.kept_table_slots:
         return T.Tensor(np.asarray(0.0, dtype=outputs.scores.log_probs.dtype))
-    kept_logits = T.take_rows(outputs.token_logits, outputs.kept_table_slots)
+    kept_logits = T.take_rows(outputs.logits, outputs.kept_table_slots)
     return T.bce_with_logits(kept_logits, outputs.kept_table_targets,
                              pos_weight=pos_weight)
 
@@ -344,7 +331,7 @@ def compute_loss(model: DoTModel, outputs: DotOutputs, example: Example) -> T.Te
     if cfg.loss_mode == "P" and not outputs.bias_detached:
         raise ContractError("P loss needs outputs of a P-mode forward, whose bias "
                             "is detached; the loss mode changed after the forward")
-    loss = _task_scalar_loss(outputs, example, cfg.positive_weight)
+    loss = _task_scalar_loss(outputs, example, cfg.task_type, cfg.positive_weight)
     if cfg.loss_mode != "J":
         loss = T.add(loss, _pruning_scalar_loss(outputs, example, cfg.positive_weight))
     return T.mul(loss, float(cfg.beta))
@@ -509,7 +496,7 @@ def clip_grad_norm(params, max_norm: float) -> float:
 
 def predict_cells(outputs: DotOutputs) -> frozenset[tuple[int, int]]:
     """Predicted answer cells: the kept cell with the highest mean token logit."""
-    logits = outputs.token_logits.data
+    logits = outputs.logits.data
     by_cell: dict[tuple[int, int], list[float]] = {}
     for j in outputs.kept_table_slots:
         cell = outputs.compact_seq.cell(j)
@@ -545,6 +532,8 @@ def evaluate(model: DoTModel, examples: list[Example],
     examples (at least one). ``scores_override(seq, example)`` replaces the
     learned scorer with a float array per example (oracle injection).
     """
+    if not examples:
+        raise ContractError("dataset is empty")
     chunk = max(1, EVAL_CHUNK_TOKENS // model.config.pre_limit)
     correct = []
     predictions = []
@@ -559,7 +548,7 @@ def evaluate(model: DoTModel, examples: list[Example],
                     pred = predict_cells(out)
                     correct.append(pred == ex.answer_coords)
                 else:
-                    pred = int(out.cls_logit.data.ravel()[0] > 0)
+                    pred = int(out.logits.data[0] > 0)
                     correct.append(pred == ex.label)
                 predictions.append(pred)
                 gap = answer_score_gap(out.scores, out.selection, ex)
@@ -567,10 +556,10 @@ def evaluate(model: DoTModel, examples: list[Example],
                     gaps.append(gap)
                 pruned += int(out.answer_pruned)
     return EvalReport(
-        accuracy=float(np.mean(correct)) if correct else 0.0,
+        accuracy=float(np.mean(correct)),
         n_examples=len(examples),
         mean_answer_score_gap=float(np.mean(gaps)) if gaps else None,
-        answer_pruned_rate=pruned / len(examples) if examples else 0.0,
+        answer_pruned_rate=pruned / len(examples),
         gaps=gaps,
         correct_flags=[bool(c) for c in correct],
         predictions=predictions,

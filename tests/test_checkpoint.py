@@ -143,6 +143,17 @@ def test_load_tensors_rejects_unknown_descriptor_dtype(tmp_path):
         container.load_tensors(path)
 
 
+def test_load_tensors_refuses_a_repeated_name(tmp_path):
+    # a later descriptor of the same name would silently replace the first
+    path = tmp_path / "t.ckpt"
+    container.save_tensors(path, {"x": np.zeros(3, np.float32), "y": np.ones(3, np.float32)})
+    blob = path.read_bytes()
+    assert blob.count(b'"name":"y"') == 1
+    path.write_bytes(blob.replace(b'"name":"y"', b'"name":"x"'))
+    with pytest.raises(ContractError, match=f"{path}: tensor 'x' is stored twice"):
+        container.load_tensors(path)
+
+
 def test_load_tensors_rejects_corrupt_header(tmp_path):
     path = tmp_path / "t.ckpt"
     container.save_tensors(path, {}, {"kind": "test"})

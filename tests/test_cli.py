@@ -615,12 +615,28 @@ def test_train_refuses_a_config_naming_no_dataset_before_writing(tmp_path, data)
     assert not (tmp_path / "run").exists()
 
 
-def test_train_refuses_an_empty_dataset_before_writing(tmp_path):
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_empty_dataset_is_refused_before_writing(tmp_path, eval_inputs, command):
     data = tmp_path / "empty.jsonl"
     data.write_text("")
-    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN,
+    cfg = write_config(tmp_path / "run.json", task=TINY_TASK, train=TINY_TRAIN,
                        data={"path": str(data)})
+    argv = {"train": ["train", "--config", str(cfg)],
+            "eval": ["eval", "--checkpoint", str(eval_inputs[0]), "--config", str(cfg)]}
     with pytest.raises(ContractError, match=f"{data} holds none"):
+        cli.main(argv[command] + ["--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("contents, match", [(None, "cannot open {}"), ("", "{} holds none")],
+                         ids=["missing", "empty"])
+def test_train_reads_its_eval_dataset_before_writing(tmp_path, contents, match):
+    data = tmp_path / "eval.jsonl"
+    if contents is not None:
+        data.write_text(contents)
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN,
+                       data=TINY_DATA, eval={"path": str(data)})
+    with pytest.raises(ContractError, match=match.format(data)):
         cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert not (tmp_path / "run").exists()
 

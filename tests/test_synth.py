@@ -73,6 +73,9 @@ def test_entailment_labels_match_table_content():
 
 
 def test_generator_spec_validation():
+    for n_examples in (0, -3):
+        with pytest.raises(ConfigError, match="n_examples must be >= 1"):
+            synth.GeneratorSpec(n_examples=n_examples)
     with pytest.raises(ConfigError):
         synth.GeneratorSpec(min_rows=0)
     with pytest.raises(ConfigError):

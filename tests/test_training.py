@@ -94,7 +94,7 @@ def test_forward_with_zero_scores_matches_plain_task_model():
         hidden, _ = enc.forward(model.task.encoder, pre)
         plain_logits = T.reshape(
             T.add(T.matmul(hidden, model.task.head_w), model.task.head_b), (len(pre),))
-    np.testing.assert_array_equal(out.token_logits.data, plain_logits.data)
+    np.testing.assert_array_equal(out.logits.data, plain_logits.data)
 
 
 def test_classification_head_is_single_logit():
@@ -104,15 +104,14 @@ def test_classification_head_is_single_logit():
     cfg = tr.DoTConfig(pre_limit=48, k=12, task_type="classification")
     model = tiny_model(data, cfg)
     out = tr.dot_forward(model, data[0])
-    assert out.cls_logit.shape == (1, 1)
-    assert out.token_logits is None
+    assert out.logits.shape == (1,)
 
 
 def test_cell_selection_logits_cover_kept_table_tokens():
     data = lookup_data()
     model = tiny_model(data)
     out = tr.dot_forward(model, data[0])
-    assert out.token_logits.shape == (len(out.compact_seq),)
+    assert out.logits.shape == (len(out.compact_seq),)
     assert all(out.compact_seq.segment_ids[j] == 1 for j in out.kept_table_slots)
     assert out.kept_table_targets.shape == (len(out.kept_table_slots),)
 
@@ -126,7 +125,7 @@ def test_loss_j_perfect_logits_near_zero():
     logits = np.zeros(len(out.compact_seq))
     for j, v in zip(out.kept_table_slots, forced):
         logits[j] = v
-    out.token_logits = T.Tensor(logits)
+    out.logits = T.Tensor(logits)
     assert loss_of(model, out, ex).item() < 1e-12
 
 
@@ -162,7 +161,7 @@ def test_j_gradients_flow_only_through_bias():
     ex = data[0]
     out = forward_in(model, ex, "P")
     assert out.bias_detached
-    loss = tr._task_scalar_loss(out, ex)
+    loss = tr._task_scalar_loss(out, ex, model.config.task_type)
     T.zero_grads(model.parameters())
     T.backward(loss, params=model.parameters())
     assert all(np.all(p.grad == 0) for p in model.pruning_parameters())
@@ -390,6 +389,12 @@ def test_train_rejects_empty_dataset():
         tr.train(tr.DoTConfig(), tr.TrainConfig(), [])
 
 
+def test_evaluate_rejects_empty_dataset():
+    model = tiny_model(lookup_data(n=2))
+    with pytest.raises(ContractError, match="dataset is empty"):
+        tr.evaluate(model, [])
+
+
 def test_oracle_scores_match_plain_task_model_on_answer_rows():
     data = lookup_data(n=6, seed=8)
     cfg = tr.DoTConfig(pre_limit=48, k=24)
@@ -408,7 +413,7 @@ def test_oracle_scores_match_plain_task_model_on_answer_rows():
             hidden, _ = enc.forward(model.task.encoder, manual)
             plain = T.add(T.matmul(hidden, model.task.head_w), model.task.head_b)
         if len(out.compact_seq) == len(manual):
-            np.testing.assert_allclose(out.token_logits.data,
+            np.testing.assert_allclose(out.logits.data,
                                        plain.data.ravel(), atol=1e-9)
 
 
@@ -422,7 +427,7 @@ def test_checkpoint_round_trip_preserves_outputs(tmp_path):
     with T.no_grad():
         a = tr.dot_forward(model, ex)
         b = tr.dot_forward(loaded, ex)
-    np.testing.assert_array_equal(a.token_logits.data, b.token_logits.data)
+    np.testing.assert_array_equal(a.logits.data, b.logits.data)
     assert a.selection.kept_indices == b.selection.kept_indices
 
 
@@ -449,7 +454,7 @@ def test_evaluate_with_oracle_scores_is_perfect_when_task_sees_answers():
         forced = np.zeros(len(out.compact_seq))
         for j in out.kept_table_slots:
             forced[j] = 30.0 if out.compact_seq.cell(j) in ex.answer_coords else -30.0
-        out.token_logits = T.Tensor(forced)
+        out.logits = T.Tensor(forced)
         assert tr.predict_cells(out) == ex.answer_coords
 
 
@@ -469,7 +474,7 @@ def per_example_evaluate(model, examples, scores_override=None):
                 pred = tr.predict_cells(out)
                 correct.append(pred == ex.answer_coords)
             else:
-                pred = int(out.cls_logit.data.ravel()[0] > 0)
+                pred = int(out.logits.data[0] > 0)
                 correct.append(pred == ex.label)
             predictions.append(pred)
             gap = tr.answer_score_gap(out.scores, out.selection, ex)
@@ -512,9 +517,7 @@ def test_batched_evaluate_matches_the_per_example_path(monkeypatch, case, dtype)
     assert len({len(out.pre_seq) for out in outs}) > 1
     for out, ref in zip(outs, ref_outs):
         assert out.selection == ref.selection
-        got, want = ((out.token_logits, ref.token_logits) if case != "classification"
-                     else (out.cls_logit, ref.cls_logit))
-        np.testing.assert_allclose(got.data, want.data, rtol=0,
+        np.testing.assert_allclose(out.logits.data, ref.logits.data, rtol=0,
                                    atol=1e-6 if dtype == np.float32 else 1e-12)
     if dtype == np.float64:
         assert report.predictions == predictions
