@@ -17,6 +17,12 @@ vector of nonpositive log-probabilities. Three application modes exist:
 A batch of sequences runs as one padded stack (``forward_batch``); padded
 keys carry a -inf bias in every layer, which removes them exactly.
 
+Each layer is one tensor op, ``layer``: its forward works in place in the
+buffers its GEMMs return and is bit-identical to the layer composed from
+``tensor`` ops (kept in the tests as the reference); under ``no_grad`` it
+saves nothing, and otherwise one node's hand-written backward reads only
+the activations it saved.
+
 The scorer and the task model are both ``Tower``s: an encoder plus a
 one-unit linear head. Model-size presets and the closed-form parameter
 count mirror the standard compact BERT family the sizes are borrowed from.
@@ -337,25 +343,56 @@ def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tens
 
 def attention_probs(q: T.Tensor, k: T.Tensor, bias: T.Tensor | None,
                     mode: str = "key") -> T.Tensor:
-    """Softmax of the scaled, biased scores QK^T / sqrt(d).
+    """Softmax of the scaled, biased scores QK^T / sqrt(d): the one attention
+    implementation, also run inside every ``layer``.
 
     ``q`` and ``k`` are (..., n, d) with matching leading dims. ``bias`` is
     one sequence's (n,) vector from ``attention_bias`` or a batch's (B, n)
     matrix from ``_padded_bias`` for (B, heads, n, d) inputs. Rows that end
     up fully masked become all-zero rows rather than an error, which is the
     convention that makes a symmetric -inf bias equal to deleting tokens.
+    The scores are scaled, biased and normalized in place in the buffer the
+    QK^T product returns.
     """
-    axes = list(range(len(k.shape)))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    scores = T.mul(T.matmul(q, T.permute(k, tuple(axes))), 1.0 / math.sqrt(q.shape[-1]))
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    probs = T.matmul(q.detach(), T.Tensor(np.swapaxes(k.data, -1, -2))).data
+    probs *= scale
     if bias is not None:
-        lead = bias.shape[:-1] + (1,) * (len(scores.shape) - len(bias.shape) - 1)
+        lead = bias.shape[:-1] + (1,) * (probs.ndim - len(bias.shape) - 1)
         n = bias.shape[-1]
         if mode in ("key", "symmetric"):
-            scores = T.add(scores, T.reshape(bias, lead + (1, n)))
+            probs += bias.data.reshape(lead + (1, n))
         if mode in ("query", "symmetric"):
-            scores = T.add(scores, T.reshape(bias, lead + (n, 1)))
-    return T.softmax_rows(scores)
+            probs += bias.data.reshape(lead + (n, 1))
+    T.softmax_rows_inplace(probs)
+    parents = (q, k) if bias is None else (q, k, bias)
+    if not T.grad_needed(parents):
+        return T.Tensor(probs)
+
+    def back(g):
+        return _attention_grads(g.copy(), probs, q.data, k.data, bias, mode, scale)
+
+    return T.Tensor(probs, requires_grad=True, parents=parents, backward_fn=back)
+
+
+def _attention_grads(g: np.ndarray, probs: np.ndarray, q: np.ndarray, k: np.ndarray,
+                     bias: T.Tensor | None, mode: str, scale: float):
+    """Gradients of ``attention_probs``'s q, k and bias (None when the bias is
+    absent or needs none) from the probabilities' gradient ``g``, which is
+    overwritten."""
+    ds = T.softmax_rows_grad_inplace(probs, g)
+    gbias = None
+    if bias is not None and bias.requires_grad:
+        heads = tuple(range(len(bias.shape) - 1, ds.ndim - 2))  # broadcast axes
+        per_query_key = ds.sum(axis=heads, keepdims=True)
+        # a key bias sums over queries, a query bias over keys
+        parts = [per_query_key.sum(axis=axis).reshape(bias.shape)
+                 for axis, used in ((-2, mode != "query"), (-1, mode != "key")) if used]
+        gbias = sum(parts[1:], parts[0])
+    ds *= scale
+    gq = np.matmul(ds, k)
+    gk = np.matmul(np.swapaxes(ds, -1, -2), q)
+    return gq, gk, gbias
 
 
 def embed(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int) -> T.Tensor:
@@ -426,23 +463,101 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     batch = len(seqs)
     bias_t = _padded_bias(biases, lengths, n, weights.word.dtype, mode)
 
-    x = embed(weights, seqs, n)
-    heads, d = cfg.num_heads, cfg.head_dim
-
-    def split_heads(t: T.Tensor) -> T.Tensor:
-        return T.permute(T.reshape(t, (batch, n, heads, d)), (0, 2, 1, 3))
-
+    x = T.reshape(embed(weights, seqs, n), (batch, n, cfg.hidden))
     for lw in weights.layers:
-        q = split_heads(T.add(T.matmul(x, lw.wq), lw.bq))
-        k = split_heads(T.add(T.matmul(x, lw.wk), lw.bk))
-        v = split_heads(T.add(T.matmul(x, lw.wv), lw.bv))
-        probs = attention_probs(q, k, bias_t, mode)
-        ctx = T.reshape(T.permute(T.matmul(probs, v), (0, 2, 1, 3)), (batch * n, cfg.hidden))
-        attn_out = T.add(T.matmul(ctx, lw.wo), lw.bo)
-        x = T.layer_norm(T.add(x, attn_out), lw.ln1_gain, lw.ln1_bias)
-        ff = T.matmul(T.gelu(T.add(T.matmul(x, lw.w_inter), lw.b_inter)), lw.w_out)
-        x = T.layer_norm(T.add(x, T.add(ff, lw.b_out)), lw.ln2_gain, lw.ln2_bias)
+        x = layer(x, lw, bias_t, mode, cfg.num_heads)
+    x = T.reshape(x, (batch * n, cfg.hidden))
 
     cls = T.take_rows(x, np.arange(batch) * n)
     pooled = T.tanh(T.add(T.matmul(cls, weights.pooler_w), weights.pooler_b))
     return x, pooled
+
+
+def _linear(x: np.ndarray, w: T.Tensor, b: T.Tensor) -> np.ndarray:
+    """x W + b, the bias added into the product's own buffer."""
+    out = T.matmul(T.Tensor(x), w.detach()).data
+    out += b.data
+    return out
+
+
+def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor | None, mode: str,
+          num_heads: int) -> T.Tensor:
+    """One encoder layer on a (B, n, H) stack as a single tensor op.
+
+    Biased multi-head self-attention, residual and layer norm, then the GELU
+    feed-forward, residual and layer norm, post-norm as in BERT. ``bias`` is
+    ``_padded_bias``'s (B, n) matrix or None, applied as ``mode`` says.
+
+    The forward runs in numpy buffers it owns: each bias is added into its
+    product, the scores are scaled, biased and normalized in place, and each
+    residual is added into the projection output, which is then normalized in
+    place. Every operation keeps the order and operands of the composed graph
+    of ``tensor`` ops, so the output is bit-identical to it. GEMMs go through
+    ``T.matmul`` and the probabilities through ``attention_probs``.
+
+    Without a gradient to record (``no_grad``, or no parent requires one) the
+    op saves nothing and returns a leaf. Otherwise it returns one graph node
+    whose parents are ``x``, ``bias`` (when given) and the 16 weights, and
+    whose backward reads only the layer input, q, k, v, the probabilities,
+    the attention context, both layer norms' xhat and 1/std, the first layer
+    norm's output, and the GELU output and slope.
+    """
+    parents = (x,) + (() if bias is None else (bias,)) + tuple(vars(lw).values())
+    save = T.grad_needed(parents)
+    batch, n, hidden = x.shape
+    rows, d = batch * n, hidden // num_heads
+
+    def split_heads(a: np.ndarray) -> np.ndarray:
+        return a.reshape(batch, n, num_heads, d).transpose(0, 2, 1, 3)
+
+    def merge_heads(a: np.ndarray) -> np.ndarray:
+        return a.transpose(0, 2, 1, 3).reshape(rows, hidden)
+
+    x_in = x.data.reshape(rows, hidden)
+    q, k, v = (_linear(x_in, w, b) for w, b in ((lw.wq, lw.bq), (lw.wk, lw.bk),
+                                                (lw.wv, lw.bv)))
+    probs = attention_probs(T.Tensor(split_heads(q)), T.Tensor(split_heads(k)),
+                            None if bias is None else bias.detach(), mode).data
+    ctx = merge_heads(T.matmul(T.Tensor(probs), T.Tensor(split_heads(v))).data)
+    s1 = _linear(ctx, lw.wo, lw.bo)
+    s1 += x_in
+    h1, xhat1, inv_std1 = T.layer_norm_inplace(s1, lw.ln1_gain.data, lw.ln1_bias.data,
+                                               keep_xhat=save)
+    inter = _linear(h1, lw.w_inter, lw.b_inter)
+    act, slope = T.gelu_kernel(inter, save, out=inter)
+    s2 = _linear(act, lw.w_out, lw.b_out)
+    s2 += h1
+    out, xhat2, inv_std2 = T.layer_norm_inplace(s2, lw.ln2_gain.data, lw.ln2_bias.data,
+                                                keep_xhat=save)
+    out = out.reshape(batch, n, hidden)
+    if not save:
+        return T.Tensor(out)
+
+    def back(g):
+        g = g.reshape(rows, hidden)
+        grads = {"ln2_gain": (g * xhat2).sum(axis=0), "ln2_bias": g.sum(axis=0)}
+        d2 = T.layer_norm_grad(g, lw.ln2_gain.data, xhat2, inv_std2)
+        grads["w_out"], grads["b_out"] = act.T @ d2, d2.sum(axis=0)
+        d_inter = d2 @ lw.w_out.data.T
+        d_inter *= slope
+        grads["w_inter"], grads["b_inter"] = h1.T @ d_inter, d_inter.sum(axis=0)
+        d_h1 = d_inter @ lw.w_inter.data.T
+        d_h1 += d2
+        grads["ln1_gain"], grads["ln1_bias"] = (d_h1 * xhat1).sum(axis=0), d_h1.sum(axis=0)
+        d1 = T.layer_norm_grad(d_h1, lw.ln1_gain.data, xhat1, inv_std1)
+        grads["wo"], grads["bo"] = ctx.T @ d1, d1.sum(axis=0)
+        d_ctx = split_heads(d1 @ lw.wo.data.T)
+        vh = split_heads(v)
+        d_probs = np.matmul(d_ctx, np.swapaxes(vh, -1, -2))
+        dv = merge_heads(np.matmul(np.swapaxes(probs, -1, -2), d_ctx))
+        dq, dk, gbias = _attention_grads(d_probs, probs, split_heads(q), split_heads(k),
+                                         bias, mode, 1.0 / math.sqrt(d))
+        dq, dk = merge_heads(dq), merge_heads(dk)
+        gx = d1  # the residual's share; d1 is not read again
+        for name, dy in (("q", dq), ("k", dk), ("v", dv)):
+            grads["w" + name], grads["b" + name] = x_in.T @ dy, dy.sum(axis=0)
+            gx += dy @ getattr(lw, "w" + name).data.T
+        lead = (gx.reshape(batch, n, hidden),) + (() if bias is None else (gbias,))
+        return lead + tuple(grads[name] for name in vars(lw))
+
+    return T.Tensor(out, requires_grad=True, parents=parents, backward_fn=back)

@@ -9,6 +9,15 @@ float32 leaves stays float32 end to end. After ``backward`` only leaves
 (tensors no op produced, such as parameters) keep a ``.grad``: an op
 result's gradient is released once passed on to its parents.
 
+The softmax, layer-norm and GELU array kernels (``softmax_rows_inplace``,
+``softmax_rows_grad_inplace``, ``layer_norm_inplace``, ``layer_norm_grad``,
+``gelu_kernel``) exist once: the ops here wrap them, and ``encoder.layer``
+calls them on buffers it owns, inside one op with its own backward. Such an
+op asks ``grad_needed`` whether to save activations and record a node.
+The gradient of ``take_rows`` (the embedding lookup) sums each index's rows
+by a stable sort and one ``np.add.reduceat``, deterministic but not in
+``np.add.at``'s order.
+
 GELU is exact in float64, through ``scipy.special.erf``, which is imported
 on the first float64 call. In float32 it is an in-package rational
 approximation within 3e-7 of the exact normal CDF, built from exactly
@@ -129,8 +138,15 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return a, b
 
 
+def grad_needed(parents: Sequence[Tensor]) -> bool:
+    """True when an op on ``parents`` must record a graph node: gradients are
+    enabled and some parent requires one. An op that saves activations for
+    its backward asks this first and saves nothing when it is false."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if grad_needed(parents):
         return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
     return Tensor(data)
 
@@ -309,8 +325,16 @@ def take_rows(a: Tensor, indices) -> Tensor:
     out = a.data[idx]
 
     def back(g):
+        # rows of g grouped by index (a stable sort keeps each group in input
+        # order), each group summed by one reduceat into the zero array
+        flat = idx.reshape(-1)
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            sorted_idx = flat[order]
+            starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+            rows = g.reshape((flat.size,) + a.shape[1:])[order]
+            ga[sorted_idx[starts]] = np.add.reduceat(rows, starts, axis=0)
         return (ga,)
 
     return _node(out, (a,), back)
@@ -348,23 +372,23 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), back)
 
 
-def _gelu_f64(x: np.ndarray, want_slope: bool):
+def _gelu_f64(x: np.ndarray, want_slope: bool, out: np.ndarray):
     """Exact GELU and its slope, Phi(x) + x phi(x), through scipy's erf."""
     from scipy.special import erf
 
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     slope = cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI) if want_slope else None
-    return x * cdf, slope
+    return np.multiply(x, cdf, out=out), slope
 
 
-def _gelu_f32(x: np.ndarray, want_slope: bool):
+def _gelu_f32(x: np.ndarray, want_slope: bool, out: np.ndarray):
     """GELU and its slope from the rational Phi, block by block.
 
     Only clip, +, -, *, / and exp (slope only) act elementwise, so every output
-    depends on its input value alone, whatever the block it falls in.
+    depends on its input value alone, whatever the block it falls in. A block
+    is read in full before its output is written, so ``out`` may be ``x``.
     """
-    flat = np.ascontiguousarray(x).reshape(-1)
-    out = np.empty_like(flat)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
     slope = np.empty_like(flat) if want_slope else None
     z, t, p, q = np.empty((4, min(_BLOCK, flat.size)), dtype=np.float32)
     for start in range(0, flat.size, _BLOCK):
@@ -386,7 +410,6 @@ def _gelu_f32(x: np.ndarray, want_slope: bool):
         pb /= qb
         pb += 0.5
         np.clip(pb, 0.0, 1.0, out=pb)  # pb is now Phi(x)
-        np.multiply(xs, pb, out=out[start:start + m])
         if want_slope:
             np.multiply(xs, xs, out=qb)
             qb *= -0.5
@@ -394,19 +417,30 @@ def _gelu_f32(x: np.ndarray, want_slope: bool):
             qb *= _INV_SQRT2PI
             qb *= xs
             np.add(pb, qb, out=slope[start:start + m])
+        np.multiply(xs, pb, out=flat_out[start:start + m])
     if want_slope:
         slope = slope.reshape(x.shape)
-    return out.reshape(x.shape), slope
+    return out, slope
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian-error-linear unit, x Phi(x) with Phi(x) = (1 + erf(x / sqrt 2)) / 2.
+def gelu_kernel(x: np.ndarray, want_slope: bool, out: np.ndarray | None = None):
+    """Array GELU of ``x`` into ``out`` (a new array when None, else a
+    C-contiguous array of ``x``'s shape, ``x`` itself allowed) and, when
+    ``want_slope``, its derivative as a new array.
 
     Exact in float64; in float32 Phi is the rational approximation above.
     """
+    x = np.ascontiguousarray(x)
+    if out is None:
+        out = np.empty_like(x)
+    kernel = _gelu_f32 if x.dtype == np.float32 else _gelu_f64
+    return kernel(x, want_slope, out)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Gaussian-error-linear unit, x Phi(x) with Phi(x) = (1 + erf(x / sqrt 2)) / 2."""
     a = _as_tensor(a)
-    kernel = _gelu_f32 if a.dtype == np.float32 else _gelu_f64
-    out, slope = kernel(a.data, _grad_enabled and a.requires_grad)
+    out, slope = gelu_kernel(a.data, grad_needed((a,)))
 
     def back(g):
         return (g * slope,)
@@ -438,33 +472,79 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), back)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis.
+def softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis, written over ``x``, which is
+    returned.
 
     Entries equal to -inf map to an exact 0, and a row with no finite entry
     becomes an all-zero row: the convention that makes hard token drops
     exact.
     """
-    a = _as_tensor(a)
-    x = a.data
     if not (x < np.inf).all():  # one pass: false for NaN and +inf only
         raise ContractError("softmax_rows input must be finite or -inf")
     rowmax = np.max(x, axis=-1, keepdims=True)
     empty = np.isneginf(rowmax)
     if empty.any():
         rowmax = np.where(empty, 0.0, rowmax)
-    ex = x - rowmax
-    np.exp(ex, out=ex)
-    denom = ex.sum(axis=-1, keepdims=True)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    ex /= safe
-    out = ex.astype(a.dtype, copy=False)
+    x -= rowmax
+    np.exp(x, out=x)
+    denom = x.sum(axis=-1, keepdims=True)
+    x /= np.where(denom == 0.0, 1.0, denom)
+    return x
+
+
+def softmax_rows_grad_inplace(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax input from the output gradient ``g``, written
+    over ``g``, which is returned."""
+    dot = np.sum(g * probs, axis=-1, keepdims=True)
+    g -= dot
+    g *= probs
+    return g
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax over the last axis; see ``softmax_rows_inplace``."""
+    a = _as_tensor(a)
+    out = softmax_rows_inplace(a.data.copy())
 
     def back(g):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (softmax_rows_grad_inplace(out, g.copy()),)
 
     return _node(out, (a,), back)
+
+
+def layer_norm_inplace(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-12, keep_xhat: bool = False):
+    """Normalize the last axis of ``x`` to zero mean, unit variance, then
+    affine; returns (out, xhat, inv_std).
+
+    ``x`` is overwritten: with ``xhat``, and the output is a new array, when
+    ``keep_xhat``; with the output otherwise, and then ``xhat`` is None.
+    """
+    if x.shape[-1] < 1:
+        raise ShapeError("layer_norm needs at least one feature")
+    mu = x.mean(axis=-1, keepdims=True)
+    x -= mu
+    var = np.mean(x * x, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x *= inv_std
+    if keep_xhat:
+        return (x * gain + bias).astype(x.dtype, copy=False), x, inv_std
+    x *= gain
+    x += bias
+    return x, None, inv_std
+
+
+def layer_norm_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                    inv_std: np.ndarray) -> np.ndarray:
+    """Gradient of the layer-norm input from the output gradient ``g``."""
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    dxhat -= m1
+    dxhat -= xhat * m2
+    dxhat *= inv_std
+    return dxhat
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -472,24 +552,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     x = _as_tensor(x)
     gain = _as_tensor(gain, x.dtype)
     bias = _as_tensor(bias, x.dtype)
-    if x.shape[-1] < 1:
-        raise ShapeError("layer_norm needs at least one feature")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = (xhat * gain.data + bias.data).astype(x.dtype, copy=False)
-    h = x.shape[-1]
+    out, xhat, inv_std = layer_norm_inplace(x.data.copy(), gain.data, bias.data, eps,
+                                            keep_xhat=True)
 
     def back(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        gx = (dxhat - m1 - xhat * m2) * inv_std
-        ggain = _unbroadcast(g * xhat, gain.shape)
-        gbias = _unbroadcast(g, bias.shape)
-        return gx, ggain, gbias
+        gx = layer_norm_grad(g, gain.data, xhat, inv_std)
+        return gx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
     return _node(out, (x, gain, bias), back)
 

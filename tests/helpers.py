@@ -1,11 +1,14 @@
 """Shared builders and oracles for tests: small random tables, token
 sequences and models, and brute-force checks of the synthetic data."""
 
+import math
+
 import numpy as np
 
 from dotprune import encoder as enc
 from dotprune import synth
 from dotprune import tables as tb
+from dotprune import tensor as T
 from dotprune import training as tr
 
 PAPER_BUCKET_EDGES = (256, 512, 1024)
@@ -61,6 +64,34 @@ def tiny_model(dataset, dot_config=None, dtype=np.float64, seed=0,
     return tr.build_model(cfg, vocab, dtype=dtype, seed=seed,
                           pruning_config=enc.EncoderConfig(seed=seed, **enc_kw),
                           task_config=enc.EncoderConfig(seed=seed + 1, **enc_kw))
+
+
+def composed_layer(x, lw, bias, mode, num_heads):
+    """``enc.layer`` composed from one tensor op per step: the reference the
+    fused layer's output and gradients are checked against."""
+    batch, n, hidden = x.shape
+    d = hidden // num_heads
+
+    def split_heads(t):
+        return T.permute(T.reshape(t, (batch, n, num_heads, d)), (0, 2, 1, 3))
+
+    x = T.reshape(x, (batch * n, hidden))
+    q = split_heads(T.add(T.matmul(x, lw.wq), lw.bq))
+    k = split_heads(T.add(T.matmul(x, lw.wk), lw.bk))
+    v = split_heads(T.add(T.matmul(x, lw.wv), lw.bv))
+    scores = T.mul(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
+    if bias is not None:
+        if mode in ("key", "symmetric"):
+            scores = T.add(scores, T.reshape(bias, (batch, 1, 1, n)))
+        if mode in ("query", "symmetric"):
+            scores = T.add(scores, T.reshape(bias, (batch, 1, n, 1)))
+    probs = T.softmax_rows(scores)
+    ctx = T.reshape(T.permute(T.matmul(probs, v), (0, 2, 1, 3)), (batch * n, hidden))
+    attn_out = T.add(T.matmul(ctx, lw.wo), lw.bo)
+    x = T.layer_norm(T.add(x, attn_out), lw.ln1_gain, lw.ln1_bias)
+    ff = T.matmul(T.gelu(T.add(T.matmul(x, lw.w_inter), lw.b_inter)), lw.w_out)
+    x = T.layer_norm(T.add(x, T.add(ff, lw.b_out)), lw.ln2_gain, lw.ln2_bias)
+    return T.reshape(x, (batch, n, hidden))
 
 
 def scan_answer(example):

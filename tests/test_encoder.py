@@ -300,3 +300,83 @@ def test_forward_batch_rows_match_each_sequence_forward():
             rows = hidden.data[all_rows[b]]
             assert np.max(np.abs(rows - own_h.data)) < 1e-12
             assert np.max(np.abs(pooled.data[b] - own_p.data[0])) < 1e-12
+
+
+MODES = ("key", "query", "symmetric")
+
+
+def _layer_case(dtype, seed=12):
+    """Layer 0 of tiny_config with perturbed weights, on a (3, 7, 16) stack.
+
+    The bias is a padded batch's: example 0 is two tokens shorter, so its
+    last two keys carry -inf, and example 2 masks every key, so each of its
+    rows (and in query or symmetric mode each masked query row) is all-zero.
+    """
+    rng = np.random.default_rng(seed)
+    w = enc.init_weights(tiny_config(), dtype=dtype)
+    lw = w.layers[0]
+    for t in vars(lw).values():
+        t.data = (t.data + rng.normal(0.0, 0.05, t.shape)).astype(dtype)
+    x = T.Tensor(rng.normal(size=(3, 7, 16)).astype(dtype), requires_grad=True)
+    bias = -rng.random((3, 7)).astype(dtype)
+    bias[0, 5:] = -np.inf
+    bias[2] = -np.inf
+    return x, lw, T.Tensor(bias, requires_grad=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", MODES)
+def test_layer_is_bit_identical_to_the_composed_graph(dtype, mode):
+    x, lw, bias = _layer_case(dtype)
+    heads = tiny_config().num_heads
+    with T.no_grad():
+        fused = enc.layer(x, lw, bias, mode, heads)
+        reference = helpers.composed_layer(x, lw, bias, mode, heads)
+        unbiased = enc.layer(x, lw, None, mode, heads)
+        unbiased_reference = helpers.composed_layer(x, lw, None, mode, heads)
+    assert fused.data.dtype == dtype
+    assert np.array_equal(fused.data, reference.data)
+    assert np.array_equal(unbiased.data, unbiased_reference.data)
+    assert fused.parents == () and fused.backward_fn is None
+    # the op recording a node computes the same bits
+    recorded = enc.layer(x, lw, bias, mode, heads)
+    assert np.array_equal(recorded.data, fused.data)
+    assert recorded.parents == (x, bias, *vars(lw).values())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_layer_f64_gradients_match_the_composed_graph(mode):
+    x, lw, bias = _layer_case(np.float64)
+    heads = tiny_config().num_heads
+    params = [x, bias, *vars(lw).values()]
+    names = ["x", "bias", *vars(lw)]
+    weight = np.random.default_rng(13).normal(size=x.shape)
+
+    def grads(layer_fn):
+        T.zero_grads(params)
+        T.backward(T.tensor_sum(T.mul(layer_fn(x, lw, bias, mode, heads), weight)), params)
+        return {name: p.grad.copy() for name, p in zip(names, params)}
+
+    fused, reference = grads(enc.layer), grads(helpers.composed_layer)
+    largest = max(np.abs(g).max() for g in reference.values())
+    # softmax ignores a per-row shift, so the key projection's bias and a
+    # query-mode attention bias have an exact gradient of zero
+    zero_exact = {"bk"} | ({"bias"} if mode == "query" else set())
+    for name in names:
+        scale = np.abs(reference[name]).max()
+        tol = 1e-12 * largest if name in zero_exact else 1e-9 * scale
+        assert np.abs(fused[name] - reference[name]).max() <= tol, name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", MODES)
+def test_layer_never_writes_its_inputs(dtype, mode):
+    x, lw, bias = _layer_case(dtype)
+    heads = tiny_config().num_heads
+    params = [x, bias, *vars(lw).values()]
+    before = [p.data.copy() for p in params]
+    with T.no_grad():
+        enc.layer(x, lw, bias, mode, heads)
+    T.backward(T.tensor_sum(enc.layer(x, lw, bias, mode, heads)), params)
+    for p, b in zip(params, before):
+        assert np.array_equal(p.data, b)

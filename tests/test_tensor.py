@@ -417,6 +417,27 @@ def test_take_rows_gradient_scatters():
     np.testing.assert_array_equal(table.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_take_rows_gradient_equals_add_at(dtype):
+    # repeated, unsorted indices (an index used 5 times, rows never used),
+    # gathered from a 2-D index array
+    rng = np.random.default_rng(12)
+    idx = np.array([[7, 2, 7, 0, 9], [2, 7, 7, 3, 7]])
+    table = T.Tensor(np.zeros((11, 6), dtype=dtype), requires_grad=True)
+    for values, exact in ((rng.integers(-50, 50, size=idx.shape + (6,)), True),
+                          (rng.normal(size=idx.shape + (6,)), False)):
+        g = values.astype(dtype)
+        T.zero_grads([table])
+        T.backward(T.tensor_sum(T.mul(T.take_rows(table, idx), g)))
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, idx, g)
+        assert table.grad.dtype == dtype
+        if exact:
+            np.testing.assert_array_equal(table.grad, expected)
+        else:
+            np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-6)
+
+
 def test_batched_matmul_gradcheck():
     rng = np.random.default_rng(5)
     a = T.Tensor(rng.normal(size=(2, 3, 4), scale=0.5), requires_grad=True)
