@@ -15,7 +15,11 @@ vector of nonpositive log-probabilities. Three application modes exist:
   what the verification harness uses.
 
 A batch of sequences runs as one padded stack (``forward_batch``); padded
-keys carry a -inf bias in every layer, which removes them exactly.
+keys carry a -inf bias in every layer, which removes them exactly. A batch
+of two or more that records no gradient runs as W contiguous groups of
+examples, each padded to the batch's length, on ``tensor.worker_map``'s
+single-threaded-BLAS workers, W being the BLAS thread count; a batch of
+one, or a forward that records gradients, runs on the calling thread.
 
 Each layer is one tensor op, ``layer``: its forward works in place in the
 buffers its GEMMs return and is bit-identical to the layer composed from
@@ -455,6 +459,13 @@ def batch_rows(seqs: list[TokenizedSequence]) -> list[np.ndarray]:
 
 def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
                     biases: list | None, mode: str) -> tuple[T.Tensor, T.Tensor]:
+    """The stack on a padded batch, then the pooler.
+
+    A batch of two or more that records no gradient is split into W
+    contiguous groups (``tensor.worker_count``), each group's embeddings and
+    layers run by ``tensor.worker_map`` on a single-threaded-BLAS worker and
+    the group outputs joined in order; the pooler runs on the calling thread.
+    """
     cfg = weights.config
     lengths = [len(s) for s in seqs]
     n = max(lengths)
@@ -463,14 +474,37 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     batch = len(seqs)
     bias_t = _padded_bias(biases, lengths, n, weights.word.dtype, mode)
 
-    x = T.reshape(embed(weights, seqs, n), (batch, n, cfg.hidden))
-    for lw in weights.layers:
-        x = layer(x, lw, bias_t, mode, cfg.num_heads)
+    parents = weights.parameters() + ([] if bias_t is None else [bias_t])
+    groups = 1
+    if batch > 1 and not T.grad_needed(parents):
+        groups = min(batch, T.worker_count())
+    if groups == 1:
+        x = _layer_stack(weights, seqs, n, bias_t, mode)
+    else:
+        # contiguous groups of examples, one per worker, each padded to n
+        bounds = [batch * g // groups for g in range(groups + 1)]
+
+        def run_group(span: tuple[int, int]) -> T.Tensor:
+            lo, hi = span
+            rows = None if bias_t is None else T.Tensor(bias_t.data[lo:hi])
+            return _layer_stack(weights, seqs[lo:hi], n, rows, mode)
+
+        x = T.concat(T.worker_map(run_group, zip(bounds[:-1], bounds[1:])))
     x = T.reshape(x, (batch * n, cfg.hidden))
 
     cls = T.take_rows(x, np.arange(batch) * n)
     pooled = T.tanh(T.add(T.matmul(cls, weights.pooler_w), weights.pooler_b))
     return x, pooled
+
+
+def _layer_stack(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int,
+                 bias: T.Tensor | None, mode: str) -> T.Tensor:
+    """Embeddings and every layer on ``seqs`` padded to ``n`` tokens: (B, n, H)."""
+    cfg = weights.config
+    x = T.reshape(embed(weights, seqs, n), (len(seqs), n, cfg.hidden))
+    for lw in weights.layers:
+        x = layer(x, lw, bias, mode, cfg.num_heads)
+    return x
 
 
 def _linear(x: np.ndarray, w: T.Tensor, b: T.Tensor) -> np.ndarray:

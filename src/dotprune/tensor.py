@@ -11,9 +11,10 @@ result's gradient is released once passed on to its parents.
 
 The softmax, layer-norm and GELU array kernels (``softmax_rows_inplace``,
 ``softmax_rows_grad_inplace``, ``layer_norm_inplace``, ``layer_norm_grad``,
-``gelu_kernel``) exist once: the ops here wrap them, and ``encoder.layer``
-calls them on buffers it owns, inside one op with its own backward. Such an
-op asks ``grad_needed`` whether to save activations and record a node.
+``gelu_kernel``) exist once: ``layer_norm`` wraps its kernels here, and
+``encoder.layer`` calls them all on buffers it owns, inside one op with its
+own backward. Such an op asks ``grad_needed`` whether to save activations
+and record a node.
 The gradient of ``take_rows`` (the embedding lookup) sums each index's rows
 by a stable sort and one ``np.add.reduceat``, deterministic but not in
 ``np.add.at``'s order.
@@ -24,12 +25,22 @@ approximation within 3e-7 of the exact normal CDF, built from exactly
 rounded numpy arithmetic, so a float32 run needs only numpy.
 
 Negative infinity is a legal value only as an attention-mask sentinel;
-``softmax_rows`` maps it to an exact zero probability.
+``softmax_rows_inplace`` maps it to an exact zero probability.
+
+``worker_map`` runs independent calls on W worker threads, W being the
+thread count of the OpenBLAS numpy loaded; each worker's BLAS runs on one
+thread, so the process's BLAS thread budget goes to W workers instead of
+one caller running W BLAS threads. Without the OpenBLAS symbols W is 1 and
+the calls run in order on the calling thread.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
+import ctypes
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -70,6 +81,121 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+        if prev:
+            _unpin_blas()
+
+
+# ---------------------------------------------------------------------------
+# Worker threads
+# ---------------------------------------------------------------------------
+
+_blas: tuple[int, Callable | None] | None = None  # (W, set_local), looked up once
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
+_in_worker = threading.local()
+_unpin_to: int | None = None  # the BLAS thread count to put back, while pinned to 1
+
+
+def _openblas_symbol(lib: ctypes.CDLL, name: str):
+    """``openblas_<name>``, or the export renamed with ``scipy_`` and ``64_``
+    that some builds carry instead; None when neither exists."""
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_"):
+            fn = getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _load_blas() -> tuple[int, Callable | None]:
+    """(W, ``openblas_set_num_threads_local``) of the OpenBLAS numpy loaded,
+    W being its thread count; (1, None) when the library or a symbol is
+    missing."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return 1, None
+    numpy_dir = os.path.dirname(np.__file__)  # wheels bundle theirs in numpy.libs
+    for path in [p for p in paths if p.startswith(numpy_dir)] or paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = _openblas_symbol(lib, "get_num_threads")
+        set_local = _openblas_symbol(lib, "set_num_threads_local")
+        if get is not None and set_local is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
+            return max(1, get()), set_local
+    return 1, None
+
+
+def worker_count() -> int:
+    """W, the number of calls ``worker_map`` runs at once: the BLAS thread
+    count, or 1 inside a worker or without the OpenBLAS symbols."""
+    global _blas
+    if getattr(_in_worker, "active", False):
+        return 1
+    if _blas is None:
+        _blas = _load_blas()
+    return _blas[0]
+
+
+def _start_worker(set_local: Callable) -> None:
+    _in_worker.active = True
+    set_local(1)
+
+
+def _worker_pool() -> concurrent.futures.ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        w, set_local = _blas
+        _pool = concurrent.futures.ThreadPoolExecutor(
+            w, "dotprune-worker", initializer=_start_worker, initargs=(set_local,))
+    return _pool
+
+
+def _pin_blas() -> None:
+    global _unpin_to
+    if _unpin_to is None:
+        _unpin_to = _blas[1](1)
+
+
+def _unpin_blas() -> None:
+    global _unpin_to
+    if _unpin_to is not None:
+        _blas[1](_unpin_to)
+        _unpin_to = None
+
+
+def worker_map(fn: Callable, items) -> list:
+    """``[fn(x) for x in items]``, the calls spread over W worker threads
+    whose BLAS runs on one thread each.
+
+    The W threads start on the first call with two or more items. With one
+    item, or W = 1, or when called from a worker, the calls run in order on
+    the calling thread. An exception a call raises reaches the caller once
+    every call has ended.
+
+    The caller's BLAS is pinned to one thread too, because some OpenBLAS
+    builds keep the count per process rather than per thread, and because
+    an idle BLAS thread of the caller's spins on a core the workers need.
+    The count is put back when the map ends, or, inside ``no_grad``, when
+    the outermost ``no_grad`` block ends, so the small products a no-grad
+    pass runs between maps stay on one thread as well.
+    """
+    items = list(items)
+    if len(items) < 2 or worker_count() < 2:
+        return [fn(x) for x in items]
+    pool = _worker_pool()
+    _pin_blas()
+    try:
+        futures = [pool.submit(fn, x) for x in items]
+        concurrent.futures.wait(futures)
+    finally:
+        if _grad_enabled:
+            _unpin_blas()
+    return [f.result() for f in futures]
 
 
 class Tensor:
@@ -437,17 +563,6 @@ def gelu_kernel(x: np.ndarray, want_slope: bool, out: np.ndarray | None = None):
     return kernel(x, want_slope, out)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian-error-linear unit, x Phi(x) with Phi(x) = (1 + erf(x / sqrt 2)) / 2."""
-    a = _as_tensor(a)
-    out, slope = gelu_kernel(a.data, grad_needed((a,)))
-
-    def back(g):
-        return (g * slope,)
-
-    return _node(out, (a,), back)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic function: no overflowing exp on either side of zero."""
     out = np.empty_like(x)
@@ -480,9 +595,10 @@ def softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
     becomes an all-zero row: the convention that makes hard token drops
     exact.
     """
-    if not (x < np.inf).all():  # one pass: false for NaN and +inf only
-        raise ContractError("softmax_rows input must be finite or -inf")
     rowmax = np.max(x, axis=-1, keepdims=True)
+    # a row's max is NaN when the row holds a NaN, else +inf when it holds a +inf
+    if not (rowmax < np.inf).all():
+        raise ContractError("softmax_rows input must be finite or -inf")
     empty = np.isneginf(rowmax)
     if empty.any():
         rowmax = np.where(empty, 0.0, rowmax)
@@ -500,17 +616,6 @@ def softmax_rows_grad_inplace(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
     g -= dot
     g *= probs
     return g
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis; see ``softmax_rows_inplace``."""
-    a = _as_tensor(a)
-    out = softmax_rows_inplace(a.data.copy())
-
-    def back(g):
-        return (softmax_rows_grad_inplace(out, g.copy()),)
-
-    return _node(out, (a,), back)
 
 
 def layer_norm_inplace(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

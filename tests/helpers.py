@@ -1,6 +1,7 @@
 """Shared builders and oracles for tests: small random tables, token
 sequences and models, and brute-force checks of the synthetic data."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -66,6 +67,42 @@ def tiny_model(dataset, dot_config=None, dtype=np.float64, seed=0,
                           task_config=enc.EncoderConfig(seed=seed + 1, **enc_kw))
 
 
+def gelu(a):
+    """Gaussian-error-linear unit, x Phi(x), as a tensor op over ``tensor.gelu_kernel``."""
+    out, slope = T.gelu_kernel(a.data, T.grad_needed((a,)))
+    if slope is None:
+        return T.Tensor(out)
+    return T.Tensor(out, requires_grad=True, parents=(a,),
+                    backward_fn=lambda g: (g * slope,))
+
+
+def softmax_rows(a):
+    """Row-wise softmax over the last axis as a tensor op over
+    ``tensor.softmax_rows_inplace``."""
+    out = T.softmax_rows_inplace(a.data.copy())
+    if not T.grad_needed((a,)):
+        return T.Tensor(out)
+    return T.Tensor(out, requires_grad=True, parents=(a,),
+                    backward_fn=lambda g: (T.softmax_rows_grad_inplace(out, g.copy()),))
+
+
+@contextlib.contextmanager
+def workers(w, set_local=None):
+    """Run the block with ``tensor.worker_map`` on ``w`` workers of a fresh
+    pool. ``set_local`` stands in for OpenBLAS's thread setter; by default
+    the real one, or a stub returning 1 where it is missing."""
+    saved = T._blas, T._pool, T._unpin_to
+    T._blas = (w, set_local or T._load_blas()[1] or (lambda n: 1))
+    T._pool = T._unpin_to = None
+    try:
+        yield
+    finally:
+        T._unpin_blas()
+        if T._pool is not None:
+            T._pool.shutdown()
+        T._blas, T._pool, T._unpin_to = saved
+
+
 def composed_layer(x, lw, bias, mode, num_heads):
     """``enc.layer`` composed from one tensor op per step: the reference the
     fused layer's output and gradients are checked against."""
@@ -85,11 +122,11 @@ def composed_layer(x, lw, bias, mode, num_heads):
             scores = T.add(scores, T.reshape(bias, (batch, 1, 1, n)))
         if mode in ("query", "symmetric"):
             scores = T.add(scores, T.reshape(bias, (batch, 1, n, 1)))
-    probs = T.softmax_rows(scores)
+    probs = softmax_rows(scores)
     ctx = T.reshape(T.permute(T.matmul(probs, v), (0, 2, 1, 3)), (batch * n, hidden))
     attn_out = T.add(T.matmul(ctx, lw.wo), lw.bo)
     x = T.layer_norm(T.add(x, attn_out), lw.ln1_gain, lw.ln1_bias)
-    ff = T.matmul(T.gelu(T.add(T.matmul(x, lw.w_inter), lw.b_inter)), lw.w_out)
+    ff = T.matmul(gelu(T.add(T.matmul(x, lw.w_inter), lw.b_inter)), lw.w_out)
     x = T.layer_norm(T.add(x, T.add(ff, lw.b_out)), lw.ln2_gain, lw.ln2_bias)
     return T.reshape(x, (batch, n, hidden))
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,61 @@ def test_forward_batch_rows_match_each_sequence_forward():
             rows = hidden.data[all_rows[b]]
             assert np.max(np.abs(rows - own_h.data)) < 1e-12
             assert np.max(np.abs(pooled.data[b] - own_p.data[0])) < 1e-12
+
+
+def _worker_case(dtype, with_bias):
+    rng = np.random.default_rng(21)
+    seqs = [helpers.random_sequence(rng) for _ in range(5)]
+    assert len({len(s) for s in seqs}) > 1
+    biases = None
+    if with_bias:
+        biases = [-rng.random(len(s)) for s in seqs]
+        biases[3][1] = -np.inf
+    return enc.init_weights(tiny_config(), dtype=dtype), seqs, biases
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_no_grad_forward_batch_on_workers_matches_the_serial_path(monkeypatch, dtype, tol,
+                                                                  with_bias):
+    w, seqs, biases = _worker_case(dtype, with_bias)
+    threads = []
+    stack = enc._layer_stack
+
+    def spy(*args):
+        threads.append(threading.current_thread().name)
+        return stack(*args)
+
+    monkeypatch.setattr(enc, "_layer_stack", spy)
+    with T.no_grad():
+        with helpers.workers(1):
+            serial = enc.forward_batch(w, seqs, biases)
+        assert threads == [threading.current_thread().name]
+        with helpers.workers(2):
+            first = enc.forward_batch(w, seqs, biases)
+            second = enc.forward_batch(w, seqs, biases)
+    assert len(threads) == 5 and all(t.startswith("dotprune-worker") for t in threads[1:])
+    for a, b, c in zip(serial, first, second):
+        assert a.shape == b.shape and b.dtype == dtype
+        assert np.max(np.abs(a.data - b.data)) <= tol
+        assert np.array_equal(b.data, c.data)
+
+
+def test_recording_forwards_and_batches_of_one_never_reach_the_pool(monkeypatch):
+    w, seqs, biases = _worker_case(np.float64, True)
+
+    def no_pool():
+        raise AssertionError("the worker pool was reached")
+
+    with helpers.workers(2):
+        monkeypatch.setattr(T, "_worker_pool", no_pool)
+        hidden, _ = enc.forward_batch(w, seqs, biases)
+        assert hidden.requires_grad
+        with T.no_grad():
+            enc.forward_batch(w, seqs[:1], biases[:1])
+            enc.forward(w, seqs[0], bias=biases[0], mode="symmetric")
+            with pytest.raises(AssertionError, match="pool was reached"):
+                enc.forward_batch(w, seqs, biases)
 
 
 MODES = ("key", "query", "symmetric")

@@ -1,3 +1,7 @@
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erf, ndtr
 
 from dotprune import tensor as T
+from helpers import gelu, softmax_rows, workers
 from dotprune.errors import ContractError, ShapeError
 
 
@@ -39,12 +44,12 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_softmax_symmetric_row():
-    out = T.softmax_rows(T.Tensor([[0.0, 0.0, 0.0]]))
+    out = softmax_rows(T.Tensor([[0.0, 0.0, 0.0]]))
     np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_softmax_mask_sentinel_is_exact_zero():
-    out = T.softmax_rows(T.Tensor([[0.0, -np.inf]]))
+    out = softmax_rows(T.Tensor([[0.0, -np.inf]]))
     assert out.data[0, 0] == 1.0
     assert out.data[0, 1] == 0.0
 
@@ -52,7 +57,7 @@ def test_softmax_mask_sentinel_is_exact_zero():
 def test_softmax_matches_direct_formula():
     row = np.array([[1.0, 2.0, 3.0]])
     expect = np.exp(row) / np.exp(row).sum()
-    out = T.softmax_rows(T.Tensor(row))
+    out = softmax_rows(T.Tensor(row))
     assert np.max(np.abs(out.data - expect)) < 1e-12
 
 
@@ -60,13 +65,23 @@ def test_softmax_rejects_nan_and_inf_but_takes_the_mask_sentinel():
     for bad in (np.nan, np.inf):
         for dtype in (np.float32, np.float64):
             with pytest.raises(ContractError, match="finite or -inf"):
-                T.softmax_rows(T.Tensor(np.array([[0.0, 1.0], [bad, 0.0]], dtype=dtype)))
-    out = T.softmax_rows(T.Tensor(np.array([[0.0, -np.inf]], dtype=np.float32)))
+                softmax_rows(T.Tensor(np.array([[0.0, 1.0], [bad, 0.0]], dtype=dtype)))
+    out = softmax_rows(T.Tensor(np.array([[0.0, -np.inf]], dtype=np.float32)))
     np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [1, 3])
+def test_softmax_refuses_nan_and_inf_beside_larger_finite_values(dtype, bad, at):
+    x = np.array([[0.0, 1.0, 2.0, 3.0], [9.0, -2.0, -np.inf, 5.0]], dtype=dtype)
+    x[1, at] = bad  # a NaN there is not the row's largest value; 9.0 is
+    with pytest.raises(ContractError, match="finite or -inf"):
+        T.softmax_rows_inplace(x)
+
+
 def test_softmax_empty_row_zeros_mode():
-    out = T.softmax_rows(T.Tensor([[-np.inf, -np.inf], [0.0, 0.0]]))
+    out = softmax_rows(T.Tensor([[-np.inf, -np.inf], [0.0, 0.0]]))
     np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
     np.testing.assert_allclose(out.data[1], [0.5, 0.5])
 
@@ -81,7 +96,7 @@ def test_softmax_in_place_equals_the_three_array_expression_bitwise(dtype):
     ex = np.exp(x - rowmax)
     denom = ex.sum(axis=-1, keepdims=True)
     expect = ex / np.where(denom == 0.0, 1.0, denom)
-    out = T.softmax_rows(T.Tensor(x)).data
+    out = softmax_rows(T.Tensor(x)).data
     assert out.dtype == dtype
     assert out.tobytes() == expect.astype(dtype).tobytes()
     assert not out[1, 3].any()
@@ -91,7 +106,7 @@ def test_softmax_in_place_equals_the_three_array_expression_bitwise(dtype):
 @given(st.lists(st.lists(st.floats(-30, 30), min_size=2, max_size=6),
                 min_size=1, max_size=5).filter(lambda rows: len({len(r) for r in rows}) == 1))
 def test_softmax_rows_sum_to_one(rows):
-    out = T.softmax_rows(T.Tensor(np.array(rows, dtype=np.float64)))
+    out = softmax_rows(T.Tensor(np.array(rows, dtype=np.float64)))
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
 
 
@@ -119,13 +134,13 @@ def test_layer_norm_matches_mean_variance_oracle():
 
 
 def test_gelu_at_zero():
-    assert T.gelu(T.Tensor([0.0])).data[0] == 0.0
+    assert gelu(T.Tensor([0.0])).data[0] == 0.0
 
 
 def _gelu_and_slope(x):
     """Forward values and d gelu / dx (the gradient of sum(gelu(x)))."""
     t = T.Tensor(x, requires_grad=True)
-    out = T.gelu(t)
+    out = gelu(t)
     T.backward(T.tensor_sum(out))
     return out.data, t.grad
 
@@ -133,15 +148,15 @@ def _gelu_and_slope(x):
 def test_gelu_f32_is_within_3e_7_of_the_normal_cdf():
     x = np.linspace(-12.0, 12.0, 2_000_001).astype(np.float32)
     x = x[x != 0]
-    y = T.gelu(T.Tensor(x)).data
+    y = gelu(T.Tensor(x)).data
     assert y.dtype == np.float32
     # y = fl(x Phi_f32(x)), so y / x carries one more float32 rounding of Phi
     phi = y.astype(np.float64) / x.astype(np.float64)
     assert np.abs(phi - ndtr(x.astype(np.float64))).max() <= 3e-7 + 2.0 ** -24
     big = np.concatenate([np.linspace(6.0, 1e4, 100_001),
                           [np.finfo(np.float32).max]]).astype(np.float32)
-    np.testing.assert_array_equal(T.gelu(T.Tensor(big)).data, big)
-    np.testing.assert_array_equal(T.gelu(T.Tensor(-big)).data, 0.0)
+    np.testing.assert_array_equal(gelu(T.Tensor(big)).data, big)
+    np.testing.assert_array_equal(gelu(T.Tensor(-big)).data, 0.0)
 
 
 def test_gelu_f32_is_bit_exact_under_slicing():
@@ -175,7 +190,7 @@ def test_gelu_f64_passes_gradient_check():
     rng = np.random.default_rng(8)
     x = T.Tensor(rng.normal(size=(5, 7)) * 2, requires_grad=True)
     w = T.Tensor(rng.normal(size=(5, 7)))
-    err = T.gradient_check(lambda p: T.tensor_sum(T.mul(T.gelu(p[0]), w)), [x], eps=1e-5)
+    err = T.gradient_check(lambda p: T.tensor_sum(T.mul(gelu(p[0]), w)), [x], eps=1e-5)
     assert err < 1e-4
 
 
@@ -327,7 +342,7 @@ def test_graph_trace_is_topological():
 
 def _mlp_loss(params):
     w1, b1, w2, b2, x = params
-    h = T.gelu(T.add(T.matmul(x, w1), b1))
+    h = gelu(T.add(T.matmul(x, w1), b1))
     out = T.add(T.matmul(h, w2), b2)
     return T.tensor_sum(T.mul(out, out))
 
@@ -377,7 +392,7 @@ def test_composed_graph_passes_gradient_check():
     def f(params):
         ww, gg, bb = params
         h = T.layer_norm(ww, gg, bb)
-        p = T.softmax_rows(h)
+        p = softmax_rows(h)
         s = T.log_sigmoid(T.tanh(p))
         return T.mul(T.tensor_sum(T.mul(s, s)), 1.0 / s.data.size)
 
@@ -451,7 +466,7 @@ def test_batched_matmul_gradcheck():
 
 def test_dtype_preserved_through_graph():
     x32 = T.Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
-    y = T.gelu(T.mul(x32, 2.0))
+    y = gelu(T.mul(x32, 2.0))
     assert y.dtype == np.float32
 
 
@@ -502,3 +517,104 @@ def test_concat_splits_gradient_back_to_its_parts():
     np.testing.assert_array_equal(b.grad, [3.0])
     with pytest.raises(ContractError, match="dtype"):
         T.concat([a, T.Tensor(np.zeros(1, dtype=np.float32))])
+
+
+def _thread_name(x):
+    return x, threading.current_thread().name
+
+
+def test_worker_map_keeps_order_and_runs_on_the_workers():
+    calls = []
+    with workers(2, set_local=lambda n: calls.append(n) or 2):
+        assert T.worker_count() == 2
+        out = T.worker_map(_thread_name, range(5))
+        assert calls[-1] == 2  # a grad-enabled map puts the BLAS count back at once
+    assert [x for x, _ in out] == list(range(5))
+    assert all(name.startswith("dotprune-worker") for _, name in out)
+    assert calls.count(1) >= 2  # the caller and each started worker pin to one thread
+
+
+def test_worker_map_keeps_one_item_and_one_worker_on_the_caller():
+    me = threading.current_thread().name
+    with workers(2):
+        assert T.worker_map(_thread_name, [7]) == [(7, me)]
+    with workers(1):
+        assert T.worker_map(_thread_name, range(3)) == [(i, me) for i in range(3)]
+
+
+def test_worker_count_is_one_without_the_blas_symbols(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(T.ctypes, "CDLL", NoSymbols)
+    assert T._load_blas() == (1, None)
+    with workers(2):
+        monkeypatch.setattr(T, "_blas", None)
+        assert T.worker_count() == 1
+        me = threading.current_thread().name
+        assert T.worker_map(_thread_name, range(3)) == [(i, me) for i in range(3)]
+        assert T._pool is None
+
+
+def test_worker_exception_reaches_the_caller_with_its_type():
+    def fail_on_two(x):
+        if x == 2:
+            raise ShapeError("item 2")
+        return x
+
+    with workers(2):
+        with pytest.raises(ShapeError, match="item 2"):
+            T.worker_map(fail_on_two, range(4))
+        assert T.worker_map(fail_on_two, [0, 1]) == [0, 1]
+
+
+def test_worker_map_inside_a_worker_runs_serially():
+    def inner(x):
+        assert T.worker_count() == 1
+        return T.worker_map(_thread_name, [x, x + 1])
+
+    done = []
+    with workers(2):
+        thread = threading.Thread(target=lambda: done.append(T.worker_map(inner, [0, 10])))
+        thread.start()
+        thread.join(timeout=30)
+    assert not thread.is_alive() and done
+    for pairs in done[0]:
+        assert len({name for _, name in pairs}) == 1  # both inner calls on one worker
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_worker_map_leaves_the_grad_flag_and_restores_the_blas_count(grad):
+    calls = []
+    seen = []
+    with workers(2, set_local=lambda n: calls.append(n) or 2):
+        with contextlib.ExitStack() as stack:
+            if not grad:
+                stack.enter_context(T.no_grad())
+            for _ in range(2):
+                T.worker_map(lambda x: seen.append(T._grad_enabled), range(4))
+                assert T._grad_enabled is grad
+            # inside no_grad the count stays pinned until the block ends
+            assert (T._unpin_to is None) is grad
+        assert calls[-1] == 2 and T._unpin_to is None
+    assert seen == [grad] * 8
+
+
+def test_worker_map_with_more_workers_than_cores_under_fast_thread_switching():
+    rng = np.random.default_rng(14)
+    mats = [rng.normal(size=(24, 24)) for _ in range(64)]
+
+    def work(m):
+        return np.tanh(m @ m.T).sum(axis=1)
+
+    expected = [work(m) for m in mats]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers(8):
+            results = [T.worker_map(work, mats) for _ in range(4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for out in results:
+        assert all(np.array_equal(a, b) for a, b in zip(out, expected))

@@ -14,7 +14,7 @@ from dotprune import synth
 from dotprune import tensor as T
 from dotprune import training as tr
 from dotprune.errors import ConfigError, ContractError, TrainingDivergedError
-from helpers import tiny_model
+from helpers import tiny_model, workers
 
 
 def loss_of(model, out, ex, mode="J", beta=1.0):
@@ -58,7 +58,7 @@ F32_RUN_WITHOUT_SCIPY = textwrap.dedent("""
     import sys
     import numpy as np
     from dotprune import cli, synth, training
-    from helpers import tiny_model
+    from helpers import tiny_model, workers
 
     data = synth.generate(synth.GeneratorSpec(seed=0, n_examples=4, min_rows=2,
                                               max_rows=2, max_cell_tokens=1,
@@ -525,6 +525,21 @@ def test_batched_evaluate_matches_the_per_example_path(monkeypatch, case, dtype)
         assert report.answer_pruned_rate == pruned_rate
         np.testing.assert_allclose(report.gaps, gaps, rtol=1e-12, atol=0)
     assert report.n_examples == 11
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_evaluate_on_workers_matches_one_worker(dtype):
+    data = lookup_data(n=11, seed=13, max_rows=5, max_cols=4, max_cell_tokens=2)
+    model = tiny_model(data, tr.DoTConfig(pre_limit=256, k=12), dtype=dtype)
+    reports = []
+    for w in (1, 2):
+        with workers(w):
+            reports.append(tr.evaluate(model, data))
+    one, two = reports
+    assert two.predictions == one.predictions
+    assert two.correct_flags == one.correct_flags
+    assert two.answer_pruned_rate == one.answer_pruned_rate
+    assert T._grad_enabled
 
 
 MODES = [(mode, selection) for mode in ("J", "P", "PJ") for selection in ("token", "column")]
