@@ -3,8 +3,11 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --label mychange \\
         --workload infer_long:10 --workload train_dot:5 --seeds 7 --seconds 30
 
-The change arm is this checkout as it stands; the parent arm is ``--parent``
-extracted with ``git archive`` into a scratch directory. Each workload runs
+The change arm is a copy of this checkout's files as they stand (tracked,
+and untracked but not ignored); the parent arm is ``--parent`` extracted
+with ``git archive``. Both go into fresh scratch directories, so both arms
+start without the ``.perfbench_out/`` and ``__pycache__/`` that earlier runs
+leave in a checkout. Each workload runs
 its pairs of ``perfbench/run.py --trace 0`` one process at a time. Pair i
 uses data seed ``seeds[i % len(seeds)]`` on both arms, and the arm that runs
 first alternates: the parent in even pairs, the change in odd ones.
@@ -18,6 +21,12 @@ when ``change_dirty`` is true the change arm ran uncommitted edits on top of
 it, and each run's ``source_sha256`` names the sources it ran. A gain holds when the change wins at least
 nine pairs in ten and its median is better than the parent's by more than
 the parent's quartile spread.
+
+Each metric's ``regression`` reads it against its ``bound`` in BENCHMARK.json,
+a share of the parent's median: "worse" when the change's median is worse
+than the parent's by more than the bound; else "unresolved" when the
+parent's quartile spread is wider than the bound and not every change run
+beats every parent run; else "none".
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -70,26 +80,41 @@ def run_pairs(n: int, seeds: list[int], run) -> list[dict]:
     return pairs
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per-arm quartiles and per-metric pair statistics; ``better`` maps each
-    metric to "higher" or "lower"."""
+def regression(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """"worse", "unresolved" or "none", as the module docstring defines them;
+    ``sign`` is 1 when higher is better and -1 when lower is."""
+    p = quartiles(parent)
+    allowed = bound * abs(p["median"])
+    if sign * (statistics.median(change) - p["median"]) < -allowed:
+        return "worse"
+    if p["q3"] - p["q1"] > allowed and not all(sign * (c - x) > 0
+                                               for c in change for x in parent):
+        return "unresolved"
+    return "none"
+
+
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per-arm quartiles and per-metric pair statistics; ``metrics`` maps each
+    metric's name to its BENCHMARK.json entry ("better" is "higher" or
+    "lower", "bound" a share of the parent's median)."""
     out = {"pairs": len(pairs), "seeds": [p["seed"] for p in pairs], "arms": {},
            "metrics": {}, "runs": pairs}
     for arm in ARMS:
         out["arms"][arm] = {name: quartiles([p[arm]["metrics"][name] for p in pairs])
-                            for name in better}
-    for name, direction in better.items():
-        sign = 1 if direction == "higher" else -1
+                            for name in metrics}
+    for name, spec in metrics.items():
+        sign = 1 if spec["better"] == "higher" else -1
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         spread = out["arms"]["parent"][name]["q3"] - out["arms"]["parent"][name]["q1"]
         gap = sign * (statistics.median(change) - statistics.median(parent))
         out["metrics"][name] = {
-            "better": direction,
+            "better": spec["better"], "bound": spec["bound"],
             "ratios": [c / p if p else None for p, c in zip(parent, change)],
             "wins": wins, "median_gap": gap, "parent_quartile_spread": spread,
-            "gain_holds": wins >= math.ceil(0.9 * len(pairs)) and gap > spread}
+            "gain_holds": wins >= math.ceil(0.9 * len(pairs)) and gap > spread,
+            "regression": regression(parent, change, sign, spec["bound"])}
     out["all_correct"] = all(p[arm]["correct"] for p in pairs for arm in ARMS)
     return out
 
@@ -107,6 +132,16 @@ def extract(rev: str, dest: str) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} exited {archive.returncode}")
+
+
+def copy_checkout(dest: str) -> None:
+    """This checkout's tracked, and untracked but not ignored, files as they
+    stand, under ``dest``."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        source = os.path.join(ROOT, name)
+        if name and os.path.isfile(source):  # a tracked file may be deleted
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(dest, name))
 
 
 def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -130,31 +165,35 @@ def parse_args(argv):
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--scratch", default=None,
-                   help="directory for the parent's files (default: a temporary one)")
+                   help="directory for both arms' files (default: a temporary one)")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     record = {"parent_commit": git("rev-parse", args.parent),
               "change_commit": git("rev-parse", "HEAD"),
               "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
               "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(dir=args.scratch) as scratch:
-        extract(args.parent, scratch)
-        checkouts = {"parent": scratch, "change": ROOT}
+        checkouts = {arm: os.path.join(scratch, arm) for arm in ARMS}
+        for path in checkouts.values():
+            os.mkdir(path)
+        extract(args.parent, checkouts["parent"])
+        copy_checkout(checkouts["change"])
         for spec in args.workload:
             name, _, n = spec.partition(":")
             pairs = run_pairs(int(n or 10), args.seeds,
                               lambda arm, seed: perfbench(checkouts[arm], name, seed,
                                                           args.seconds))
-            record["workloads"][name] = summarize(pairs, better)
+            record["workloads"][name] = summarize(pairs, metrics)
             for metric, m in record["workloads"][name]["metrics"].items():
                 arms = record["workloads"][name]["arms"]
                 print(f"{name} {metric}: {arms['parent'][metric]['median']:.4g} -> "
-                      f"{arms['change'][metric]['median']:.4g}, won {m['wins']}/{len(pairs)}",
+                      f"{arms['change'][metric]['median']:.4g}, won {m['wins']}/{len(pairs)}, "
+                      f"regression {m['regression']}",
                       flush=True)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:

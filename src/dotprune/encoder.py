@@ -15,17 +15,18 @@ vector of nonpositive log-probabilities. Three application modes exist:
   what the verification harness uses.
 
 A batch of sequences runs as one padded stack (``forward_batch``); padded
-keys carry a -inf bias in every layer, which removes them exactly. A batch
-of two or more that records no gradient runs as W contiguous groups of
-examples, each padded to the batch's length, on ``tensor.worker_map``'s
-single-threaded-BLAS workers, W being the BLAS thread count; a batch of
-one, or a forward that records gradients, runs on the calling thread.
+keys carry a -inf bias in every layer, which removes them exactly.
+``_padded_bias``, the one bias check, builds that (B, n) bias once per
+forward. A forward that records no gradient runs as up to W contiguous
+groups of examples, W being the BLAS thread count, on
+``tensor.worker_map``'s single-threaded-BLAS workers.
 
 Each layer is one tensor op, ``layer``: its forward works in place in the
 buffers its GEMMs return and is bit-identical to the layer composed from
 ``tensor`` ops (kept in the tests as the reference); under ``no_grad`` it
 saves nothing, and otherwise one node's hand-written backward reads only
-the activations it saved.
+the activations it saved. Biased attention exists once, as the array
+kernel ``attention_probs``, which only ``layer`` calls.
 
 The scorer and the task model are both ``Tower``s: an encoder plus a
 one-unit linear head. Model-size presets and the closed-form parameter
@@ -82,10 +83,6 @@ class EncoderConfig:
                 f"hidden {self.hidden} not divisible by num_heads {self.num_heads}")
         if self.max_input < 4:
             raise ConfigError("max_input must be >= 4")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.num_heads
 
 
 def preset(name: str, **overrides) -> EncoderConfig:
@@ -304,91 +301,75 @@ def init_tower(config: EncoderConfig, head_seed: int, dtype=np.float32) -> Tower
     return Tower.from_arrays(config, arrays)
 
 
-def attention_bias(bias: T.Tensor | np.ndarray | None, n_keys: int, dtype,
-                   mode: str) -> T.Tensor | None:
-    """Check ``mode`` and one sequence's ``bias`` once for a whole stack of
-    attention layers.
+def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tensor | None:
+    """The one bias check, run once per forward: ``mode`` and each example's
+    bias, then one (B, n) bias for the batch padded to ``n`` tokens (None
+    when nothing is biased or padded).
 
-    ``bias`` is a length-``n_keys`` vector of values in (-inf, 0]. NumPy
-    biases are converted to ``dtype``, the dtype of the attention scores;
-    tensors pass through unchanged so gradients reach whatever built them.
+    ``biases`` is None or one entry per example: None, or a vector of
+    ``lengths[b]`` values in (-inf, 0]. NumPy biases are converted to
+    ``dtype``, the dtype of the attention scores; tensors pass through
+    unchanged so gradients reach whatever built them. Row b holds example
+    b's bias (zeros when it has none) followed by -inf on its padded
+    positions, so padding is removed exactly: the -inf key bias equals
+    compaction. Only ``forward_batch`` pads, and only in key mode.
     """
     if mode not in BIAS_MODES:
         raise ContractError(f"unknown bias mode {mode!r}")
-    if bias is None:
-        return None
-    bias_t = bias if isinstance(bias, T.Tensor) else T.Tensor(np.asarray(bias, dtype=dtype))
-    data = bias_t.data
-    if data.shape != (n_keys,):
-        raise ContractError(f"bias length {data.shape} != key count {n_keys}")
-    if not (data <= 0).all():  # NaN compares false, so it is refused too
-        raise ContractError("attention bias entries must be <= 0 or -inf")
-    return bias_t
-
-
-def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tensor | None:
-    """One (B, n) bias for a batch padded to ``n`` tokens.
-
-    Row b holds example b's bias (zeros when it has none) followed by -inf
-    on its padded positions, so padding is removed exactly: the -inf key
-    bias equals compaction. Only ``forward_batch`` pads, and only in key mode.
-    """
-    checked = [attention_bias(None if biases is None else biases[b], m, dtype, mode)
-               for b, m in enumerate(lengths)]
-    if all(m == n for m in lengths) and all(t is None for t in checked):
+    if biases is None:
+        biases = [None] * len(lengths)
+    elif len(biases) != len(lengths):
+        raise ContractError(f"{len(biases)} biases for {len(lengths)} sequences")
+    if all(m == n for m in lengths) and all(bias is None for bias in biases):
         return None
     pieces = []
-    for bias, m in zip(checked, lengths):
-        pieces.append(bias if bias is not None else T.Tensor(np.zeros(m, dtype=dtype)))
+    for bias, m in zip(biases, lengths):
+        if not isinstance(bias, T.Tensor):
+            bias = T.Tensor(np.zeros(m, dtype=dtype) if bias is None
+                            else np.asarray(bias, dtype=dtype))
+        if bias.shape != (m,):
+            raise ContractError(f"bias length {bias.shape} != key count {m}")
+        if not (bias.data <= 0).all():  # NaN compares false, so it is refused too
+            raise ContractError("attention bias entries must be <= 0 or -inf")
+        pieces.append(bias)
         if m < n:
             pieces.append(T.Tensor(np.full(n - m, -np.inf, dtype=dtype)))
     return T.reshape(T.concat(pieces), (len(lengths), n))
 
 
-def attention_probs(q: T.Tensor, k: T.Tensor, bias: T.Tensor | None,
-                    mode: str = "key") -> T.Tensor:
+def attention_probs(q: np.ndarray, k: np.ndarray, bias: np.ndarray | None,
+                    mode: str) -> np.ndarray:
     """Softmax of the scaled, biased scores QK^T / sqrt(d): the one attention
-    implementation, also run inside every ``layer``.
+    kernel, which only ``layer`` calls.
 
-    ``q`` and ``k`` are (..., n, d) with matching leading dims. ``bias`` is
-    one sequence's (n,) vector from ``attention_bias`` or a batch's (B, n)
-    matrix from ``_padded_bias`` for (B, heads, n, d) inputs. Rows that end
-    up fully masked become all-zero rows rather than an error, which is the
+    ``q`` and ``k`` are (B, heads, n, d) arrays, and ``bias`` is the (B, n)
+    values of ``_padded_bias`` or None, added to every key column (key
+    mode), query row (query mode) or both (symmetric). Rows that end up
+    fully masked become all-zero rows rather than an error, which is the
     convention that makes a symmetric -inf bias equal to deleting tokens.
     The scores are scaled, biased and normalized in place in the buffer the
     QK^T product returns.
     """
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    probs = T.matmul(q.detach(), T.Tensor(np.swapaxes(k.data, -1, -2))).data
-    probs *= scale
+    probs = T.matmul(T.Tensor(q), T.Tensor(np.swapaxes(k, -1, -2))).data
+    probs *= 1.0 / math.sqrt(q.shape[-1])
     if bias is not None:
-        lead = bias.shape[:-1] + (1,) * (probs.ndim - len(bias.shape) - 1)
-        n = bias.shape[-1]
+        batch, n = bias.shape
         if mode in ("key", "symmetric"):
-            probs += bias.data.reshape(lead + (1, n))
+            probs += bias.reshape(batch, 1, 1, n)
         if mode in ("query", "symmetric"):
-            probs += bias.data.reshape(lead + (n, 1))
-    T.softmax_rows_inplace(probs)
-    parents = (q, k) if bias is None else (q, k, bias)
-    if not T.grad_needed(parents):
-        return T.Tensor(probs)
-
-    def back(g):
-        return _attention_grads(g.copy(), probs, q.data, k.data, bias, mode, scale)
-
-    return T.Tensor(probs, requires_grad=True, parents=parents, backward_fn=back)
+            probs += bias.reshape(batch, 1, n, 1)
+    return T.softmax_rows_inplace(probs)
 
 
 def _attention_grads(g: np.ndarray, probs: np.ndarray, q: np.ndarray, k: np.ndarray,
                      bias: T.Tensor | None, mode: str, scale: float):
-    """Gradients of ``attention_probs``'s q, k and bias (None when the bias is
-    absent or needs none) from the probabilities' gradient ``g``, which is
-    overwritten."""
+    """Gradients of ``attention_probs``'s q, k and (B, n) bias (None when the
+    bias is absent or needs none) from the (B, heads, n, n) probabilities'
+    gradient ``g``, which is overwritten."""
     ds = T.softmax_rows_grad_inplace(probs, g)
     gbias = None
     if bias is not None and bias.requires_grad:
-        heads = tuple(range(len(bias.shape) - 1, ds.ndim - 2))  # broadcast axes
-        per_query_key = ds.sum(axis=heads, keepdims=True)
+        per_query_key = ds.sum(axis=1, keepdims=True)  # over the heads
         # a key bias sums over queries, a query bias over keys
         parts = [per_query_key.sum(axis=axis).reshape(bias.shape)
                  for axis, used in ((-2, mode != "query"), (-1, mode != "key")) if used]
@@ -443,7 +424,7 @@ def forward_batch(weights: EncoderWeights, seqs: list[TokenizedSequence],
     applies to example b as in ``forward``'s key mode; padded keys get a -inf
     bias, so every example's rows equal its own unpadded forward up to rounding.
     """
-    if len(seqs) == 1:
+    if len(seqs) == 1 and (biases is None or len(biases) == 1):
         # through ``forward``, so wrappers of the one-sequence entry point
         # (the benchmark's tracer) see batches of one
         return forward(weights, seqs[0], None if biases is None else biases[0])
@@ -461,10 +442,11 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
                     biases: list | None, mode: str) -> tuple[T.Tensor, T.Tensor]:
     """The stack on a padded batch, then the pooler.
 
-    A batch of two or more that records no gradient is split into W
-    contiguous groups (``tensor.worker_count``), each group's embeddings and
-    layers run by ``tensor.worker_map`` on a single-threaded-BLAS worker and
-    the group outputs joined in order; the pooler runs on the calling thread.
+    The batch runs as contiguous groups of examples through
+    ``tensor.worker_map``, and the groups' outputs are joined in order. A
+    forward that records a gradient is one group, on the calling thread with
+    the padded bias itself, so the graph reaches the bias; otherwise each of
+    up to ``tensor.worker_count`` groups gets its own rows of the bias.
     """
     cfg = weights.config
     lengths = [len(s) for s in seqs]
@@ -475,21 +457,15 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     bias_t = _padded_bias(biases, lengths, n, weights.word.dtype, mode)
 
     parents = weights.parameters() + ([] if bias_t is None else [bias_t])
-    groups = 1
-    if batch > 1 and not T.grad_needed(parents):
-        groups = min(batch, T.worker_count())
-    if groups == 1:
-        x = _layer_stack(weights, seqs, n, bias_t, mode)
-    else:
-        # contiguous groups of examples, one per worker, each padded to n
-        bounds = [batch * g // groups for g in range(groups + 1)]
+    groups = 1 if T.grad_needed(parents) else min(batch, T.worker_count())
+    bounds = [batch * g // groups for g in range(groups + 1)]
 
-        def run_group(span: tuple[int, int]) -> T.Tensor:
-            lo, hi = span
-            rows = None if bias_t is None else T.Tensor(bias_t.data[lo:hi])
-            return _layer_stack(weights, seqs[lo:hi], n, rows, mode)
+    def run_group(span: tuple[int, int]) -> T.Tensor:
+        lo, hi = span
+        rows = bias_t if groups == 1 or bias_t is None else T.Tensor(bias_t.data[lo:hi])
+        return _layer_stack(weights, seqs[lo:hi], n, rows, mode)
 
-        x = T.concat(T.worker_map(run_group, zip(bounds[:-1], bounds[1:])))
+    x = T.concat(T.worker_map(run_group, zip(bounds[:-1], bounds[1:])))
     x = T.reshape(x, (batch * n, cfg.hidden))
 
     cls = T.take_rows(x, np.arange(batch) * n)
@@ -550,8 +526,8 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor | None, mode: str,
     x_in = x.data.reshape(rows, hidden)
     q, k, v = (_linear(x_in, w, b) for w, b in ((lw.wq, lw.bq), (lw.wk, lw.bk),
                                                 (lw.wv, lw.bv)))
-    probs = attention_probs(T.Tensor(split_heads(q)), T.Tensor(split_heads(k)),
-                            None if bias is None else bias.detach(), mode).data
+    probs = attention_probs(split_heads(q), split_heads(k),
+                            None if bias is None else bias.data, mode)
     ctx = merge_heads(T.matmul(T.Tensor(probs), T.Tensor(split_heads(v))).data)
     s1 = _linear(ctx, lw.wo, lw.bo)
     s1 += x_in

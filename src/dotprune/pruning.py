@@ -160,10 +160,12 @@ def hard_drop_equivalence(weights: enc.EncoderWeights, seq: TokenizedSequence,
                           drop_set, mode: str = "symmetric") -> float:
     """Max |masked forward - compacted forward| over surviving positions.
 
-    ``drop_set`` must not touch the question span. Run in 64-bit weights for
-    meaningful thresholds.
+    ``drop_set`` holds token indices in ``[0, len(seq))`` and must not touch
+    the question span. Run in 64-bit weights for meaningful thresholds.
     """
     drop = sorted(set(drop_set))
+    if drop and (drop[0] < 0 or drop[-1] >= len(seq)):
+        raise ContractError(f"drop_set indices must lie in [0, {len(seq)})")
     qspan = set(seq.question_span())
     if any(d in qspan for d in drop):
         raise ContractError("drop_set must not contain question-span tokens")

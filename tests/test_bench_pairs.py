@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bp = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bp)
 
-BETTER = {"examples_per_s": "higher", "step_p50_ms": "lower"}
+BETTER = {"examples_per_s": {"better": "higher", "bound": 0.25},
+          "step_p50_ms": {"better": "lower", "bound": 0.25}}
 
 
 def stub_stdout(examples_per_s, step_ms, ceiling=140.0, correct=True):
@@ -84,3 +85,39 @@ def test_a_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_spread():
 def test_one_pair_has_degenerate_quartiles():
     s = bp.summarize(_pairs([10.0], [12.0]), BETTER)
     assert s["arms"]["change"]["examples_per_s"] == {"q1": 12.0, "median": 12.0, "q3": 12.0}
+
+
+def test_regression_none_when_the_change_stays_inside_the_bound():
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8]
+    s = bp.summarize(_pairs(parent, [p * 0.85 for p in parent]), BETTER)
+    # 15% fewer examples/s and 18% more ms/step are inside the 25% bound,
+    # and the parent's spread is narrow
+    assert s["metrics"]["examples_per_s"]["regression"] == "none"
+    assert s["metrics"]["examples_per_s"]["bound"] == 0.25
+    assert s["metrics"]["step_p50_ms"]["regression"] == "none"
+
+
+def test_regression_worse_when_the_median_moves_past_the_bound():
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8]
+    s = bp.summarize(_pairs(parent, [p * 0.7 for p in parent]), BETTER)
+    assert s["metrics"]["examples_per_s"]["regression"] == "worse"
+    # time per step rose by 1/0.7 - 1 = 43%, past the 25% bound of a lower-is-better metric
+    assert s["metrics"]["step_p50_ms"]["regression"] == "worse"
+
+
+def test_regression_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    parent = [6.0, 8.0, 10.0, 12.0, 14.0]  # quartile spread 4 is 40% of the median
+    s = bp.summarize(_pairs(parent, [9.5, 9.5, 10.5, 10.5, 10.0]), BETTER)
+    assert s["metrics"]["examples_per_s"]["regression"] == "unresolved"
+    # unless every change run beats every parent run
+    clear = bp.summarize(_pairs(parent, [15.0, 16.0, 17.0, 18.0, 19.0]), BETTER)
+    assert clear["metrics"]["examples_per_s"]["regression"] == "none"
+
+
+def test_the_change_arm_is_a_copy_of_the_checkout_without_ignored_files(tmp_path):
+    bp.copy_checkout(str(tmp_path))
+    root = _PATH.parent.parent
+    assert (tmp_path / "scripts" / "bench_pairs.py").read_bytes() == _PATH.read_bytes()
+    assert (tmp_path / "BENCHMARK.json").read_bytes() == (root / "BENCHMARK.json").read_bytes()
+    assert not (tmp_path / ".git").exists()
+    assert not list(tmp_path.rglob("__pycache__"))

@@ -73,44 +73,24 @@ def _plain_attention(q, k, v):
     return (ex / ex.sum(axis=-1, keepdims=True)) @ v
 
 
-def _attend(q, k, v, bias, mode="key"):
-    """Single-head attention through the encoder's own probability path."""
-    bias_t = enc.attention_bias(bias, k.shape[-2], q.dtype, mode)
-    return T.matmul(enc.attention_probs(q, k, bias_t, mode), v)
+def _probs(q, k, bias, mode="key"):
+    """The attention kernel on one single-head sequence: (n, d) inputs and an
+    (n,) bias run as (1, 1, n, d) and (1, n); returns the (n, n) weights."""
+    b = np.asarray(bias, dtype=q.dtype)[None]
+    return enc.attention_probs(q[None, None], k[None, None], b, mode)[0, 0]
 
 
 def test_biased_attention_zero_bias_is_unbiased():
     rng = np.random.default_rng(0)
     q, k, v = (rng.normal(size=(3, 4)) for _ in range(3))
-    out = _attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), np.zeros(3))
-    np.testing.assert_allclose(out.data, _plain_attention(q, k, v), atol=1e-12)
+    out = _probs(q, k, np.zeros(3)) @ v
+    np.testing.assert_allclose(out, _plain_attention(q, k, v), atol=1e-12)
 
 
 def test_biased_attention_single_query_weights():
     # z = [0, 0], bias = [0, log 0.5] -> weights [2/3, 1/3]
-    q = T.Tensor(np.zeros((1, 2)))
-    k = T.Tensor(np.zeros((2, 2)))
-    v = T.Tensor(np.eye(2))
-    out = _attend(q, k, v, np.array([0.0, np.log(0.5)]))
-    np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
-
-
-def test_biased_attention_rejects_positive_bias():
-    q = T.Tensor(np.zeros((1, 2)))
-    for bad in (0.1, np.nan, np.inf):
-        with pytest.raises(ContractError, match="must be <= 0"):
-            _attend(q, q, q, np.array([bad]))
-
-
-def test_attention_bias_accepts_minus_inf_and_negative_zero():
-    bias = np.array([0.0, -0.0, -np.inf, -3.0])
-    np.testing.assert_array_equal(enc.attention_bias(bias, 4, np.float64, "key").data, bias)
-
-
-def test_biased_attention_rejects_wrong_length():
-    q = T.Tensor(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        _attend(q, q, q, np.zeros(3))
+    weights = _probs(np.zeros((1, 2)), np.zeros((2, 2)), [0.0, np.log(0.5)])
+    np.testing.assert_allclose(weights, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_biased_attention_symmetric_drop_equals_reduced_set():
@@ -118,10 +98,53 @@ def test_biased_attention_symmetric_drop_equals_reduced_set():
     q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
     bias = np.zeros(5)
     bias[2] = -np.inf
-    full = _attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), bias, mode="symmetric").data
+    full = _probs(q, k, bias, mode="symmetric") @ v
     keep = [0, 1, 3, 4]
     reduced = _plain_attention(q[keep], k[keep], v[keep])
     assert np.max(np.abs(full[keep] - reduced)) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [0.1, np.nan, np.inf])
+def test_forward_refuses_a_positive_nan_or_inf_bias(bad):
+    seq = helpers.random_sequence(np.random.default_rng(30))
+    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    bias = np.zeros(len(seq))
+    bias[-1] = bad
+    with pytest.raises(ContractError, match="must be <= 0"):
+        enc.forward(w, seq, bias=bias)
+    seqs = [seq, helpers.random_sequence(np.random.default_rng(31))]
+    with pytest.raises(ContractError, match="must be <= 0"):
+        enc.forward_batch(w, seqs, [np.zeros(len(seqs[0])), np.full(len(seqs[1]), bad)])
+
+
+def test_forward_refuses_a_bias_of_the_wrong_length():
+    seq = helpers.random_sequence(np.random.default_rng(32))
+    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    with pytest.raises(ContractError, match="key count"):
+        enc.forward(w, seq, bias=np.zeros(len(seq) + 1))
+    with pytest.raises(ContractError, match="key count"):
+        enc.forward_batch(w, [seq, seq], [np.zeros(len(seq)), np.zeros(len(seq) - 1)])
+
+
+def test_forward_accepts_minus_inf_and_negative_zero():
+    seq = helpers.random_sequence(np.random.default_rng(33))
+    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    bias = np.zeros(len(seq))
+    bias[-1], bias[-2] = -np.inf, -0.0
+    with T.no_grad():
+        hidden, _ = enc.forward(w, seq, bias=bias, mode="symmetric")
+    assert np.isfinite(hidden.data).all()
+
+
+@pytest.mark.parametrize("n_seqs, n_biases", [(2, 1), (2, 3), (1, 0), (1, 2)])
+def test_forward_batch_refuses_a_bias_count_other_than_the_sequence_count(n_seqs,
+                                                                           n_biases):
+    rng = np.random.default_rng(34)
+    seqs = [helpers.random_sequence(rng) for _ in range(n_seqs)]
+    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    biases = [np.zeros(len(seqs[b % n_seqs])) for b in range(n_biases)]
+    with pytest.raises(ContractError, match=f"{n_biases} biases for {n_seqs} sequences"):
+        enc.forward_batch(w, seqs, biases)
 
 
 def _forward_pair(seq, drop, mode, dtype=np.float64, preset_name=None, seed=0):
@@ -199,7 +222,7 @@ def record_attention(monkeypatch) -> list[np.ndarray]:
 
     def recording(*args):
         probs = original(*args)
-        captured.append(probs.data.copy())
+        captured.append(probs.copy())
         return probs
 
     monkeypatch.setattr(enc, "attention_probs", recording)
@@ -254,22 +277,6 @@ def test_init_is_seed_deterministic():
     for (na, ta), (nb, tb_) in zip(a.named_tensors().items(), b.named_tensors().items()):
         assert na == nb
         assert (ta.data == tb_.data).all()
-
-
-def test_single_attention_layer_gradient_check():
-    rng = np.random.default_rng(10)
-    n, d = 4, 3
-    q = T.Tensor(rng.normal(size=(n, d), scale=0.5), requires_grad=True)
-    k = T.Tensor(rng.normal(size=(n, d), scale=0.5), requires_grad=True)
-    v = T.Tensor(rng.normal(size=(n, d), scale=0.5), requires_grad=True)
-    bias = T.Tensor(-rng.random(n), requires_grad=True)
-
-    def f(params):
-        qq, kk, vv, bb = params
-        out = _attend(qq, kk, vv, bb)
-        return T.tensor_sum(T.mul(out, out))
-
-    assert T.gradient_check(f, [q, k, v, bias], eps=1e-5) < 1e-4
 
 
 def test_checkpoint_round_trip_and_byte_stability(tmp_path):

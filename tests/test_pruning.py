@@ -280,6 +280,16 @@ def test_hard_drop_equivalence_rejects_question_drop():
         pr.hard_drop_equivalence(w.encoder, seq, [0])
 
 
+@pytest.mark.parametrize("where", ["negative", "past_the_end"])
+def test_hard_drop_equivalence_rejects_indices_outside_the_sequence(where):
+    rng = np.random.default_rng(18)
+    seq = helpers.random_sequence(rng)
+    w = tiny_pruning(seed=7, dtype=np.float64)
+    bad = -1 if where == "negative" else len(seq)
+    with pytest.raises(ContractError, match=rf"\[0, {len(seq)}\)"):
+        pr.hard_drop_equivalence(w.encoder, seq, [seq.table_indices()[-1], bad])
+
+
 def test_full_keep_with_zero_scores_reproduces_unpruned_forward():
     rng = np.random.default_rng(19)
     seq = helpers.random_sequence(rng)
