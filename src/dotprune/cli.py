@@ -193,7 +193,7 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
     frozen = out.selection
 
     def dot_loss(params):
-        out = tr.dot_forward(model, ex, selection_override=frozen)
+        out = tr.dot_forward(model, ex, select=lambda _values, _seq: frozen)
         return tr.compute_loss(model, out, ex)
 
     dot_err = T.gradient_check(dot_loss, model.parameters(), eps=3e-4,

@@ -17,9 +17,10 @@ vector of nonpositive log-probabilities. Three application modes exist:
 A batch of sequences runs as one padded stack (``forward_batch``); padded
 keys carry a -inf bias in every layer, which removes them exactly.
 ``_padded_bias``, the one bias check, builds that (B, n) bias once per
-forward. A forward that records no gradient runs as up to W contiguous
-groups of examples, W being the BLAS thread count, on
-``tensor.worker_map``'s single-threaded-BLAS workers.
+forward, and every forward has one (zeros where nothing is biased). A
+forward that records no gradient runs as up to W contiguous groups of
+examples, W being the BLAS thread count, on ``tensor.worker_map``'s
+single-threaded-BLAS workers.
 
 Each layer is one tensor op, ``layer``: its forward works in place in the
 buffers its GEMMs return and is bit-identical to the layer composed from
@@ -301,18 +302,17 @@ def init_tower(config: EncoderConfig, head_seed: int, dtype=np.float32) -> Tower
     return Tower.from_arrays(config, arrays)
 
 
-def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tensor | None:
+def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tensor:
     """The one bias check, run once per forward: ``mode`` and each example's
-    bias, then one (B, n) bias for the batch padded to ``n`` tokens (None
-    when nothing is biased or padded).
+    bias, then one (B, n) bias for the batch padded to ``n`` tokens.
 
     ``biases`` is None or one entry per example: None, or a vector of
     ``lengths[b]`` values in (-inf, 0]. NumPy biases are converted to
-    ``dtype``, the dtype of the attention scores; tensors pass through
-    unchanged so gradients reach whatever built them. Row b holds example
-    b's bias (zeros when it has none) followed by -inf on its padded
-    positions, so padding is removed exactly: the -inf key bias equals
-    compaction. Only ``forward_batch`` pads, and only in key mode.
+    ``dtype``, the dtype of the attention scores; tensors must already have
+    it, and pass through unchanged so gradients reach whatever built them.
+    Row b holds example b's bias (zeros when it has none) followed by -inf
+    on its padded positions, so padding is removed exactly: the -inf key
+    bias equals compaction. Only ``forward_batch`` pads, and only in key mode.
     """
     if mode not in BIAS_MODES:
         raise ContractError(f"unknown bias mode {mode!r}")
@@ -320,13 +320,13 @@ def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tens
         biases = [None] * len(lengths)
     elif len(biases) != len(lengths):
         raise ContractError(f"{len(biases)} biases for {len(lengths)} sequences")
-    if all(m == n for m in lengths) and all(bias is None for bias in biases):
-        return None
     pieces = []
     for bias, m in zip(biases, lengths):
         if not isinstance(bias, T.Tensor):
             bias = T.Tensor(np.zeros(m, dtype=dtype) if bias is None
                             else np.asarray(bias, dtype=dtype))
+        elif bias.dtype != dtype:
+            raise ContractError(f"bias dtype {bias.dtype} != scores' dtype {np.dtype(dtype)}")
         if bias.shape != (m,):
             raise ContractError(f"bias length {bias.shape} != key count {m}")
         if not (bias.data <= 0).all():  # NaN compares false, so it is refused too
@@ -337,13 +337,13 @@ def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tens
     return T.reshape(T.concat(pieces), (len(lengths), n))
 
 
-def attention_probs(q: np.ndarray, k: np.ndarray, bias: np.ndarray | None,
+def attention_probs(q: np.ndarray, k: np.ndarray, bias: np.ndarray,
                     mode: str) -> np.ndarray:
     """Softmax of the scaled, biased scores QK^T / sqrt(d): the one attention
     kernel, which only ``layer`` calls.
 
     ``q`` and ``k`` are (B, heads, n, d) arrays, and ``bias`` is the (B, n)
-    values of ``_padded_bias`` or None, added to every key column (key
+    values of ``_padded_bias``, added to every key column (key
     mode), query row (query mode) or both (symmetric). Rows that end up
     fully masked become all-zero rows rather than an error, which is the
     convention that makes a symmetric -inf bias equal to deleting tokens.
@@ -352,23 +352,22 @@ def attention_probs(q: np.ndarray, k: np.ndarray, bias: np.ndarray | None,
     """
     probs = T.matmul(T.Tensor(q), T.Tensor(np.swapaxes(k, -1, -2))).data
     probs *= 1.0 / math.sqrt(q.shape[-1])
-    if bias is not None:
-        batch, n = bias.shape
-        if mode in ("key", "symmetric"):
-            probs += bias.reshape(batch, 1, 1, n)
-        if mode in ("query", "symmetric"):
-            probs += bias.reshape(batch, 1, n, 1)
+    batch, n = bias.shape
+    if mode in ("key", "symmetric"):
+        probs += bias.reshape(batch, 1, 1, n)
+    if mode in ("query", "symmetric"):
+        probs += bias.reshape(batch, 1, n, 1)
     return T.softmax_rows_inplace(probs)
 
 
 def _attention_grads(g: np.ndarray, probs: np.ndarray, q: np.ndarray, k: np.ndarray,
-                     bias: T.Tensor | None, mode: str, scale: float):
+                     bias: T.Tensor, mode: str, scale: float):
     """Gradients of ``attention_probs``'s q, k and (B, n) bias (None when the
-    bias is absent or needs none) from the (B, heads, n, n) probabilities'
+    bias needs none) from the (B, heads, n, n) probabilities'
     gradient ``g``, which is overwritten."""
     ds = T.softmax_rows_grad_inplace(probs, g)
     gbias = None
-    if bias is not None and bias.requires_grad:
+    if bias.requires_grad:
         per_query_key = ds.sum(axis=1, keepdims=True)  # over the heads
         # a key bias sums over queries, a query bias over keys
         parts = [per_query_key.sum(axis=axis).reshape(bias.shape)
@@ -412,7 +411,7 @@ def forward(weights: EncoderWeights, seq: TokenizedSequence,
 
     In key mode this is the batch-of-one case of ``forward_batch``.
     """
-    return _forward_padded(weights, [seq], None if bias is None else [bias], mode)
+    return _forward_padded(weights, [seq], [bias], mode)
 
 
 def forward_batch(weights: EncoderWeights, seqs: list[TokenizedSequence],
@@ -448,6 +447,8 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     the padded bias itself, so the graph reaches the bias; otherwise each of
     up to ``tensor.worker_count`` groups gets its own rows of the bias.
     """
+    if not seqs:
+        raise ContractError("a forward needs at least one sequence")
     cfg = weights.config
     lengths = [len(s) for s in seqs]
     n = max(lengths)
@@ -456,13 +457,13 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     batch = len(seqs)
     bias_t = _padded_bias(biases, lengths, n, weights.word.dtype, mode)
 
-    parents = weights.parameters() + ([] if bias_t is None else [bias_t])
+    parents = weights.parameters() + [bias_t]
     groups = 1 if T.grad_needed(parents) else min(batch, T.worker_count())
     bounds = [batch * g // groups for g in range(groups + 1)]
 
     def run_group(span: tuple[int, int]) -> T.Tensor:
         lo, hi = span
-        rows = bias_t if groups == 1 or bias_t is None else T.Tensor(bias_t.data[lo:hi])
+        rows = bias_t if groups == 1 else T.Tensor(bias_t.data[lo:hi])
         return _layer_stack(weights, seqs[lo:hi], n, rows, mode)
 
     x = T.concat(T.worker_map(run_group, zip(bounds[:-1], bounds[1:])))
@@ -474,7 +475,7 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
 
 
 def _layer_stack(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int,
-                 bias: T.Tensor | None, mode: str) -> T.Tensor:
+                 bias: T.Tensor, mode: str) -> T.Tensor:
     """Embeddings and every layer on ``seqs`` padded to ``n`` tokens: (B, n, H)."""
     cfg = weights.config
     x = T.reshape(embed(weights, seqs, n), (len(seqs), n, cfg.hidden))
@@ -490,13 +491,13 @@ def _linear(x: np.ndarray, w: T.Tensor, b: T.Tensor) -> np.ndarray:
     return out
 
 
-def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor | None, mode: str,
+def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
           num_heads: int) -> T.Tensor:
     """One encoder layer on a (B, n, H) stack as a single tensor op.
 
     Biased multi-head self-attention, residual and layer norm, then the GELU
     feed-forward, residual and layer norm, post-norm as in BERT. ``bias`` is
-    ``_padded_bias``'s (B, n) matrix or None, applied as ``mode`` says.
+    ``_padded_bias``'s (B, n) matrix, applied as ``mode`` says.
 
     The forward runs in numpy buffers it owns: each bias is added into its
     product, the scores are scaled, biased and normalized in place, and each
@@ -507,12 +508,12 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor | None, mode: str,
 
     Without a gradient to record (``no_grad``, or no parent requires one) the
     op saves nothing and returns a leaf. Otherwise it returns one graph node
-    whose parents are ``x``, ``bias`` (when given) and the 16 weights, and
+    whose parents are ``x``, ``bias`` and the 16 weights, and
     whose backward reads only the layer input, q, k, v, the probabilities,
     the attention context, both layer norms' xhat and 1/std, the first layer
     norm's output, and the GELU output and slope.
     """
-    parents = (x,) + (() if bias is None else (bias,)) + tuple(vars(lw).values())
+    parents = (x, bias) + tuple(vars(lw).values())
     save = T.grad_needed(parents)
     batch, n, hidden = x.shape
     rows, d = batch * n, hidden // num_heads
@@ -526,8 +527,7 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor | None, mode: str,
     x_in = x.data.reshape(rows, hidden)
     q, k, v = (_linear(x_in, w, b) for w, b in ((lw.wq, lw.bq), (lw.wk, lw.bk),
                                                 (lw.wv, lw.bv)))
-    probs = attention_probs(split_heads(q), split_heads(k),
-                            None if bias is None else bias.data, mode)
+    probs = attention_probs(split_heads(q), split_heads(k), bias.data, mode)
     ctx = merge_heads(T.matmul(T.Tensor(probs), T.Tensor(split_heads(v))).data)
     s1 = _linear(ctx, lw.wo, lw.bo)
     s1 += x_in
@@ -567,7 +567,6 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor | None, mode: str,
         for name, dy in (("q", dq), ("k", dk), ("v", dv)):
             grads["w" + name], grads["b" + name] = x_in.T @ dy, dy.sum(axis=0)
             gx += dy @ getattr(lw, "w" + name).data.T
-        lead = (gx.reshape(batch, n, hidden),) + (() if bias is None else (gbias,))
-        return lead + tuple(grads[name] for name in vars(lw))
+        return (gx.reshape(batch, n, hidden), gbias) + tuple(grads[name] for name in vars(lw))
 
     return T.Tensor(out, requires_grad=True, parents=parents, backward_fn=back)

@@ -35,7 +35,8 @@ class ConfigError(DotpruneError, ValueError):
 
 
 class TrainingDivergedError(DotpruneError, RuntimeError):
-    """The training loss became non-finite."""
+    """The training loss or the gradient norm became non-finite; raised
+    before the step's optimizer update touches any parameter."""
 
 
 def open_input(path, error: type[DotpruneError], mode: str = "r", **kwargs):

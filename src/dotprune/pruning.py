@@ -2,13 +2,15 @@
 
 A small encoder scores every token with a log-probability of being
 relevant, s = max(log(sigmoid(logit)), SCORE_FLOOR) in [-50, 0]; -inf stays
-reserved for hard masks. ``score_tokens``, the one scoring entry point, runs
-the encoder once on a padded batch; fixed scores are plain float arrays.
-Selection reads only a 1-D array of score values and passes no gradient: it
-keeps the question span and fills the budget with the best-scoring table
-tokens or with whole columns ranked by mean score. The kept tokens' scores
-become an additive attention bias for the task encoder (``build_bias``),
-the one path along which the task loss reaches the scorer.
+reserved for hard masks. Every ``PruningScores`` is built here:
+``score_tokens`` runs the encoder once on a padded batch, and
+``fixed_scores`` checks an override's float array. Selection reads only a
+1-D array of score values and passes no gradient: ``select``, the one
+token/column dispatch, keeps the question span and fills the budget with
+the best-scoring table tokens or with whole columns ranked by mean score.
+The kept tokens' scores become an additive attention bias for the task
+encoder (``build_bias``), the one path along which the task loss reaches
+the scorer.
 
 ``hard_drop_equivalence`` is the verification harness: it compares a
 forward pass under a -inf bias against a forward pass on the compacted
@@ -75,6 +77,26 @@ def score_tokens(weights: enc.Tower, seqs: list[TokenizedSequence]) -> list[Prun
             for seq, own in zip(seqs, enc.batch_rows(seqs))]
 
 
+def fixed_scores(seq: TokenizedSequence, values: np.ndarray, dtype) -> PruningScores:
+    """An override's float array of one score per token, each <= 0 or -inf, as
+    constant scores in the model's dtype, clipped at ``SCORE_FLOOR``;
+    anything else is refused."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
+            and values.shape == (len(seq),)):
+        got = (f"{values.dtype} array of shape {values.shape}"
+               if isinstance(values, np.ndarray) else type(values).__name__)
+        raise ContractError(f"override scores must be a float array of {len(seq)} "
+                            f"values, got {got}")
+    bad = ~(values <= 0)  # NaN compares false, so it is refused too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(f"override scores must be <= 0 or -inf, got {values[i]} "
+                            f"at position {i}")
+    logits = values.astype(dtype)
+    return PruningScores(seq=seq, log_probs=T.Tensor(np.maximum(logits, SCORE_FLOOR)),
+                         logits=T.Tensor(logits))
+
+
 def constant_scores(seq: TokenizedSequence, value: float = 0.0) -> np.ndarray:
     """The same fixed score for every token (forced-zero-score baselines)."""
     return np.full(len(seq), float(value))
@@ -136,6 +158,16 @@ def select_columns(col_scores: dict[int, float], seq: TokenizedSequence,
             kept.update(members.get(c, ()))
             budget -= size
     return Selection(tuple(sorted(kept)), k=k)
+
+
+def select(values: np.ndarray, seq: TokenizedSequence, k: int, mode: str) -> Selection:
+    """The one token/column dispatch: ``select_top_k_tokens`` in ``token``
+    mode, ``select_columns`` over ``column_scores`` in ``column`` mode."""
+    if mode == "token":
+        return select_top_k_tokens(values, seq, k)
+    if mode == "column":
+        return select_columns(column_scores(values, seq), seq, k)
+    raise ContractError(f"unknown selection mode {mode!r}")
 
 
 def compact(seq: TokenizedSequence, selection: Selection) -> TokenizedSequence:

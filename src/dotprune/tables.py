@@ -20,15 +20,13 @@ import numpy as np
 
 from .errors import ContractError, InputTooLongError, open_input
 
-PAD_ID = 0
-CLS_ID = 1
-SEP_ID = 2
-UNK_ID = 3
-
 PAD_TOKEN = "[PAD]"
 CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 UNK_TOKEN = "[UNK]"
+# every vocabulary starts with these, in id order
+RESERVED_TOKENS = (PAD_TOKEN, CLS_TOKEN, SEP_TOKEN, UNK_TOKEN)
+PAD_ID, CLS_ID, SEP_ID, UNK_ID = range(len(RESERVED_TOKENS))
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -96,12 +94,10 @@ class Example:
 
 
 class Vocabulary:
-    """Injective string-to-id map with fixed reserved ids 0..3."""
+    """Injective string-to-id map with ``RESERVED_TOKENS`` at fixed ids 0..3."""
 
     def __init__(self, tokens=()):
-        self._index: dict[str, int] = {
-            PAD_TOKEN: PAD_ID, CLS_TOKEN: CLS_ID, SEP_TOKEN: SEP_ID, UNK_TOKEN: UNK_ID,
-        }
+        self._index: dict[str, int] = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
         for tok in tokens:
             self.add(tok)
 

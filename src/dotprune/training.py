@@ -2,10 +2,12 @@
 
 The pipeline: linearize each example, shorten it with a heuristic
 preselector, score every token (``pruning.score_tokens``, or an override's
-float array), keep the top-k tokens (or top columns) by score value alone,
-compact, and run the task encoder with the kept tokens' scores as a soft
-attention bias. Each tower runs once per batch on a padded stack; selection
-and compaction run per example.
+float array through ``pruning.fixed_scores``), keep the top-k tokens (or
+top columns) by score value alone through one selection hook, compact, and
+run the task encoder with the kept tokens' clean scores as a soft
+attention bias. The default hook is ``pruning.select``; the trainer's
+exploration is the hook ``explore`` returns. Each tower runs once per
+batch on a padded stack; selection and compaction run per example.
 Three loss modes differ in how the scorer learns:
 
 * ``J``: the task loss alone; gradient reaches the scorer only through the
@@ -20,6 +22,7 @@ no clock: a caller times steps from ``step_callback``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,12 +34,16 @@ from . import pruning as pr
 from . import tensor as T
 from .container import load_tensors, save_tensors
 from .errors import ConfigError, ContractError, TrainingDivergedError, check_field_types
-from .tables import Example, TokenizedSequence, Vocabulary, cc_select, hem_select, linearize
+from .tables import (RESERVED_TOKENS, Example, TokenizedSequence, Vocabulary, cc_select,
+                     hem_select, linearize)
 
 LOSS_MODES = ("J", "P", "PJ")
 PRESELECTORS = ("cc", "hem")
 SELECTION_MODES = ("token", "column")
 TASK_TYPES = ("cell_selection", "classification")
+
+SelectHook = Callable[[np.ndarray, TokenizedSequence], pr.Selection]
+
 
 @dataclass(frozen=True)
 class DoTConfig:
@@ -180,72 +187,40 @@ def preselect(seq: TokenizedSequence, example: Example, config: DoTConfig
 def dot_forward(model: DoTModel, example: Example,
                 scores_override: Callable[[TokenizedSequence, Example],
                                           np.ndarray] | None = None,
-                selection_override: pr.Selection | None = None,
-                selection_noise: tuple[float, np.random.Generator] | None = None
-                ) -> DotOutputs:
-    """Full pipeline for one example: the batch-of-one ``dot_forward_batch``.
-
-    ``selection_override`` pins the kept set; finite-difference harnesses
-    use it because the hard selection is a step function of the scores.
-    """
-    return dot_forward_batch(
-        model, [example], scores_override=scores_override,
-        selection_overrides=None if selection_override is None else [selection_override],
-        selection_noise=selection_noise)[0]
+                select: SelectHook | None = None) -> DotOutputs:
+    """Full pipeline for one example: the batch-of-one ``dot_forward_batch``."""
+    return dot_forward_batch(model, [example], scores_override=scores_override,
+                             select=select)[0]
 
 
 def dot_forward_batch(model: DoTModel, examples: list[Example],
                       scores_override: Callable[[TokenizedSequence, Example],
                                                 np.ndarray] | None = None,
-                      selection_overrides: list[pr.Selection] | None = None,
-                      selection_noise: tuple[float, np.random.Generator] | None = None
-                      ) -> list[DotOutputs]:
+                      select: SelectHook | None = None) -> list[DotOutputs]:
     """Full pipeline for a batch; each tower runs once on a padded stack.
 
     Selection and compaction run per example; every output tensor is a
     per-example slice of the batch's tensors. ``scores_override(seq,
     example)`` replaces the learned scorer with a float array per
-    preselected sequence (oracle and constant baselines).
-    In the P loss mode the bias is detached, so the task loss does not
-    reach the scorer. ``selection_overrides`` pins each example's kept set.
-    ``selection_noise`` perturbs only the selection, never the bias: the
-    trainer's exploration mechanism.
+    preselected sequence (oracle and constant baselines). ``select(values,
+    seq)``, the one selection hook, picks each kept set (by default
+    ``pruning.select`` under the config's ``k`` and ``selection_mode``);
+    the bias always carries the clean scores. In the P loss mode the bias
+    is detached, so the task loss does not reach the scorer.
     """
     cfg = model.config
+    select = select or functools.partial(pr.select, k=cfg.k, mode=cfg.selection_mode)
     detach = cfg.loss_mode == "P"
-    dtype = model.task.head_w.dtype
     pre_seqs = [preselect(linearize(ex, model.vocab), ex, cfg) for ex in examples]
     if scores_override is not None:
-        all_scores = [_fixed_scores(seq, scores_override(seq, ex), dtype)
+        all_scores = [pr.fixed_scores(seq, scores_override(seq, ex), model.task.head_w.dtype)
                       for seq, ex in zip(pre_seqs, examples)]
     else:
         all_scores = pr.score_tokens(model.pruning, pre_seqs)
 
-    selections, compact_seqs, biases = [], [], []
-    for b, (pre_seq, scores) in enumerate(zip(pre_seqs, all_scores)):
-        values = scores.values
-        if selection_noise is not None:
-            sigma, noise_rng = selection_noise
-            if sigma > 0:
-                # row-correlated noise: tokens of a row explore together, so
-                # the kept set contains coherent islands (a cell is only
-                # useful to the task alongside the rest of its row)
-                row_ids = np.asarray(pre_seq.row_ids)
-                row_noise = noise_rng.normal(0.0, sigma, int(row_ids.max()) + 1)
-                token_noise = noise_rng.normal(0.0, 0.25 * sigma, len(pre_seq))
-                values = values + row_noise[row_ids] + token_noise
-
-        if selection_overrides is not None:
-            selection = selection_overrides[b]
-        elif cfg.selection_mode == "token":
-            selection = pr.select_top_k_tokens(values, pre_seq, cfg.k)
-        else:
-            selection = pr.select_columns(pr.column_scores(values, pre_seq),
-                                          pre_seq, cfg.k)
-        bias = pr.build_bias(selection, scores)
-        selections.append(selection)
-        compact_seqs.append(pr.compact(pre_seq, selection))
-        biases.append(bias.detach() if detach else bias)
+    selections = [select(scores.values, seq) for seq, scores in zip(pre_seqs, all_scores)]
+    compact_seqs = list(map(pr.compact, pre_seqs, selections))
+    biases = [b.detach() if detach else b for b in map(pr.build_bias, selections, all_scores)]
 
     hidden, pooled = enc.forward_batch(model.task.encoder, compact_seqs, biases)
     cell_selection = cfg.task_type == "cell_selection"
@@ -267,26 +242,6 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
             answer_pruned=kept_table_targets is not None and not kept_table_targets.any(),
             bias_detached=detach))
     return outputs
-
-
-def _fixed_scores(seq: TokenizedSequence, values: np.ndarray, dtype) -> pr.PruningScores:
-    """An override's float array of one score per token, each <= 0 or -inf, as
-    constant scores in the model's dtype, clipped at ``pr.SCORE_FLOOR``;
-    anything else is refused."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
-            and values.shape == (len(seq),)):
-        got = (f"{values.dtype} array of shape {values.shape}"
-               if isinstance(values, np.ndarray) else type(values).__name__)
-        raise ContractError(f"override scores must be a float array of {len(seq)} "
-                            f"values, got {got}")
-    bad = ~(values <= 0)  # NaN compares false, so it is refused too
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ContractError(f"override scores must be <= 0 or -inf, got {values[i]} "
-                            f"at position {i}")
-    logits = values.astype(dtype)
-    return pr.PruningScores(seq=seq, log_probs=T.Tensor(np.maximum(logits, pr.SCORE_FLOOR)),
-                            logits=T.Tensor(logits))
 
 
 def _task_scalar_loss(outputs: DotOutputs, example: Example, task_type: str,
@@ -369,6 +324,19 @@ def lr_at(step: int, config: TrainConfig) -> float:
     return config.learning_rate * max(0.0, (config.num_steps - step) / remaining)
 
 
+def explore(sigma: float, rng: np.random.Generator, config: DoTConfig) -> SelectHook:
+    """The trainer's exploration hook: ``pruning.select`` on the scores plus
+    noise of stddev ``sigma`` from ``rng``, correlated within a row so the kept
+    set holds coherent islands (a cell is only useful alongside its row)."""
+    def select(values: np.ndarray, seq: TokenizedSequence) -> pr.Selection:
+        row_ids = np.asarray(seq.row_ids)
+        row_noise = rng.normal(0.0, sigma, int(row_ids.max()) + 1)
+        token_noise = rng.normal(0.0, 0.25 * sigma, len(seq))
+        return pr.select(values + row_noise[row_ids] + token_noise, seq, config.k,
+                         config.selection_mode)
+    return select
+
+
 @dataclass
 class TrainResult:
     model: DoTModel
@@ -386,9 +354,10 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     gradient clipping and AdamW. Per-step metrics records carry no timing
     (``grad_norm`` is the global gradient norm before clipping).
     ``stop_condition`` may end the run early (checked after
-    ``step_callback``, every step). ``scores_override(seq)`` bypasses the
-    scoring tower entirely (single-tower baselines); only the task tower
-    trains.
+    ``step_callback``, every step). A non-finite loss or gradient norm
+    raises ``TrainingDivergedError`` before AdamW touches a parameter.
+    ``scores_override(seq)`` bypasses the scoring tower entirely
+    (single-tower baselines); only the task tower trains.
     A passed ``model`` must have been built for ``dot_config`` in the
     precision of ``train_config``.
     """
@@ -424,15 +393,14 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         order = order[train_config.batch_size:]
 
         sigma = train_config.exploration_noise * max(0.0, 1.0 - step / anneal_until)
-        noise = (sigma, explore_rng) if train_config.exploration_noise > 0 else None
+        select = explore(sigma, explore_rng, dot_config) if sigma > 0 else None
 
-        outs = dot_forward_batch(model, batch, scores_override=override,
-                                 selection_noise=noise)
+        outs = dot_forward_batch(model, batch, scores_override=override, select=select)
         losses = [compute_loss(model, out, ex) for out, ex in zip(outs, batch)]
         gaps = [g for g in (answer_score_gap(out.scores, out.selection, ex)
                             for out, ex in zip(outs, batch)) if g is not None]
         pruned = sum(out.answer_pruned for out in outs)
-        total = T.mul(_sum_losses(losses), 1.0 / len(batch))
+        total = T.mul(functools.reduce(T.add, losses), 1.0 / len(batch))
         loss_val = float(total.data)
         if not np.isfinite(loss_val):
             raise TrainingDivergedError(
@@ -442,6 +410,9 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         grad_norm = clip_grad_norm(params, math.inf if train_config.grad_clip is None
                                    else train_config.grad_clip)
         lr = lr_at(step, train_config)
+        if not math.isfinite(grad_norm):
+            raise TrainingDivergedError(
+                f"gradient norm became {grad_norm} at step {step} (lr={lr})")
         for group, scale, opt_state in groups:
             T.adamw_step(group, [p.grad for p in group], opt_state, lr * scale,
                          train_config.weight_decay)
@@ -461,16 +432,10 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     return TrainResult(model=model, metrics=metrics)
 
 
-def _sum_losses(losses: list[T.Tensor]) -> T.Tensor:
-    total = losses[0]
-    for l in losses[1:]:
-        total = T.add(total, l)
-    return total
-
-
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``;
-    returns the norm before scaling.
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``
+    (a non-finite norm leaves them as they are); returns the norm before
+    scaling.
 
     Each gradient's squared norm is one BLAS dot in its own dtype, summed
     in a fixed order: deterministic for a fixed thread count.
@@ -481,7 +446,7 @@ def clip_grad_norm(params, max_norm: float) -> float:
             g = p.grad.reshape(-1)
             total += float(np.dot(g, g))
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
+    if norm > max_norm and 0 < norm < math.inf:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
@@ -599,7 +564,7 @@ def load_checkpoint(path) -> DoTModel:
         raise ContractError(f"{path} is not a model checkpoint")
     try:
         config = DoTConfig(**header["config"])
-        vocab = Vocabulary(header["vocab"][4:])  # reserved entries re-added by ctor
+        vocab = Vocabulary(header["vocab"][len(RESERVED_TOKENS):])  # re-added by ctor
         tokens = vocab.tokens()
         if tokens != header["vocab"] or not all(isinstance(t, str) for t in tokens):
             # a repeated token would shift every later token's id, and a token

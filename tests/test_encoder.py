@@ -147,6 +147,22 @@ def test_forward_batch_refuses_a_bias_count_other_than_the_sequence_count(n_seqs
         enc.forward_batch(w, seqs, biases)
 
 
+@pytest.mark.parametrize("padded", [False, True])
+def test_forward_refuses_a_tensor_bias_of_another_dtype(padded):
+    seq = helpers.random_sequence(np.random.default_rng(35))
+    seqs = [seq, helpers.compacted(seq, [len(seq) - 1])] if padded else [seq]
+    w = enc.init_weights(tiny_config(), dtype=np.float32)
+    biases = [T.Tensor(np.zeros(len(s))) for s in seqs]  # float64
+    with pytest.raises(ContractError, match="bias dtype float64 != scores' dtype float32"):
+        enc.forward_batch(w, seqs, biases)
+
+
+def test_forward_batch_refuses_an_empty_batch():
+    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    with pytest.raises(ContractError, match="at least one sequence"):
+        enc.forward_batch(w, [])
+
+
 def _forward_pair(seq, drop, mode, dtype=np.float64, preset_name=None, seed=0):
     if preset_name:
         cfg = enc.preset(preset_name, vocab_size=40, max_input=64, seed=seed)
@@ -396,7 +412,7 @@ def test_layer_is_bit_identical_to_the_composed_graph(dtype, mode):
     with T.no_grad():
         fused = enc.layer(x, lw, bias, mode, heads)
         reference = helpers.composed_layer(x, lw, bias, mode, heads)
-        unbiased = enc.layer(x, lw, None, mode, heads)
+        unbiased = enc.layer(x, lw, T.Tensor(np.zeros(bias.shape, dtype)), mode, heads)
         unbiased_reference = helpers.composed_layer(x, lw, None, mode, heads)
     assert fused.data.dtype == dtype
     assert np.array_equal(fused.data, reference.data)

@@ -314,3 +314,15 @@ def test_token_and_column_selection_agree_on_single_token_columns():
     tok = pr.select_top_k_tokens(vals, seq, k)
     col = pr.select_columns(pr.column_scores(vals, seq), seq, k)
     assert tok.kept_indices == col.kept_indices
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_dispatches_to_the_token_and_column_selectors(seed):
+    rng = np.random.default_rng(40 + seed)
+    seq, v = seq_with_values(rng)
+    k = len(seq.question_span()) + int(rng.integers(1, 4))
+    assert pr.select(v, seq, k, "token") == pr.select_top_k_tokens(v, seq, k)
+    assert pr.select(v, seq, k, "column") == pr.select_columns(pr.column_scores(v, seq),
+                                                               seq, k)
+    with pytest.raises(ContractError, match="unknown selection mode 'row'"):
+        pr.select(v, seq, k, "row")

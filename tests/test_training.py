@@ -318,12 +318,12 @@ def test_exploration_noise_rotates_selection_but_not_bias():
     ex = data[0]
     rng = np.random.default_rng(0)
     base = tr.dot_forward(model, ex)
-    noisy = tr.dot_forward(model, ex, selection_noise=(5.0, rng))
+    noisy = tr.dot_forward(model, ex, select=tr.explore(5.0, rng, model.config))
     # scores and bias values are untouched by the noise
     np.testing.assert_array_equal(base.scores.values, noisy.scores.values)
     # with a large sigma the kept set should differ from the clean ranking
     diffs = [tr.dot_forward(model, ex,
-                            selection_noise=(5.0, np.random.default_rng(s))
+                            select=tr.explore(5.0, np.random.default_rng(s), model.config)
                             ).selection.kept_indices
              for s in range(6)]
     assert len({d for d in diffs}) > 1
@@ -365,6 +365,72 @@ def test_train_divergence_aborts_with_diagnostic():
     with pytest.raises(TrainingDivergedError, match="step 1"):
         tr.train(model.config, tr.TrainConfig(num_steps=3, batch_size=1, precision="f64"),
                  data, model=model)
+
+
+def test_a_non_finite_gradient_stops_training_at_its_own_step(monkeypatch):
+    data = lookup_data(n=4, seed=6)
+    model = tiny_model(data)
+    params = model.parameters()
+    backward = T.backward
+    calls = []
+
+    def inf_at_step_two(loss, params=None):
+        backward(loss, params=params)
+        calls.append(1)
+        if len(calls) == 2:
+            params[0].grad.reshape(-1)[0] = np.inf
+
+    after = {}
+    monkeypatch.setattr(T, "backward", inf_at_step_two)
+    with pytest.raises(TrainingDivergedError, match="gradient norm became inf at step 2 "):
+        tr.train(model.config, tr.TrainConfig(num_steps=3, batch_size=1, precision="f64"),
+                 data, model=model,
+                 step_callback=lambda step, m: after.setdefault(
+                     step, [p.data.copy() for p in params]))
+    assert list(after) == [1]
+    for p, value in zip(params, after[1]):
+        assert np.array_equal(p.data, value)
+
+
+def test_the_select_hook_picks_the_kept_set_and_the_bias_keeps_clean_scores(monkeypatch):
+    data = lookup_data(n=3, seed=7)
+    model = tiny_model(data)
+    k = model.config.k
+
+    def last_tokens(seq):  # the question span and the last table tokens
+        qspan = tuple(seq.question_span())
+        return pr.Selection(qspan + tuple(seq.table_indices())[len(qspan) - k:], k=k)
+
+    hook_values, encoder_biases = [], []
+
+    def hook(values, seq):
+        hook_values.append(values.copy())
+        return last_tokens(seq)
+
+    forward_batch = enc.forward_batch
+
+    def recording(weights, seqs, biases=None):
+        encoder_biases.append(biases)
+        return forward_batch(weights, seqs, biases)
+
+    monkeypatch.setattr(enc, "forward_batch", recording)
+    outs = tr.dot_forward_batch(model, data, select=hook)
+    assert len(hook_values) == len(data)
+    assert any(out.selection != pr.select(out.scores.values, out.pre_seq, k, "token")
+               for out in outs)
+    for out, values, bias in zip(outs, hook_values, encoder_biases[-1]):  # the task tower's
+        assert out.selection == last_tokens(out.pre_seq)
+        np.testing.assert_array_equal(values, out.scores.values)
+        kept = list(out.selection.kept_indices)
+        table = np.asarray(out.pre_seq.segment_ids)[kept] == 1
+        np.testing.assert_array_equal(bias.data, np.where(table, out.scores.values[kept], 0.0))
+
+
+def test_an_empty_batch_is_refused_with_the_package_error():
+    model = tiny_model(lookup_data(n=2))
+    for override in (None, lambda seq, _ex: pr.constant_scores(seq, 0.0)):
+        with pytest.raises(ContractError, match="at least one sequence"):
+            tr.dot_forward_batch(model, [], scores_override=override)
 
 
 def test_train_rejects_model_built_for_another_config():
