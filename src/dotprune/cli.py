@@ -341,6 +341,8 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs a data section naming a dataset by path or spec")
     dataset = cfg.data.examples()
     eval_examples = cfg.eval.examples() if cfg.eval.names_dataset else None
+    for example in dataset + (eval_examples or []):
+        tr.check_supervision(example, cfg.task.task_type)
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     # perfbench's definition: a step's time is the gap between consecutive
@@ -412,13 +414,13 @@ def cmd_eval(args) -> int:
     if args.oracle and any(ex.answer_coords is None for ex in examples):
         raise ContractError("--oracle keeps the answer rows, and an example with a "
                             "label instead of answer cells has none")
-    out_dir = args.out or "eval"
-    os.makedirs(out_dir, exist_ok=True)
 
     override = None
     if args.oracle:
         override = lambda s, ex: pr.oracle_scores(s, ex.answer_coords)
     report_obj = tr.evaluate(model, examples, scores_override=override)
+    out_dir = args.out or "eval"
+    os.makedirs(out_dir, exist_ok=True)
 
     # independent re-tally of the accuracy from raw predictions
     golds = [ex.answer_coords if model.config.task_type == "cell_selection" else ex.label

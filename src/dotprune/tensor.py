@@ -5,9 +5,9 @@ and kernels, a dynamically built graph of operation nodes for gradients,
 and a central-difference gradient checker for verification. Two precision
 modes are supported by construction: every op preserves the dtype of its
 inputs and binary ops refuse operands of two dtypes, so a graph built from
-float32 leaves stays float32 end to end. After ``backward`` only leaves
-(tensors no op produced, such as parameters) keep a ``.grad``: an op
-result's gradient is released once passed on to its parents.
+float32 leaves stays float32 end to end. Gradients are values: ``backward``
+returns one array per parameter and no tensor holds a gradient, so graphs
+that share leaves can be walked on two threads at once.
 
 The softmax, layer-norm and GELU array kernels (``softmax_rows_inplace``,
 ``softmax_rows_grad_inplace``, ``layer_norm_inplace``, ``layer_norm_grad``,
@@ -42,7 +42,7 @@ import ctypes
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -201,14 +201,12 @@ def worker_map(fn: Callable, items) -> list:
 class Tensor:
     """A dense row-major array plus an optional position in a backward graph.
 
-    ``data`` is always a numpy array; ``grad`` is populated by ``backward``
-    and accumulates additively over fan-out. Operation results record their
+    ``data`` is always a numpy array. Operation results record their
     parents and a backward closure until ``backward`` walks them; leaves
-    record neither, and only leaves still hold ``grad`` once ``backward``
-    returns.
+    record neither.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn")
+    __slots__ = ("data", "requires_grad", "parents", "backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None):
         arr = np.asarray(data)
@@ -216,7 +214,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self.backward_fn: Callable | None = backward_fn
 
@@ -315,15 +312,17 @@ def trace(root: Tensor) -> Graph:
     return Graph(root=root, nodes=order)
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
-    """Populate ``.grad`` for every requires_grad leaf reachable from ``loss``.
+def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
+    """The gradient of the scalar ``loss`` with respect to each of ``params``,
+    in order: one array each, zeros where the loss does not reach.
 
-    ``loss`` must be scalar. Tensors in ``params`` that the loss does not
-    depend on receive an explicit zero gradient. Only leaves keep ``.grad``:
-    each op result's gradient is set to None once its backward closure has
-    run. A parent's first gradient is the array the closure returned, not a
-    copy, unless that array is read-only, of another dtype, or may share
-    memory with one a sibling parent took from the same closure call.
+    The walk keeps gradients in its own dict, keyed by node, and sets no
+    attribute of a tensor. A node's first gradient is the array its child's
+    closure returned, cast to the node's dtype (no copy when it has it); a
+    later one is added out of place. A backward closure never writes the
+    gradient it is given, and nothing in the package writes one that
+    ``backward`` returned, so returned arrays may share memory with each
+    other (``add`` hands one array to both operands).
 
     The walk releases the graph as it goes: every op node it visits drops
     its closure, and with it the activations the closure saved, and its
@@ -331,38 +330,22 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    graph = trace(loss)
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(graph.nodes):
-        backward_fn, parents, grad = node.backward_fn, node.parents, node.grad
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(trace(loss).nodes):
+        backward_fn, parents = node.backward_fn, node.parents
         if backward_fn is None:
             continue
-        node.backward_fn, node.parents, node.grad = None, (), None
+        node.backward_fn, node.parents = None, ()
+        grad = grads.pop(id(node), None)
         if grad is None:
             continue
-        grads = backward_fn(grad)
-        adopted: list[np.ndarray] = []
-        for parent, g in zip(parents, grads):
+        for parent, g in zip(parents, backward_fn(grad)):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is not None:
-                parent.grad += g
-            elif (g.flags.writeable and g.dtype == parent.data.dtype
-                  and not any(np.may_share_memory(g, a) for a in adopted)):
-                # fresh, or a view of node's released grad: nothing else holds it
-                parent.grad = g
-                adopted.append(g)
-            else:
-                parent.grad = np.array(g, dtype=parent.data.dtype)
-    if params is not None:
-        for p in params:
-            if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
+            g = g.astype(parent.data.dtype, copy=False)
+            acc = grads.get(id(parent))
+            grads[id(parent)] = g if acc is None else acc + g
+    return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +684,17 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
 
 def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dict,
                lr: float, weight_decay: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-6
-               ) -> Sequence[Tensor]:
-    """One AdamW update: bias-corrected moments, decoupled weight decay.
+               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-6,
+               grad_scale: float = 1.0) -> Sequence[Tensor]:
+    """One AdamW update from ``grads`` times ``grad_scale`` (the clip
+    factor): bias-corrected moments, decoupled weight decay.
 
-    ``state`` is mutated in place; pass ``{}`` on the first call. Each
-    parameter is updated in blocks of ``_BLOCK`` elements through two work
-    buffers per dtype, with the whole-array formula's operations in its
-    order, so the result is bit-identical to that formula.
+    ``state`` is mutated in place; pass ``{}`` on the first call. ``grads``
+    are only read. Each parameter is updated in blocks of ``_BLOCK``
+    elements through three work buffers per dtype (one holds the scaled
+    gradient block), with the whole-array formula's operations in its
+    order, so the result is bit-identical to that formula on the gradients
+    ``g * grad_scale``.
     """
     b1, b2 = betas
     step = state.get("step", 0) + 1
@@ -718,8 +704,6 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dic
     c2 = 1.0 - b2 ** step
     work: dict[np.dtype, np.ndarray] = {}
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            continue
         if g.shape != p.shape or g.dtype != p.dtype:
             raise ContractError(f"adamw_step: gradient {g.shape} {g.dtype} for a "
                                 f"parameter {p.shape} {p.dtype}")
@@ -731,12 +715,13 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dic
         flat_p, flat_g = data.reshape(-1), g.reshape(-1)
         flat_m, flat_v = (x.reshape(-1) for x in moments[i])
         if p.dtype not in work:
-            work[p.dtype] = np.empty((2, _BLOCK), p.dtype)
-        t, u = work[p.dtype]
+            work[p.dtype] = np.empty((3, _BLOCK), p.dtype)
+        t, u, s = work[p.dtype]
         for start in range(0, flat_p.size, _BLOCK):
             blk = slice(start, start + _BLOCK)
             ps, gs, ms, vs = flat_p[blk], flat_g[blk], flat_m[blk], flat_v[blk]
             tb, ub = t[:ps.size], u[:ps.size]
+            gs = np.multiply(gs, grad_scale, out=s[:ps.size])
             ms *= b1
             np.multiply(gs, 1.0 - b1, out=tb)
             ms += tb
@@ -771,12 +756,10 @@ def gradient_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Ten
     """
     if eps <= 0:
         raise ContractError("gradient_check requires eps > 0")
-    zero_grads(params)
     loss = f(params)
     if not np.isfinite(loss.data).all():
         raise ContractError("gradient_check: loss is not finite")
-    backward(loss, params=params)
-    analytic = [p.grad.copy() for p in params]
+    analytic = backward(loss, params)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for p, a in zip(params, analytic):

@@ -244,15 +244,21 @@ def dot_forward_batch(model: DoTModel, examples: list[Example],
     return outputs
 
 
+def check_supervision(example: Example, task_type: str) -> None:
+    """Refuse an example whose supervision ``task_type`` cannot score: cell
+    selection needs answer coordinates, classification a label."""
+    if task_type == "classification" and example.label is None:
+        raise ContractError("classification needs a label, not answer coordinates")
+    if task_type == "cell_selection" and example.answer_coords is None:
+        raise ContractError("cell selection needs answer coordinates, not a label")
+
+
 def _task_scalar_loss(outputs: DotOutputs, example: Example, task_type: str,
                       pos_weight: float = 1.0) -> T.Tensor:
     """Binary cross-entropy head loss, over kept table tokens or the CLS logit."""
+    check_supervision(example, task_type)
     if task_type == "classification":
-        if example.label is None:
-            raise ContractError("classification loss needs a label")
         return T.bce_with_logits(outputs.logits, np.array([float(example.label)]))
-    if example.answer_coords is None:
-        raise ContractError("cell-selection loss needs answer coordinates")
     if not outputs.kept_table_slots:
         return T.Tensor(np.asarray(0.0, dtype=outputs.scores.log_probs.dtype))
     kept_logits = T.take_rows(outputs.logits, outputs.kept_table_slots)
@@ -351,7 +357,8 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     """Run the optimization loop; deterministic given configs and seed.
 
     Each step runs both towers once on the padded batch, then backward,
-    gradient clipping and AdamW. Per-step metrics records carry no timing
+    which returns the gradients, and AdamW per optimizer group, which
+    applies the clip factor. Per-step metrics records carry no timing
     (``grad_norm`` is the global gradient norm before clipping).
     ``stop_condition`` may end the run early (checked after
     ``step_callback``, every step). A non-finite loss or gradient norm
@@ -405,17 +412,23 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         if not np.isfinite(loss_val):
             raise TrainingDivergedError(
                 f"loss became {loss_val} at step {step} (lr={lr_at(step, train_config)})")
-        T.zero_grads(params)
-        T.backward(total, params=params)
-        grad_norm = clip_grad_norm(params, math.inf if train_config.grad_clip is None
-                                   else train_config.grad_clip)
+        # the last step's gradients are freed only now, just before backward
+        # allocates arrays of the same sizes; freed right after AdamW, they
+        # left the heap's top free, the allocator returned it to the system,
+        # and each train_dot step faulted ~32k pages back in
+        grads = None
+        grads = T.backward(total, params)
+        grad_norm, grad_scale = clip_grad_norm(
+            grads, math.inf if train_config.grad_clip is None else train_config.grad_clip)
         lr = lr_at(step, train_config)
         if not math.isfinite(grad_norm):
             raise TrainingDivergedError(
                 f"gradient norm became {grad_norm} at step {step} (lr={lr})")
+        start = 0
         for group, scale, opt_state in groups:
-            T.adamw_step(group, [p.grad for p in group], opt_state, lr * scale,
-                         train_config.weight_decay)
+            T.adamw_step(group, grads[start:start + len(group)], opt_state, lr * scale,
+                         train_config.weight_decay, grad_scale=grad_scale)
+            start += len(group)
 
         metrics.append({
             "step": step,
@@ -432,26 +445,23 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     return TrainResult(model=model, metrics=metrics)
 
 
-def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``
-    (a non-finite norm leaves them as they are); returns the norm before
-    scaling.
+def clip_grad_norm(grads, max_norm: float) -> tuple[float, float]:
+    """(norm, scale): the joint L2 norm of ``grads`` and the factor that
+    brings it down to ``max_norm``, 1.0 when the norm is within
+    ``max_norm`` or is not finite. No gradient is written: ``adamw_step``
+    applies the factor as its ``grad_scale``.
 
     Each gradient's squared norm is one BLAS dot in its own dtype, summed
     in a fixed order: deterministic for a fixed thread count.
     """
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            g = p.grad.reshape(-1)
-            total += float(np.dot(g, g))
+    for g in grads:
+        g = g.reshape(-1)
+        total += float(np.dot(g, g))
     norm = float(np.sqrt(total))
     if norm > max_norm and 0 < norm < math.inf:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
-    return norm
+        return norm, max_norm / norm
+    return norm, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +505,14 @@ def evaluate(model: DoTModel, examples: list[Example],
 
     Both towers run once per chunk of ``EVAL_CHUNK_TOKENS // pre_limit``
     examples (at least one). ``scores_override(seq, example)`` replaces the
-    learned scorer with a float array per example (oracle injection).
+    learned scorer with a float array per example (oracle injection). An
+    example without the supervision the task type scores is refused before
+    any forward (``check_supervision``).
     """
     if not examples:
         raise ContractError("dataset is empty")
+    for ex in examples:
+        check_supervision(ex, model.config.task_type)
     chunk = max(1, EVAL_CHUNK_TOKENS // model.config.pre_limit)
     correct = []
     predictions = []

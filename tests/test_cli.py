@@ -186,6 +186,19 @@ def test_cmd_train_rejects_a_count_of_zero(tmp_path, field):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section", ["data", "eval"])
+def test_cmd_train_refuses_examples_the_task_type_cannot_score_before_training(
+        tmp_path, section):
+    # entailment examples carry a label, not the answer coordinates cell
+    # selection trains and evaluates on
+    entailment = {"spec": dict(TINY_DATA["spec"], task_type="entailment")}
+    sections = {"data": TINY_DATA, section: entailment}
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN, **sections)
+    with pytest.raises(ContractError, match="needs answer coordinates"):
+        cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 def test_cmd_train_metrics_deterministic(tmp_path):
     cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=TINY_TRAIN,
                        data=TINY_DATA)
@@ -518,6 +531,33 @@ def test_eval_section_without_a_dataset_is_not_a_dataset(tmp_path, eval_inputs, 
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(path),
                      "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["n_examples"] == 3
+
+
+@pytest.mark.parametrize("task_type", ["cell_selection", "classification"])
+def test_eval_refuses_a_dataset_the_task_type_cannot_score(tmp_path, task_type):
+    # a cell-selection checkpoint on entailment examples, or a classifier on
+    # lookup examples: refused before --out is created, not scored as 0
+    import numpy as np
+
+    import helpers
+    from dotprune import synth, tables
+    from dotprune import training as tr
+
+    other = "entailment" if task_type == "cell_selection" else "lookup"
+    examples = synth.generate(synth.GeneratorSpec(
+        seed=5, n_examples=4, min_rows=2, max_rows=3, min_cols=2, max_cols=3,
+        max_cell_tokens=1, vocab_size=24, task_type=other))
+    model = helpers.tiny_model(examples, tr.DoTConfig(pre_limit=48, k=12,
+                                                      task_type=task_type),
+                               dtype=np.float32, hidden=8, layers=1)
+    ckpt, data = tmp_path / "model.ckpt", tmp_path / "data.jsonl"
+    tr.save_checkpoint(ckpt, model)
+    tables.write_jsonl(data, examples)
+    need = "a label" if task_type == "classification" else "answer coordinates"
+    with pytest.raises(ContractError, match=f"needs {need}"):
+        cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                  "--out", str(tmp_path / "eval")])
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("edges", [[], "ab", 5, [128, 64], [64, True]],

@@ -82,6 +82,13 @@ def test_tracer_survives_batched_training_steps(perfbench):
     # the scorer runs once per step on the padded batch, through the traced
     # entry point
     assert sum(s.name == "pruning.score_tokens" for s in tracer.spans) == 2
+    # AdamW runs once per optimizer group, scorer first; the tracer counts 7
+    # passes over each group's parameter bytes
+    group_bytes = [7 * sum(p.data.nbytes for p in group)
+                   for group in (model.pruning.parameters(), model.task.parameters())]
+    adamw = [s.attrs["bytes"] for s in tracer.spans if s.name == "tensor.adamw_step"]
+    assert adamw == group_bytes * 2
+    assert sum(s.name == "training.clip_grad_norm" for s in tracer.spans) == 2
 
 
 def test_single_tower_training_bypasses_and_freezes_the_scorer(perfbench):
@@ -112,6 +119,10 @@ def test_single_tower_training_bypasses_and_freezes_the_scorer(perfbench):
                for before, p in zip(scorer_before, model.pruning_parameters()))
     assert any(not np.array_equal(before, p.data)
                for before, p in zip(task_before, model.task.parameters()))
+    task_bytes = 7 * sum(p.data.nbytes for p in model.task.parameters())
+    assert [s.attrs["bytes"] for s in tracer.spans
+            if s.name == "tensor.adamw_step"] == [task_bytes] * 2
     names = {s.name for s in tracer.spans}
     assert "pruning.score_tokens" not in names
+    assert "training.clip_grad_norm" in names
     assert {"pruning.select_top_k_tokens", "pruning.build_bias"} <= names

@@ -228,8 +228,7 @@ def test_build_bias_soft_gradient_only_for_kept_tokens():
     rng = np.random.default_rng(13)
     seq = helpers.random_sequence(rng)
     w = tiny_pruning(seed=3)
-    # only leaves keep .grad after backward, so the scorer's output values
-    # are held by a leaf
+    # the scorer's output values are held by a leaf, the one parameter
     log_probs = T.Tensor(pr.score_tokens(w, [seq])[0].values, requires_grad=True)
     scores = pr.PruningScores(seq=seq, log_probs=log_probs, logits=log_probs)
     qspan = seq.question_span()
@@ -237,8 +236,7 @@ def test_build_bias_soft_gradient_only_for_kept_tokens():
     sel = pr.select_top_k_tokens(scores.values, seq, k)
     bias = pr.build_bias(sel, scores)
     assert bias.shape == (len(sel.kept_indices),)
-    T.backward(T.tensor_sum(bias))
-    g = log_probs.grad
+    (g,) = T.backward(T.tensor_sum(bias), [log_probs])
     kept_table = [i for i in sel.kept_indices if seq.segment_ids[i] == 1]
     dropped = set(range(len(seq))) - set(sel.kept_indices)
     assert all(g[i] != 0 for i in kept_table)

@@ -141,8 +141,8 @@ def _gelu_and_slope(x):
     """Forward values and d gelu / dx (the gradient of sum(gelu(x)))."""
     t = T.Tensor(x, requires_grad=True)
     out = gelu(t)
-    T.backward(T.tensor_sum(out))
-    return out.data, t.grad
+    (grad,) = T.backward(T.tensor_sum(out), [t])
+    return out.data, grad
 
 
 def test_gelu_f32_is_within_3e_7_of_the_normal_cdf():
@@ -265,6 +265,30 @@ def test_blocked_adamw_equals_the_whole_array_formula_bitwise(dtype, weight_deca
     assert all(not np.array_equal(b.data, a) for b, a in zip(blocked, init))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_grad_scale_equals_adamw_on_gradients_scaled_beforehand_bitwise(dtype):
+    # the factor is applied block by block inside the sweep, as the clip's
+    # factor is; the gradients passed in are only read
+    rng = np.random.default_rng(13)
+    init = [rng.normal(size=shape).astype(dtype) for shape in ADAMW_SHAPES]
+    folded = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+    scaled = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+    folded_state, scaled_state = {}, {}
+    for step, grad_scale in enumerate((0.37, 1.0, 1e-3, 0.9), start=1):
+        grads = [rng.normal(size=shape).astype(dtype) for shape in ADAMW_SHAPES]
+        before = [g.copy() for g in grads]
+        lr = 1e-3 * step
+        T.adamw_step(folded, grads, folded_state, lr, 0.01, grad_scale=grad_scale)
+        for g, b in zip(grads, before):
+            assert g.tobytes() == b.tobytes()
+        pre = [g * grad_scale for g in grads]
+        T.adamw_step(scaled, pre, scaled_state, lr, 0.01)
+        for i, (f, s) in enumerate(zip(folded, scaled)):
+            assert f.data.tobytes() == s.data.tobytes()
+            for mf, ms in zip(folded_state["moments"][i], scaled_state["moments"][i]):
+                assert mf.tobytes() == ms.tobytes()
+
+
 @pytest.mark.parametrize("view", [np.transpose, lambda a: a[:, :4]],
                          ids=["transposed", "column-sliced"])
 def test_adamw_updates_a_parameter_that_is_not_c_contiguous(view):
@@ -299,34 +323,37 @@ def test_backward_leaves_own_their_gradients_and_nodes_release_theirs(case):
     w = np.arange(1.0, out.data.size + 1)
     loss = T.tensor_sum(T.mul(out, w.reshape(out.shape)))
     nodes = [n for n in T.trace(loss).nodes if n.backward_fn is not None]
-    T.backward(loss, params=[a, b])
+    ga, gb = T.backward(loss, [a, b])
     expect = {"add(a, a)": (2 * w, 0 * w), "add(a, b)": (w, w),
               "concat": (w[:4], w[4:]), "reshape": (w, 0 * w)}[case]
-    np.testing.assert_array_equal(a.grad, expect[0])
-    np.testing.assert_array_equal(b.grad, expect[1])
-    assert not np.may_share_memory(a.grad, b.grad)
-    assert all(n.grad is None for n in nodes)
+    np.testing.assert_array_equal(ga, expect[0])
+    np.testing.assert_array_equal(gb, expect[1])
+    # add hands one array to both operands; nothing writes a returned gradient
+    if case != "add(a, b)":
+        assert not np.may_share_memory(ga, gb)
+    assert not any(np.may_share_memory(g, p.data) for g in (ga, gb) for p in (a, b))
+    assert all(n.backward_fn is None and n.parents == () for n in nodes)
 
 
 def test_backward_sum_of_squares():
     x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     loss = T.tensor_sum(T.mul(x, x))
-    T.backward(loss)
-    np.testing.assert_allclose(x.grad, 2 * x.data)
+    (grad,) = T.backward(loss, [x])
+    np.testing.assert_allclose(grad, 2 * x.data)
 
 
 def test_backward_unreachable_param_gets_zero():
     x = T.Tensor(np.array([1.0]), requires_grad=True)
     w = T.Tensor(np.array([5.0]), requires_grad=True)
     loss = T.tensor_sum(T.mul(x, x))
-    T.backward(loss, params=[x, w])
-    np.testing.assert_array_equal(w.grad, [0.0])
+    _, grad_w = T.backward(loss, [x, w])
+    np.testing.assert_array_equal(grad_w, [0.0])
 
 
 def test_backward_rejects_non_scalar_loss():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
-        T.backward(T.mul(x, x))
+        T.backward(T.mul(x, x), [x])
 
 
 def test_graph_trace_is_topological():
@@ -372,9 +399,8 @@ def test_gradient_check_quadratic_form():
     err = T.gradient_check(quad, [w], eps=1e-6)
     assert err < 1e-7
     # Closed form: (A + A^T) w
-    T.zero_grads([w])
-    T.backward(quad([w]))
-    np.testing.assert_allclose(w.grad, (a.data + a.data.T) @ w.data, rtol=1e-8)
+    (grad,) = T.backward(quad([w]), [w])
+    np.testing.assert_allclose(grad, (a.data + a.data.T) @ w.data, rtol=1e-8)
 
 
 def test_gradient_check_rejects_nonpositive_eps():
@@ -428,8 +454,8 @@ def test_bce_pos_weight_value_and_gradient():
 def test_take_rows_gradient_scatters():
     table = T.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     out = T.take_rows(table, [1, 1, 3])
-    T.backward(T.tensor_sum(out))
-    np.testing.assert_array_equal(table.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
+    (grad,) = T.backward(T.tensor_sum(out), [table])
+    np.testing.assert_array_equal(grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -442,15 +468,14 @@ def test_take_rows_gradient_equals_add_at(dtype):
     for values, exact in ((rng.integers(-50, 50, size=idx.shape + (6,)), True),
                           (rng.normal(size=idx.shape + (6,)), False)):
         g = values.astype(dtype)
-        T.zero_grads([table])
-        T.backward(T.tensor_sum(T.mul(T.take_rows(table, idx), g)))
+        (grad,) = T.backward(T.tensor_sum(T.mul(T.take_rows(table, idx), g)), [table])
         expected = np.zeros_like(table.data)
         np.add.at(expected, idx, g)
-        assert table.grad.dtype == dtype
+        assert grad.dtype == dtype
         if exact:
-            np.testing.assert_array_equal(table.grad, expected)
+            np.testing.assert_array_equal(grad, expected)
         else:
-            np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-6)
 
 
 def test_batched_matmul_gradcheck():
@@ -483,9 +508,9 @@ def test_detach_cuts_gradient():
     x = T.Tensor(np.array([2.0]), requires_grad=True)
     y = T.mul(x, 3.0)
     loss = T.tensor_sum(T.mul(y.detach(), x))
-    T.backward(loss)
+    (grad,) = T.backward(loss, [x])
     # d/dx of detach(3x) * x is just detach(3x) = 6
-    np.testing.assert_allclose(x.grad, [6.0])
+    np.testing.assert_allclose(grad, [6.0])
 
 
 @pytest.mark.parametrize("op", [T.add, T.mul, T.matmul])
@@ -512,9 +537,10 @@ def test_concat_splits_gradient_back_to_its_parts():
     b = T.Tensor(np.array([3.0]), requires_grad=True)
     out = T.concat([a, T.Tensor(np.array([-np.inf])), b])
     np.testing.assert_array_equal(out.data, [1.0, 2.0, -np.inf, 3.0])
-    T.backward(T.tensor_sum(T.mul(T.take_rows(out, [0, 1, 3]), np.array([1.0, 2.0, 3.0]))))
-    np.testing.assert_array_equal(a.grad, [1.0, 2.0])
-    np.testing.assert_array_equal(b.grad, [3.0])
+    ga, gb = T.backward(
+        T.tensor_sum(T.mul(T.take_rows(out, [0, 1, 3]), np.array([1.0, 2.0, 3.0]))), [a, b])
+    np.testing.assert_array_equal(ga, [1.0, 2.0])
+    np.testing.assert_array_equal(gb, [3.0])
     with pytest.raises(ContractError, match="dtype"):
         T.concat([a, T.Tensor(np.zeros(1, dtype=np.float32))])
 

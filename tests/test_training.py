@@ -135,9 +135,8 @@ def test_loss_j_gradient_reaches_pruning_weights():
     ex = data[0]
     out = tr.dot_forward(model, ex)
     loss = loss_of(model, out, ex)
-    T.zero_grads(model.parameters())
-    T.backward(loss, params=model.parameters())
-    head_grad = np.abs(model.pruning.head_w.grad).max()
+    grads = dict(zip(map(id, model.parameters()), T.backward(loss, model.parameters())))
+    head_grad = np.abs(grads[id(model.pruning.head_w)]).max()
     assert head_grad > 0.0
 
 
@@ -148,9 +147,7 @@ def test_loss_j_beta_zero_gives_zero_loss_and_grads():
     out = tr.dot_forward(model, ex)
     loss = loss_of(model, out, ex, beta=0.0)
     assert loss.item() == 0.0
-    T.zero_grads(model.parameters())
-    T.backward(loss, params=model.parameters())
-    assert all(np.all(p.grad == 0) for p in model.parameters())
+    assert all(np.all(g == 0) for g in T.backward(loss, model.parameters()))
 
 
 def test_j_gradients_flow_only_through_bias():
@@ -162,10 +159,10 @@ def test_j_gradients_flow_only_through_bias():
     out = forward_in(model, ex, "P")
     assert out.bias_detached
     loss = tr._task_scalar_loss(out, ex, model.config.task_type)
-    T.zero_grads(model.parameters())
-    T.backward(loss, params=model.parameters())
-    assert all(np.all(p.grad == 0) for p in model.pruning_parameters())
-    assert any(np.any(p.grad != 0) for p in model.task.parameters())
+    grads = T.backward(loss, model.pruning_parameters() + model.task.parameters())
+    n_pruning = len(model.pruning_parameters())
+    assert all(np.all(g == 0) for g in grads[:n_pruning])
+    assert any(np.any(g != 0) for g in grads[n_pruning:])
 
 
 def test_loss_p_requires_detached_bias():
@@ -183,9 +180,8 @@ def test_loss_p_task_term_detached_but_aux_term_reaches_scorer():
     ex = data[0]
     out = forward_in(model, ex, "P")
     loss = loss_of(model, out, ex, "P")
-    T.zero_grads(model.parameters())
-    T.backward(loss, params=model.parameters())
-    assert np.abs(model.pruning.head_w.grad).max() > 0.0
+    (head_grad,) = T.backward(loss, [model.pruning.head_w])
+    assert np.abs(head_grad).max() > 0.0
 
 
 def test_pruning_term_zero_at_perfect_scores():
@@ -222,9 +218,7 @@ def test_pj_gradient_is_sum_of_both_paths():
 
     def grads_of(loss_fn, mode):
         out = forward_in(model, ex, mode)
-        T.zero_grads(model.parameters())
-        T.backward(loss_fn(out), params=model.parameters())
-        return [p.grad.copy() for p in model.pruning_parameters()]
+        return T.backward(loss_fn(out), model.pruning_parameters())
 
     g_pj = grads_of(lambda o: loss_of(model, o, ex, "PJ"), "PJ")
     g_j = grads_of(lambda o: loss_of(model, o, ex, "J"), "J")
@@ -374,11 +368,13 @@ def test_a_non_finite_gradient_stops_training_at_its_own_step(monkeypatch):
     backward = T.backward
     calls = []
 
-    def inf_at_step_two(loss, params=None):
-        backward(loss, params=params)
+    def inf_at_step_two(loss, params):
+        grads = backward(loss, params)
         calls.append(1)
         if len(calls) == 2:
-            params[0].grad.reshape(-1)[0] = np.inf
+            grads[0] = grads[0].copy()
+            grads[0].reshape(-1)[0] = np.inf
+        return grads
 
     after = {}
     monkeypatch.setattr(T, "backward", inf_at_step_two)
@@ -639,10 +635,8 @@ def test_batched_loss_and_gradients_match_batch_of_one(dtype, tol, mode, selecti
     params = model.parameters()
     results = []
     for batched in (False, True):
-        T.zero_grads(params)
         total, outs = summed_loss(model, data, batched)
-        T.backward(total, params=params)
-        results.append((float(total.data), [p.grad.copy() for p in params]))
+        results.append((float(total.data), T.backward(total, params)))
     assert len({len(out.pre_seq) for out in outs}) > 1
     if selection == "column":
         assert len({len(out.compact_seq) for out in outs}) > 1
@@ -704,17 +698,15 @@ def test_override_scores_that_are_not_a_float_array_per_token_are_refused():
     assert out.scores.log_probs.data[table] == pr.SCORE_FLOOR
 
 
-def test_after_backward_only_parameters_hold_gradients_each_its_own():
+def test_gradients_share_no_memory_with_parameters_moments_or_each_other():
     data, model = padded_batch_model(np.float32, "J", "token")
     params = model.parameters()
     state = {}
     for _ in range(2):  # the second backward runs with AdamW moments alive
-        T.zero_grads(params)
         total, _ = summed_loss(model, data, batched=True)
         nodes = [n for n in T.trace(total).nodes if n.backward_fn is not None]
-        T.backward(total, params=params)
-        assert nodes and all(n.grad is None for n in nodes)
-        grads = [p.grad for p in params]
+        grads = T.backward(total, params)
+        assert nodes and all(n.backward_fn is None and n.parents == () for n in nodes)
         held = [p.data for p in params] + [x for pair in state.get("moments", {}).values()
                                            for x in pair]
         for i, g in enumerate(grads):
@@ -730,23 +722,24 @@ def test_backward_releases_every_op_node_of_the_loss_graph(mode, selection):
     data, model = padded_batch_model(np.float32, mode, selection)
     total, _ = summed_loss(model, data, batched=True)
     nodes = [n for n in T.trace(total).nodes if n.backward_fn is not None]
-    T.backward(total, params=model.parameters())
-    assert nodes and all(n.backward_fn is None and n.parents == () and n.grad is None
-                         for n in nodes)
+    T.backward(total, model.parameters())
+    assert nodes and all(n.backward_fn is None and n.parents == () for n in nodes)
     assert T.trace(total).nodes == [total]
 
 
 def test_clip_grad_norm_returns_the_norm_before_scaling():
     rng = np.random.default_rng(0)
-    params = [T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-              for shape in ((3, 4), (5,))]
-    for p in params:
-        p.grad = rng.normal(size=p.shape).astype(np.float32)
-    expected = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2) for p in params))
-    norm = tr.clip_grad_norm(params, 0.5)
+    grads = [rng.normal(size=shape).astype(np.float32) for shape in ((3, 4), (5,))]
+    before = [g.copy() for g in grads]
+    expected = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads))
+    norm, scale = tr.clip_grad_norm(grads, 0.5)
     assert norm == pytest.approx(expected, rel=1e-6)
-    clipped = np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2) for p in params))
+    clipped = np.sqrt(sum(np.sum((g * scale).astype(np.float64) ** 2) for g in grads))
     assert clipped == pytest.approx(0.5, rel=1e-6)
+    assert all(np.array_equal(g, b) for g, b in zip(grads, before))
+    # within the bound, or not finite: a factor of exactly 1
+    assert tr.clip_grad_norm(grads, 2 * expected) == (pytest.approx(expected, rel=1e-6), 1.0)
+    assert tr.clip_grad_norm([np.array([np.inf, 1.0])], 0.5) == (np.inf, 1.0)
 
 
 def test_train_records_the_global_gradient_norm():
@@ -770,3 +763,114 @@ def test_override_scores_are_clipped_at_the_score_floor_in_the_model_dtype():
                          scores_override=lambda s, _ex: pr.constant_scores(s, -80.0))
     assert out.scores.log_probs.dtype == np.float32
     assert (out.scores.values == pr.SCORE_FLOOR).all()
+
+
+def test_concurrent_backward_on_graphs_that_share_leaves_equals_serial():
+    # gradients are values, not state on the shared parameters, so two walks
+    # over graphs built from one model's leaves do not meet
+    import threading
+
+    data, model = padded_batch_model(np.float64, "PJ", "token")
+    params = model.parameters()
+    halves = (data[:2], data[2:])
+
+    def graphs():
+        return [summed_loss(model, half, batched=True)[0] for half in halves]
+
+    serial = [T.backward(total, params) for total in graphs()]
+    for _ in range(3):
+        totals, results = graphs(), [None, None]
+        barrier = threading.Barrier(2)
+
+        def walk(i):
+            barrier.wait()
+            results[i] = T.backward(totals[i], params)
+
+        threads = [threading.Thread(target=walk, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for want, got in zip(serial, results):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
+
+
+def test_a_clipped_training_step_leaves_the_returned_gradients_unchanged(monkeypatch):
+    # clip and AdamW only read the gradients backward returns; this is what
+    # lets backward hand one array to several parameters
+    data = lookup_data(n=4, seed=6)
+    model = tiny_model(data)
+    backward = T.backward
+    seen = []
+
+    def recording(loss, params):
+        grads = backward(loss, params)
+        seen.append((grads, [g.copy() for g in grads]))
+        return grads
+
+    monkeypatch.setattr(T, "backward", recording)
+    res = tr.train(model.config, tr.TrainConfig(num_steps=2, batch_size=2, precision="f64",
+                                                grad_clip=1e-3),
+                   data, model=model)
+    assert len(seen) == 2 and all(m["grad_norm"] > 1e-3 for m in res.metrics)
+    for grads, copies in seen:
+        assert all(g.tobytes() == c.tobytes() for g, c in zip(grads, copies))
+
+
+@pytest.mark.parametrize("selection", ["token", "column"])
+def test_no_backward_closure_writes_the_gradient_it_is_given(selection):
+    # backward may hand one array to several nodes (add gives its g to both
+    # operands), so a closure that wrote its input would corrupt a sibling's
+    data, model = padded_batch_model(np.float64, "PJ", selection)
+    params = model.parameters()
+    want = T.backward(summed_loss(model, data, batched=True)[0], params)
+    total = summed_loss(model, data, batched=True)[0]
+
+    def read_only(backward_fn):
+        def wrapped(g):
+            if isinstance(g, np.ndarray):  # a numpy scalar is immutable already
+                g.flags.writeable = False
+            return backward_fn(g)
+        return wrapped
+
+    nodes = [n for n in T.trace(total).nodes if n.backward_fn is not None]
+    assert len(nodes) > 10
+    for node in nodes:
+        node.backward_fn = read_only(node.backward_fn)
+    got = T.backward(total, params)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
+
+
+@pytest.mark.parametrize("selection", ["token", "column"])
+def test_a_question_that_fills_the_preselection_keeps_the_question_alone(selection):
+    from dotprune import tables as tb
+
+    ex = tb.Example("a b c d e f", tb.Table.make(["h1", "h2"], [["x", "y"], ["z", "w"]]),
+                    answer_coords=frozenset({(0, 1)}))
+    cfg = tr.DoTConfig(pre_limit=8, k=8, selection_mode=selection)
+    model = tiny_model([ex], cfg)
+    out = tr.dot_forward(model, ex)
+    assert not out.pre_seq.table_indices()
+    assert out.selection.kept_indices == tuple(out.pre_seq.question_span()) == tuple(range(8))
+    assert out.answer_pruned and out.kept_table_slots == []
+    assert tr.evaluate(model, [ex]).answer_pruned_rate == 1.0
+
+
+@pytest.mark.parametrize("task_type", ["cell_selection", "classification"])
+def test_evaluate_refuses_examples_the_task_type_cannot_score_before_any_forward(
+        task_type, monkeypatch):
+    # a cell-selection model on entailment examples, or a classifier on
+    # lookup examples, used to score 0 silently; one such example after
+    # others is refused before the first chunk runs
+    lookup, entailment = lookup_data(n=3, seed=1), lookup_data(n=3, seed=2,
+                                                              task_type="entailment")
+    good, bad = ((lookup, entailment) if task_type == "cell_selection"
+                 else (entailment, lookup))
+    model = tiny_model(good + bad, tr.DoTConfig(pre_limit=48, k=12, task_type=task_type))
+    calls = []
+    monkeypatch.setattr(pr, "score_tokens", lambda *args: calls.append(args))
+    need = "a label" if task_type == "classification" else "answer coordinates"
+    for examples in (bad, good + bad[-1:]):
+        with pytest.raises(ContractError, match=f"needs {need}"):
+            tr.evaluate(model, examples)
+    assert calls == []
