@@ -27,6 +27,10 @@ a share of the parent's median: "worse" when the change's median is worse
 than the parent's by more than the bound; else "unresolved" when the
 parent's quartile spread is wider than the bound and not every change run
 beats every parent run; else "none".
+
+When a run holds both train_dot and train_full, ``speedup`` holds per arm
+the measured DoT speed-up: train_dot's median ``examples_per_s`` over
+train_full's.
 """
 
 from __future__ import annotations
@@ -119,6 +123,16 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def speedup(workloads: dict) -> dict | None:
+    """Per arm, train_dot's median examples_per_s over train_full's; None
+    unless ``workloads`` (name -> ``summarize`` result) holds both."""
+    if not {"train_dot", "train_full"} <= workloads.keys():
+        return None
+    return {arm: workloads["train_dot"]["arms"][arm]["examples_per_s"]["median"]
+            / workloads["train_full"]["arms"][arm]["examples_per_s"]["median"]
+            for arm in ARMS}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -195,6 +209,11 @@ def main(argv=None) -> int:
                       f"{arms['change'][metric]['median']:.4g}, won {m['wins']}/{len(pairs)}, "
                       f"regression {m['regression']}",
                       flush=True)
+    ratio = speedup(record["workloads"])
+    if ratio is not None:
+        record["speedup"] = ratio
+        print(f"speedup train_dot/train_full examples_per_s: {ratio['parent']:.3f} -> "
+              f"{ratio['change']:.3f}")
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

@@ -350,7 +350,7 @@ def attention_probs(q: np.ndarray, k: np.ndarray, bias: np.ndarray,
     The scores are scaled, biased and normalized in place in the buffer the
     QK^T product returns.
     """
-    probs = T.matmul(T.Tensor(q), T.Tensor(np.swapaxes(k, -1, -2))).data
+    probs = T.matmul(q, np.swapaxes(k, -1, -2)).data
     probs *= 1.0 / math.sqrt(q.shape[-1])
     batch, n = bias.shape
     if mode in ("key", "symmetric"):
@@ -374,8 +374,8 @@ def _attention_grads(g: np.ndarray, probs: np.ndarray, q: np.ndarray, k: np.ndar
                  for axis, used in ((-2, mode != "query"), (-1, mode != "key")) if used]
         gbias = sum(parts[1:], parts[0])
     ds *= scale
-    gq = np.matmul(ds, k)
-    gk = np.matmul(np.swapaxes(ds, -1, -2), q)
+    gq = T.matmul(ds, k).data
+    gk = T.matmul(np.swapaxes(ds, -1, -2), q).data
     return gq, gk, gbias
 
 
@@ -486,7 +486,7 @@ def _layer_stack(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int,
 
 def _linear(x: np.ndarray, w: T.Tensor, b: T.Tensor) -> np.ndarray:
     """x W + b, the bias added into the product's own buffer."""
-    out = T.matmul(T.Tensor(x), w.detach()).data
+    out = T.matmul(x, w.data).data
     out += b.data
     return out
 
@@ -503,8 +503,8 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
     product, the scores are scaled, biased and normalized in place, and each
     residual is added into the projection output, which is then normalized in
     place. Every operation keeps the order and operands of the composed graph
-    of ``tensor`` ops, so the output is bit-identical to it. GEMMs go through
-    ``T.matmul`` and the probabilities through ``attention_probs``.
+    of ``tensor`` ops, so the output is bit-identical to it. All GEMMs, forward
+    and backward, are ``T.matmul`` calls; ``attention_probs`` gives the probabilities.
 
     Without a gradient to record (``no_grad``, or no parent requires one) the
     op saves nothing and returns a leaf. Otherwise it returns one graph node
@@ -528,7 +528,7 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
     q, k, v = (_linear(x_in, w, b) for w, b in ((lw.wq, lw.bq), (lw.wk, lw.bk),
                                                 (lw.wv, lw.bv)))
     probs = attention_probs(split_heads(q), split_heads(k), bias.data, mode)
-    ctx = merge_heads(T.matmul(T.Tensor(probs), T.Tensor(split_heads(v))).data)
+    ctx = merge_heads(T.matmul(probs, split_heads(v)).data)
     s1 = _linear(ctx, lw.wo, lw.bo)
     s1 += x_in
     h1, xhat1, inv_std1 = T.layer_norm_inplace(s1, lw.ln1_gain.data, lw.ln1_bias.data,
@@ -547,26 +547,25 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
         g = g.reshape(rows, hidden)
         grads = {"ln2_gain": (g * xhat2).sum(axis=0), "ln2_bias": g.sum(axis=0)}
         d2 = T.layer_norm_grad(g, lw.ln2_gain.data, xhat2, inv_std2)
-        grads["w_out"], grads["b_out"] = act.T @ d2, d2.sum(axis=0)
-        d_inter = d2 @ lw.w_out.data.T
+        grads["w_out"], grads["b_out"] = T.matmul(act.T, d2).data, d2.sum(axis=0)
+        d_inter = T.matmul(d2, lw.w_out.data.T).data
         d_inter *= slope
-        grads["w_inter"], grads["b_inter"] = h1.T @ d_inter, d_inter.sum(axis=0)
-        d_h1 = d_inter @ lw.w_inter.data.T
+        grads["w_inter"], grads["b_inter"] = T.matmul(h1.T, d_inter).data, d_inter.sum(axis=0)
+        d_h1 = T.matmul(d_inter, lw.w_inter.data.T).data
         d_h1 += d2
         grads["ln1_gain"], grads["ln1_bias"] = (d_h1 * xhat1).sum(axis=0), d_h1.sum(axis=0)
         d1 = T.layer_norm_grad(d_h1, lw.ln1_gain.data, xhat1, inv_std1)
-        grads["wo"], grads["bo"] = ctx.T @ d1, d1.sum(axis=0)
-        d_ctx = split_heads(d1 @ lw.wo.data.T)
-        vh = split_heads(v)
-        d_probs = np.matmul(d_ctx, np.swapaxes(vh, -1, -2))
-        dv = merge_heads(np.matmul(np.swapaxes(probs, -1, -2), d_ctx))
+        grads["wo"], grads["bo"] = T.matmul(ctx.T, d1).data, d1.sum(axis=0)
+        d_ctx = split_heads(T.matmul(d1, lw.wo.data.T).data)
+        d_probs = T.matmul(d_ctx, np.swapaxes(split_heads(v), -1, -2)).data
+        dv = merge_heads(T.matmul(np.swapaxes(probs, -1, -2), d_ctx).data)
         dq, dk, gbias = _attention_grads(d_probs, probs, split_heads(q), split_heads(k),
                                          bias, mode, 1.0 / math.sqrt(d))
         dq, dk = merge_heads(dq), merge_heads(dk)
         gx = d1  # the residual's share; d1 is not read again
         for name, dy in (("q", dq), ("k", dk), ("v", dv)):
-            grads["w" + name], grads["b" + name] = x_in.T @ dy, dy.sum(axis=0)
-            gx += dy @ getattr(lw, "w" + name).data.T
+            grads["w" + name], grads["b" + name] = T.matmul(x_in.T, dy).data, dy.sum(axis=0)
+            gx += T.matmul(dy, getattr(lw, "w" + name).data.T).data
         return (gx.reshape(batch, n, hidden), gbias) + tuple(grads[name] for name in vars(lw))
 
     return T.Tensor(out, requires_grad=True, parents=parents, backward_fn=back)

@@ -14,7 +14,8 @@ The softmax, layer-norm and GELU array kernels (``softmax_rows_inplace``,
 ``gelu_kernel``) exist once: ``layer_norm`` wraps its kernels here, and
 ``encoder.layer`` calls them all on buffers it owns, inside one op with its
 own backward. Such an op asks ``grad_needed`` whether to save activations
-and record a node.
+and record a node. ``matmul`` is the one GEMM entry point: every matrix
+product, forward and backward, calls it, so a counter over it sees them all.
 The gradient of ``take_rows`` (the embedding lookup) sums each index's rows
 by a stable sort and one ``np.add.reduceat``, deterministic but not in
 ``np.add.at``'s order.
@@ -373,8 +374,8 @@ def mul(a, b) -> Tensor:
     return _node(out, (a, b), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, 2-D or batched with identical leading dimensions."""
+def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
+    """Matrix product of tensors or arrays, 2-D or batched with equal leading dims."""
     a, b = _operands(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} and {b.shape}")
@@ -383,9 +384,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ga, gb
+        return (matmul(g, np.swapaxes(b.data, -1, -2)).data,
+                matmul(np.swapaxes(a.data, -1, -2), g).data)
 
     return _node(out, (a, b), back)
 

@@ -364,12 +364,19 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     ``step_callback``, every step). A non-finite loss or gradient norm
     raises ``TrainingDivergedError`` before AdamW touches a parameter.
     ``scores_override(seq)`` bypasses the scoring tower entirely
-    (single-tower baselines); only the task tower trains.
-    A passed ``model`` must have been built for ``dot_config`` in the
-    precision of ``train_config``.
+    (single-tower baselines); only the task tower trains, and only in loss
+    mode J: the P relevance term would read the override's scores as
+    logits. A passed ``model`` must have been built for ``dot_config`` in
+    the precision of ``train_config``. An example without the supervision
+    the task type scores is refused before step 1 (``check_supervision``).
     """
     if not dataset:
         raise ContractError("dataset is empty")
+    for ex in dataset:
+        check_supervision(ex, dot_config.task_type)
+    if scores_override is not None and dot_config.loss_mode != "J":
+        raise ContractError(f"loss mode {dot_config.loss_mode} trains the scorer's relevance "
+                            "term, which a scores_override bypasses; only J trains under one")
     if model is None:
         vocab = Vocabulary.from_examples(dataset)
         model = build_model(dot_config, vocab, dtype=train_config.dtype,

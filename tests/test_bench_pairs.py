@@ -114,6 +114,43 @@ def test_regression_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert clear["metrics"]["examples_per_s"]["regression"] == "none"
 
 
+def test_speedup_is_train_dot_over_train_full_median_examples_per_s_per_arm():
+    dot = bp.summarize(_pairs([20.0, 18.0, 19.0], [21.0, 20.0, 22.0]), BETTER)
+    full = bp.summarize(_pairs([10.0, 12.0, 11.0], [10.0, 11.0, 12.0]), BETTER)
+    assert bp.speedup({"train_dot": dot, "train_full": full}) == {
+        "parent": pytest.approx(19.0 / 11.0), "change": pytest.approx(21.0 / 11.0)}
+    # a run without both training workloads has no speed-up to write
+    assert bp.speedup({"train_dot": dot, "infer_long": full}) is None
+    assert bp.speedup({}) is None
+
+
+def test_main_writes_and_prints_the_speedup(tmp_path, monkeypatch, capsys):
+    root = _PATH.parent.parent
+    (tmp_path / "BENCHMARK.json").write_bytes((root / "BENCHMARK.json").read_bytes())
+    rate = {("train_dot", "parent"): 18.0, ("train_dot", "change"): 18.5,
+            ("train_full", "parent"): 10.0, ("train_full", "change"): 10.0}
+
+    def perfbench(checkout, workload, seed, seconds):
+        result = json.loads(stub_stdout(1.0, 1.0).splitlines()[-1])
+        result["metrics"] = {name: {"value": rate[workload, Path(checkout).name], "unit": ""}
+                             for name in ("setup_s", "examples_per_s", "step_p50_ms",
+                                          "peak_rss_mb")}
+        return bp.parse_run("env source_sha256: ab12\nenv blas_threads: 2\n"
+                            "env gemm_ceiling_gflops_per_s: 140\n" + json.dumps(result))
+
+    monkeypatch.setattr(bp, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bp, "git", lambda *args: "")
+    monkeypatch.setattr(bp, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bp, "copy_checkout", lambda dest: None)
+    monkeypatch.setattr(bp, "perfbench", perfbench)
+    bp.main(["--parent", "HEAD~1", "--label", "stub", "--seeds", "5", "--seconds", "1",
+             "--workload", "train_dot:2", "--workload", "train_full:2",
+             "--scratch", str(tmp_path)])
+    record = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert record["speedup"] == {"parent": 1.8, "change": 1.85}
+    assert "speedup train_dot/train_full examples_per_s: 1.800 -> 1.850" in capsys.readouterr().out
+
+
 def test_the_change_arm_is_a_copy_of_the_checkout_without_ignored_files(tmp_path):
     bp.copy_checkout(str(tmp_path))
     root = _PATH.parent.parent

@@ -1,10 +1,14 @@
 """The benchmark's tracer and FLOP cross-check still fit the package.
 
 ``perfbench/`` wraps module attributes that the pipeline looks up at call
-time and counts the FLOPs of every ``tensor.matmul``. A rename of a wrapped
-function, or a GEMM that bypasses ``tensor.matmul``, fails here.
+time and counts the FLOPs of every ``tensor.matmul``. Every GEMM, forward and
+backward, is a ``tensor.matmul`` call, so a counter over it sees a layer's
+backward as exactly twice its forward, as ``flops.encoder_forward_flops``
+states. A rename of a wrapped function, or a GEMM that bypasses
+``tensor.matmul``, fails here.
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -54,6 +58,49 @@ def test_tracer_wraps_the_pipeline_and_flops_match_matmuls(perfbench):
     for weights in (model.pruning.encoder, model.task.encoder):
         seen = flops.matmul_flops_seen(tensor, encoder, weights, seq)
         assert seen == flops.encoder_forward_flops(weights.config, len(seq))
+
+
+def count_matmul_flops(monkeypatch) -> list[int]:
+    """FLOPs of each later ``tensor.matmul`` call, counted as
+    ``flops.matmul_flops_seen`` counts them."""
+    original, seen = tensor.matmul, []
+
+    def counting(a, b):
+        out = original(a, b)
+        batch = int(np.prod(out.shape[:-2], dtype=np.int64))
+        seen.append(2 * batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return out
+
+    monkeypatch.setattr(tensor, "matmul", counting)
+    return seen
+
+
+def test_a_matmul_counter_sees_every_gemm_of_a_layer_forward_and_backward(
+        perfbench, monkeypatch):
+    _, flops = perfbench
+    batch, n = 3, 7
+    cfg = encoder.EncoderConfig(num_layers=1, hidden=16, num_heads=2, intermediate=32,
+                                vocab_size=20)
+    per_layer = (flops.encoder_forward_flops(dataclasses.replace(cfg, num_layers=2), n)
+                 - flops.encoder_forward_flops(cfg, n))
+    lw = encoder.init_weights(cfg, dtype=np.float64).layers[0]
+    rng = np.random.default_rng(0)
+    x = tensor.Tensor(rng.normal(size=(batch, n, cfg.hidden)), requires_grad=True)
+    bias = tensor.Tensor(-rng.random((batch, n)), requires_grad=True)
+    seen = count_matmul_flops(monkeypatch)
+    out = encoder.layer(x, lw, bias, "symmetric", cfg.num_heads)
+    assert sum(seen) == batch * per_layer
+    seen.clear()
+    tensor.backward(tensor.tensor_sum(out), [x, bias] + list(vars(lw).values()))
+    assert sum(seen) == 2 * batch * per_layer
+
+    # the graph op's backward (the head, the pooler) runs its two products
+    # through the counter too
+    a = tensor.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = tensor.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    seen.clear()
+    tensor.backward(tensor.tensor_sum(tensor.matmul(a, w)), [a, w])
+    assert seen == [2 * 5 * 4 * 3] * 3
 
 
 def test_tracer_survives_batched_training_steps(perfbench):

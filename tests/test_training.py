@@ -874,3 +874,44 @@ def test_evaluate_refuses_examples_the_task_type_cannot_score_before_any_forward
         with pytest.raises(ContractError, match=f"needs {need}"):
             tr.evaluate(model, examples)
     assert calls == []
+
+
+def test_train_refuses_unscorable_supervision_before_step_1():
+    # one entailment example among lookup examples used to let batches of
+    # lookup examples train (and change the passed model) until it came up
+    data = lookup_data(n=6, seed=1) + lookup_data(n=1, seed=2, task_type="entailment")
+    model = tiny_model(data, tr.DoTConfig(pre_limit=48, k=12))
+    before = [p.data.copy() for p in model.parameters()]
+    steps = []
+    with pytest.raises(ContractError, match="needs answer coordinates"):
+        tr.train(model.config, tr.TrainConfig(num_steps=8, batch_size=1, precision="f64"),
+                 data, model=model, step_callback=lambda step, _model: steps.append(step))
+    assert steps == []
+    assert all(np.array_equal(b, p.data) for b, p in zip(before, model.parameters()))
+
+
+@pytest.mark.parametrize("mode", ["J", "P", "PJ"])
+def test_train_under_a_scores_override_trains_only_in_loss_mode_j(mode):
+    # the override's scores stand in for the scorer's logits, so the P
+    # relevance term would be a BCE of constants that trains nothing
+    data = lookup_data(n=4, seed=6)
+    model = tiny_model(data, tr.DoTConfig(pre_limit=48, k=10, loss_mode=mode))
+    before = [p.data.copy() for p in model.parameters()]
+    steps = []
+
+    def run():
+        return tr.train(model.config, tr.TrainConfig(num_steps=2, batch_size=2,
+                                                     precision="f64"),
+                        data, model=model, step_callback=lambda step, _m: steps.append(step),
+                        scores_override=lambda seq: pr.constant_scores(seq, 0.0))
+
+    if mode != "J":
+        with pytest.raises(ContractError, match=f"loss mode {mode} trains the scorer"):
+            run()
+        assert steps == []
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, model.parameters()))
+        return
+    assert len(run().metrics) == 2 and steps == [1, 2]
+    changed = [not np.array_equal(b, p.data) for b, p in zip(before, model.parameters())]
+    n_scorer = len(model.pruning_parameters())
+    assert not any(changed[:n_scorer]) and any(changed[n_scorer:])
