@@ -13,9 +13,10 @@ uses data seed ``seeds[i % len(seeds)]`` on both arms, and the arm that runs
 first alternates: the parent in even pairs, the change in odd ones.
 
 The file holds, per workload and arm, the median and quartiles of every
-end-to-end metric; per metric, each pair's change/parent ratio, the number
-of pairs the change won, the gap between the medians and the parent's
-quartile spread; and every run's metrics, BLAS threads and GEMM ceiling,
+end-to-end metric; per metric, each pair's change/parent ratio and their
+quartiles (``ratio_quartiles``; a pair whose parent read 0 has no ratio),
+the number of pairs the change won, the gap between the medians and the
+parent's quartile spread; and every run's metrics, BLAS threads and GEMM ceiling,
 with the seeds and both commits. ``change_commit`` is this checkout's HEAD;
 when ``change_dirty`` is true the change arm ran uncommitted edits on top of
 it, and each run's ``source_sha256`` names the sources it ran. A gain holds when the change wins at least
@@ -113,9 +114,11 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         spread = out["arms"]["parent"][name]["q3"] - out["arms"]["parent"][name]["q1"]
         gap = sign * (statistics.median(change) - statistics.median(parent))
+        ratios = [c / p if p else None for p, c in zip(parent, change)]
+        defined = [r for r in ratios if r is not None]
         out["metrics"][name] = {
-            "better": spec["better"], "bound": spec["bound"],
-            "ratios": [c / p if p else None for p, c in zip(parent, change)],
+            "better": spec["better"], "bound": spec["bound"], "ratios": ratios,
+            "ratio_quartiles": quartiles(defined) if defined else None,
             "wins": wins, "median_gap": gap, "parent_quartile_spread": spread,
             "gain_holds": wins >= math.ceil(0.9 * len(pairs)) and gap > spread,
             "regression": regression(parent, change, sign, spec["bound"])}
@@ -205,9 +208,12 @@ def main(argv=None) -> int:
             record["workloads"][name] = summarize(pairs, metrics)
             for metric, m in record["workloads"][name]["metrics"].items():
                 arms = record["workloads"][name]["arms"]
+                rq = m["ratio_quartiles"]
+                ratios = (f"ratio q1/median/q3 {rq['q1']:.3f}/{rq['median']:.3f}/{rq['q3']:.3f}"
+                          if rq else "no ratio")
                 print(f"{name} {metric}: {arms['parent'][metric]['median']:.4g} -> "
                       f"{arms['change'][metric]['median']:.4g}, won {m['wins']}/{len(pairs)}, "
-                      f"regression {m['regression']}",
+                      f"{ratios}, regression {m['regression']}",
                       flush=True)
     ratio = speedup(record["workloads"])
     if ratio is not None:

@@ -22,12 +22,15 @@ forward that records no gradient runs as up to W contiguous groups of
 examples, W being the BLAS thread count, on ``tensor.worker_map``'s
 single-threaded-BLAS workers.
 
-Each layer is one tensor op, ``layer``: its forward works in place in the
-buffers its GEMMs return and is bit-identical to the layer composed from
-``tensor`` ops (kept in the tests as the reference); under ``no_grad`` it
-saves nothing, and otherwise one node's hand-written backward reads only
-the activations it saved. Biased attention exists once, as the array
-kernel ``attention_probs``, which only ``layer`` calls.
+The embedding and each layer are one tensor op each, ``embed`` and
+``layer``: their forwards work in place in buffers they own and are
+bit-identical to the same steps composed from ``tensor`` ops (kept in the
+tests as the references); under ``no_grad`` they save nothing, and
+otherwise one node's hand-written backward reads only the arrays it saved.
+``embed`` saves the index arrays and its layer norm's xhat and 1/std, not
+the gathered rows or their partial sums; ``layer`` rebuilds its first layer
+norm's output in the backward instead of saving it. Biased attention exists
+once, as the array kernel ``attention_probs``, which only ``layer`` calls.
 
 The scorer and the task model are both ``Tower``s: an encoder plus a
 one-unit linear head. Model-size presets and the closed-form parameter
@@ -381,26 +384,46 @@ def _attention_grads(g: np.ndarray, probs: np.ndarray, q: np.ndarray, k: np.ndar
 
 def embed(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int) -> T.Tensor:
     """Sum word, position, and segment/column/row/rank type embeddings,
-    then normalize.
+    then normalize, as a single tensor op.
 
     Sequences are zero-padded to ``n`` tokens and stacked into (B*n, H) rows.
+    The word rows are gathered into a new buffer, the other five tables'
+    rows are added into it in that order, and it is layer-normed in place:
+    bit-identical to the sum composed from ``take_rows`` and ``add`` ops and
+    normalized by ``tensor.layer_norm``. Under ``no_grad`` nothing is saved;
+    otherwise one node, whose parents are the six tables and the two
+    layer-norm parameters, saves only the index arrays, xhat and 1/std, and
+    its backward scatters the layer-norm input's gradient into each table.
     """
     cfg = weights.config
     ids = np.zeros((6, len(seqs), n), dtype=np.int64)
     for b, s in enumerate(seqs):
         ids[:, b, :len(s)] = (s.token_ids, s.effective_positions(), s.segment_ids,
                               s.column_ids, s.row_ids, s.rank_ids)
-    token, position, segment, column, row, rank = ids.reshape(6, -1)
+    ids = ids.reshape(6, -1)
+    position = ids[1]
     if position.size and position.max() >= cfg.max_input:
         raise InputTooLongError(
             f"position id {position.max()} exceeds max_input {cfg.max_input}")
-    x = T.take_rows(weights.word, token)
-    x = T.add(x, T.take_rows(weights.position, position))
-    x = T.add(x, T.take_rows(weights.type_segment, segment))
-    x = T.add(x, T.take_rows(weights.type_column, np.minimum(column, STRUCT_ID_CAP)))
-    x = T.add(x, T.take_rows(weights.type_row, np.minimum(row, STRUCT_ID_CAP)))
-    x = T.add(x, T.take_rows(weights.type_rank, np.minimum(rank, STRUCT_ID_CAP)))
-    return T.layer_norm(x, weights.emb_ln_gain, weights.emb_ln_bias)
+    np.minimum(ids[3:], STRUCT_ID_CAP, out=ids[3:])  # column, row and rank ids
+    tables = (weights.word, weights.position, weights.type_segment, weights.type_column,
+              weights.type_row, weights.type_rank)
+    x = tables[0].data[ids[0]]
+    for table, idx in zip(tables[1:], ids[1:]):
+        x += table.data[idx]
+    gain, bias = weights.emb_ln_gain, weights.emb_ln_bias
+    parents = tables + (gain, bias)
+    save = T.grad_needed(parents)
+    out, xhat, inv_std = T.layer_norm_inplace(x, gain.data, bias.data, keep_xhat=save)
+    if not save:
+        return T.Tensor(out)
+
+    def back(g):
+        gx = T.layer_norm_grad(g, gain.data, xhat, inv_std)
+        rows = tuple(T.scatter_rows(gx, idx, table.data) for table, idx in zip(tables, ids))
+        return rows + ((g * xhat).sum(axis=0), g.sum(axis=0))
+
+    return T.Tensor(out, requires_grad=True, parents=parents, backward_fn=back)
 
 
 def forward(weights: EncoderWeights, seq: TokenizedSequence,
@@ -510,8 +533,9 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
     op saves nothing and returns a leaf. Otherwise it returns one graph node
     whose parents are ``x``, ``bias`` and the 16 weights, and
     whose backward reads only the layer input, q, k, v, the probabilities,
-    the attention context, both layer norms' xhat and 1/std, the first layer
-    norm's output, and the GELU output and slope.
+    the attention context, both layer norms' xhat and 1/std, and the GELU
+    output and slope. The first layer norm's output is not saved: the
+    backward rebuilds it from xhat with the forward's own expression.
     """
     parents = (x, bias) + tuple(vars(lw).values())
     save = T.grad_needed(parents)
@@ -550,6 +574,7 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
         grads["w_out"], grads["b_out"] = T.matmul(act.T, d2).data, d2.sum(axis=0)
         d_inter = T.matmul(d2, lw.w_out.data.T).data
         d_inter *= slope
+        h1 = xhat1 * lw.ln1_gain.data + lw.ln1_bias.data  # the forward's own expression
         grads["w_inter"], grads["b_inter"] = T.matmul(h1.T, d_inter).data, d_inter.sum(axis=0)
         d_h1 = T.matmul(d_inter, lw.w_inter.data.T).data
         d_h1 += d2

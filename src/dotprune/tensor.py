@@ -9,16 +9,17 @@ float32 leaves stays float32 end to end. Gradients are values: ``backward``
 returns one array per parameter and no tensor holds a gradient, so graphs
 that share leaves can be walked on two threads at once.
 
-The softmax, layer-norm and GELU array kernels (``softmax_rows_inplace``,
-``softmax_rows_grad_inplace``, ``layer_norm_inplace``, ``layer_norm_grad``,
-``gelu_kernel``) exist once: ``layer_norm`` wraps its kernels here, and
-``encoder.layer`` calls them all on buffers it owns, inside one op with its
-own backward. Such an op asks ``grad_needed`` whether to save activations
-and record a node. ``matmul`` is the one GEMM entry point: every matrix
-product, forward and backward, calls it, so a counter over it sees them all.
-The gradient of ``take_rows`` (the embedding lookup) sums each index's rows
-by a stable sort and one ``np.add.reduceat``, deterministic but not in
-``np.add.at``'s order.
+The softmax, layer-norm, GELU and row-scatter array kernels
+(``softmax_rows_inplace``, ``softmax_rows_grad_inplace``,
+``layer_norm_inplace``, ``layer_norm_grad``, ``gelu_kernel``,
+``scatter_rows``) exist once: ``layer_norm`` and ``take_rows`` wrap theirs
+here, and ``encoder.embed`` and ``encoder.layer`` call them on buffers they
+own, each inside one op with its own backward. Such an op asks
+``grad_needed`` whether to save activations and record a node. ``matmul``
+is the one GEMM entry point: every matrix product, forward and backward,
+calls it, so a counter over it sees them all. ``scatter_rows``, the gradient
+of a row gather, sums each index's rows by a stable sort and one
+``np.add.reduceat``, deterministic but not in ``np.add.at``'s order.
 
 GELU is exact in float64, through ``scipy.special.erf``, which is imported
 on the first float64 call. In float32 it is an in-package rational
@@ -428,25 +429,32 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows along axis 0; the workhorse behind embedding lookups."""
+    """Gather rows along axis 0; its gradient is ``scatter_rows``."""
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     out = a.data[idx]
 
     def back(g):
-        # rows of g grouped by index (a stable sort keeps each group in input
-        # order), each group summed by one reduceat into the zero array
-        flat = idx.reshape(-1)
-        ga = np.zeros_like(a.data)
-        if flat.size:
-            order = np.argsort(flat, kind="stable")
-            sorted_idx = flat[order]
-            starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-            rows = g.reshape((flat.size,) + a.shape[1:])[order]
-            ga[sorted_idx[starts]] = np.add.reduceat(rows, starts, axis=0)
-        return (ga,)
+        return (scatter_rows(g, idx, a.data),)
 
     return _node(out, (a,), back)
+
+
+def scatter_rows(g: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The gradient of the gather ``table[idx]`` from its output gradient
+    ``g``: an array shaped as ``table`` holding, in each indexed row, the sum
+    of the rows of ``g`` that read it, and zeros elsewhere."""
+    # rows of g grouped by index (a stable sort keeps each group in input
+    # order), each group summed by one reduceat into the zero array
+    flat = idx.reshape(-1)
+    out = np.zeros_like(table)
+    if flat.size:
+        order = np.argsort(flat, kind="stable")
+        sorted_idx = flat[order]
+        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+        rows = g.reshape((flat.size,) + table.shape[1:])[order]
+        out[sorted_idx[starts]] = np.add.reduceat(rows, starts, axis=0)
+    return out
 
 
 def tensor_sum(a: Tensor) -> Tensor:

@@ -131,6 +131,25 @@ def composed_layer(x, lw, bias, mode, num_heads):
     return T.reshape(x, (batch, n, hidden))
 
 
+def composed_embed(weights, seqs, n):
+    """``enc.embed`` composed from one tensor op per step: six ``take_rows``
+    gathers summed by ``add`` in table order, then ``layer_norm``. The
+    reference the embedding op's output and gradients are checked against."""
+    ids = np.zeros((6, len(seqs), n), dtype=np.int64)
+    for b, s in enumerate(seqs):
+        ids[:, b, :len(s)] = (s.token_ids, s.effective_positions(), s.segment_ids,
+                              s.column_ids, s.row_ids, s.rank_ids)
+    token, position, segment, column, row, rank = ids.reshape(6, -1)
+    cap = enc.STRUCT_ID_CAP
+    x = T.take_rows(weights.word, token)
+    x = T.add(x, T.take_rows(weights.position, position))
+    x = T.add(x, T.take_rows(weights.type_segment, segment))
+    x = T.add(x, T.take_rows(weights.type_column, np.minimum(column, cap)))
+    x = T.add(x, T.take_rows(weights.type_row, np.minimum(row, cap)))
+    x = T.add(x, T.take_rows(weights.type_rank, np.minimum(rank, cap)))
+    return T.layer_norm(x, weights.emb_ln_gain, weights.emb_ln_bias)
+
+
 def scan_answer(example):
     """Brute-force oracle: find the question's key and return its value cell."""
     key = example.question.split()[-1]

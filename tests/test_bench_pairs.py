@@ -114,6 +114,28 @@ def test_regression_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert clear["metrics"]["examples_per_s"]["regression"] == "none"
 
 
+def test_ratio_quartiles_are_read_from_the_per_pair_ratios():
+    parent = [10.0, 20.0, 10.0, 20.0, 10.0]  # the parent drifts between pairs
+    change = [11.0, 22.0, 12.0, 21.0, 10.5]
+    m = bp.summarize(_pairs(parent, change), BETTER)["metrics"]["examples_per_s"]
+    # ratios 1.1, 1.1, 1.2, 1.05, 1.05: their quartiles carry none of the drift
+    assert m["ratio_quartiles"] == pytest.approx({"q1": 1.05, "median": 1.1, "q3": 1.1})
+    assert m["parent_quartile_spread"] == 10.0
+    # the verdicts keep their own rules
+    assert m["wins"] == 5 and not m["gain_holds"] and m["regression"] == "unresolved"
+
+
+def test_ratio_quartiles_skip_pairs_whose_parent_read_zero():
+    pairs = _pairs([10.0, 10.0, 10.0], [12.0, 13.0, 14.0])
+    pairs[0]["parent"]["metrics"]["examples_per_s"] = 0.0
+    m = bp.summarize(pairs, BETTER)["metrics"]["examples_per_s"]
+    assert m["ratios"][0] is None
+    assert m["ratio_quartiles"] == pytest.approx({"q1": 1.325, "median": 1.35, "q3": 1.375})
+    for pair in pairs:
+        pair["parent"]["metrics"]["examples_per_s"] = 0.0
+    assert bp.summarize(pairs, BETTER)["metrics"]["examples_per_s"]["ratio_quartiles"] is None
+
+
 def test_speedup_is_train_dot_over_train_full_median_examples_per_s_per_arm():
     dot = bp.summarize(_pairs([20.0, 18.0, 19.0], [21.0, 20.0, 22.0]), BETTER)
     full = bp.summarize(_pairs([10.0, 12.0, 11.0], [10.0, 11.0, 12.0]), BETTER)
@@ -148,7 +170,12 @@ def test_main_writes_and_prints_the_speedup(tmp_path, monkeypatch, capsys):
              "--scratch", str(tmp_path)])
     record = json.loads((tmp_path / "BENCH_stub.json").read_text())
     assert record["speedup"] == {"parent": 1.8, "change": 1.85}
-    assert "speedup train_dot/train_full examples_per_s: 1.800 -> 1.850" in capsys.readouterr().out
+    assert record["workloads"]["train_dot"]["metrics"]["examples_per_s"]["ratio_quartiles"] \
+        == pytest.approx({"q1": 18.5 / 18, "median": 18.5 / 18, "q3": 18.5 / 18})
+    out = capsys.readouterr().out
+    assert "speedup train_dot/train_full examples_per_s: 1.800 -> 1.850" in out
+    assert "train_dot examples_per_s: 18 -> 18.5, won 2/2, ratio q1/median/q3 " \
+        "1.028/1.028/1.028, regression none" in out
 
 
 def test_the_change_arm_is_a_copy_of_the_checkout_without_ignored_files(tmp_path):

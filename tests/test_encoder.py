@@ -1,4 +1,6 @@
+import gc
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,3 +461,119 @@ def test_layer_never_writes_its_inputs(dtype, mode):
     T.backward(T.tensor_sum(enc.layer(x, lw, bias, mode, heads)), params)
     for p, b in zip(params, before):
         assert np.array_equal(p.data, b)
+
+
+def _embed_case(dtype, seed=14):
+    """Weights of tiny_config with every table, gain and bias perturbed, and
+    three sequences padded to 11 tokens: random ids with repeats, and
+    column, row and rank ids past ``STRUCT_ID_CAP``, which share its row."""
+    rng = np.random.default_rng(seed)
+    w = enc.init_weights(tiny_config(), dtype=dtype)
+    for t in w.parameters():
+        t.data = (t.data + rng.normal(0.0, 0.05, t.shape)).astype(dtype)
+
+    def ids(m, high):
+        return tuple(int(i) for i in rng.integers(0, high, m))
+
+    seqs = [tb.TokenizedSequence(token_ids=ids(m, 40), segment_ids=ids(m, 3),
+                                 column_ids=ids(m, 300), row_ids=ids(m, 300),
+                                 rank_ids=ids(m, 300), positions=ids(m, 40))
+            for m in (9, 6, 7)]
+    return w, seqs, 11
+
+
+def _embed_parents(w):
+    return [w.word, w.position, w.type_segment, w.type_column, w.type_row, w.type_rank,
+            w.emb_ln_gain, w.emb_ln_bias]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_is_bit_identical_to_the_composed_graph(dtype):
+    w, seqs, n = _embed_case(dtype)
+    with T.no_grad():
+        fused = enc.embed(w, seqs, n)
+        reference = helpers.composed_embed(w, seqs, n)
+    assert fused.data.dtype == dtype and fused.shape == (len(seqs) * n, 16)
+    assert np.array_equal(fused.data, reference.data)
+    assert fused.parents == () and fused.backward_fn is None
+    recorded, recorded_reference = enc.embed(w, seqs, n), helpers.composed_embed(w, seqs, n)
+    assert np.array_equal(recorded.data, recorded_reference.data)
+    assert np.array_equal(recorded.data, fused.data)
+    assert recorded.parents == tuple(_embed_parents(w))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_gradients_equal_the_composed_graphs_bit_for_bit(dtype):
+    w, seqs, n = _embed_case(dtype)
+    params = _embed_parents(w)
+    weight = np.random.default_rng(15).normal(size=(len(seqs) * n, 16)).astype(dtype)
+
+    def grads(embed_fn):
+        return T.backward(T.tensor_sum(T.mul(embed_fn(w, seqs, n), weight)), params)
+
+    fused = grads(enc.embed)
+    for got, reference in zip(fused, grads(helpers.composed_embed)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, reference)
+    # the capped ids all read the last row of each structural table
+    assert np.abs(fused[3][enc.STRUCT_ID_CAP]).sum() > 0
+
+
+def test_embed_never_writes_its_tables():
+    w, seqs, n = _embed_case(np.float32)
+    params = _embed_parents(w)
+    before = [p.data.copy() for p in params]
+    with T.no_grad():
+        enc.embed(w, seqs, n)
+    T.backward(T.tensor_sum(enc.embed(w, seqs, n)), params)
+    for p, b in zip(params, before):
+        assert np.array_equal(p.data, b)
+
+
+# Python objects a recording op allocates besides its arrays (the node, its
+# closure and parent tuple): far below one activation block in the cases below
+ALLOWANCE = 16 * 1024
+
+
+def _retained_bytes(fn):
+    """Bytes still allocated once ``fn()`` has returned, while its result is
+    alive, as ``tracemalloc`` counts them (NumPy reports its buffers to it).
+    ``fn`` runs once untraced first, so lazily filled caches are not counted."""
+    fn()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    return retained
+
+
+def test_a_recording_embed_keeps_its_output_xhat_ids_and_inv_std_only():
+    batch, n, hidden = 4, 32, 256
+    w = enc.init_weights(tiny_config(hidden=hidden, num_heads=4, num_layers=1,
+                                     intermediate=16, max_input=64))
+    seqs = [helpers.random_sequence(np.random.default_rng(s), max_len=n) for s in range(batch)]
+    block = batch * n * hidden * 4  # one (B*n, H) float32 array: 128 KiB
+    budget = 2 * block + 6 * batch * n * 8 + batch * n * 4  # out, xhat; int64 ids; 1/std
+    assert _retained_bytes(lambda: enc.embed(w, seqs, n)) <= budget + ALLOWANCE
+
+
+def test_a_recording_f32_layer_keeps_only_what_its_backward_reads():
+    batch, n, hidden, heads, inter = 2, 64, 128, 2, 512
+    w = enc.init_weights(tiny_config(hidden=hidden, num_heads=heads, intermediate=inter,
+                                     num_layers=1, max_input=n))
+    x = T.Tensor(np.random.default_rng(16).normal(size=(batch, n, hidden)).astype(np.float32),
+                 requires_grad=True)
+    bias = T.Tensor(np.zeros((batch, n), np.float32))
+    block = batch * n * hidden * 4  # one (B*n, H) float32 array: 64 KiB
+    budget = (block * 7  # q, k, v, the context, xhat1, xhat2 and the output
+              + batch * heads * n * n * 4  # the probabilities
+              + 2 * batch * n * inter * 4  # the GELU output and slope
+              + 2 * batch * n * 4)  # both layer norms' 1/std
+    retained = _retained_bytes(lambda: enc.layer(x, w.layers[0], bias, "key", heads))
+    assert retained <= budget + ALLOWANCE
