@@ -29,6 +29,12 @@ than the parent's by more than the bound; else "unresolved" when the
 parent's quartile spread is wider than the bound and not every change run
 beats every parent run; else "none".
 
+Each run's ``digest`` is the one its ``info digest:`` line printed (a hash of
+the run's first losses or predictions); ``digests_equal`` says per pair
+whether both arms printed the same one, and ``all_digests_equal`` whether
+every pair of the workload did: the bit-identity evidence of a change that
+must not move any result.
+
 When a run holds both train_dot and train_full, ``speedup`` holds per arm
 the measured DoT speed-up: train_dot's median ``examples_per_s`` over
 train_full's.
@@ -56,12 +62,13 @@ def pair_order(i: int) -> tuple[str, str]:
 
 
 def parse_run(stdout: str) -> dict:
-    """One run's result line (the last line) and its ``env`` lines."""
+    """One run's result line (the last line), its ``env`` lines and its digest."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     env = dict(line[4:].split(": ", 1) for line in lines[:-1] if line.startswith("env "))
+    info = dict(line[5:].split(": ", 1) for line in lines[:-1] if line.startswith("info "))
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "digest": info["digest"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "source_sha256": env["source_sha256"], "blas_threads": int(env["blas_threads"]),
             "gemm_ceiling_gflops_per_s": float(env["gemm_ceiling_gflops_per_s"])}
@@ -99,11 +106,14 @@ def regression(parent: list[float], change: list[float], sign: int, bound: float
 
 
 def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
-    """Per-arm quartiles and per-metric pair statistics; ``metrics`` maps each
-    metric's name to its BENCHMARK.json entry ("better" is "higher" or
-    "lower", "bound" a share of the parent's median)."""
+    """Per-arm quartiles, per-metric pair statistics and per-pair digest
+    equality; ``metrics`` maps each metric's name to its BENCHMARK.json entry
+    ("better" is "higher" or "lower", "bound" a share of the parent's median)."""
+    runs = [dict(p, digests_equal=p["parent"]["digest"] == p["change"]["digest"])
+            for p in pairs]
     out = {"pairs": len(pairs), "seeds": [p["seed"] for p in pairs], "arms": {},
-           "metrics": {}, "runs": pairs}
+           "metrics": {}, "runs": runs,
+           "all_digests_equal": all(p["digests_equal"] for p in runs)}
     for arm in ARMS:
         out["arms"][arm] = {name: quartiles([p[arm]["metrics"][name] for p in pairs])
                             for name in metrics}
@@ -215,6 +225,9 @@ def main(argv=None) -> int:
                       f"{arms['change'][metric]['median']:.4g}, won {m['wins']}/{len(pairs)}, "
                       f"{ratios}, regression {m['regression']}",
                       flush=True)
+            equal = [p["digests_equal"] for p in record["workloads"][name]["runs"]]
+            print(f"{name} digests equal in {sum(equal)}/{len(equal)} pairs, "
+                  f"all_digests_equal {all(equal)}", flush=True)
     ratio = speedup(record["workloads"])
     if ratio is not None:
         record["speedup"] = ratio

@@ -141,8 +141,9 @@ def write_manifest(path, hashed: dict, args, seed, precision, **extra) -> None:
 
 
 def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
-                       layers: int = 2, seed: int = 0) -> dict:
-    """Gradient checks: composed ops and a hand-sized end-to-end loss.
+                       layers: int = 2) -> dict:
+    """Gradient checks: composed ops and a hand-sized end-to-end loss
+    (``dotprune verify`` runs the defaults, the acceptance battery more).
 
     The end-to-end check runs at an interior point of the hard top-k
     selection (the score margin at the budget boundary is asserted first,
@@ -177,11 +178,9 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
     enc_kw = dict(num_heads=2, intermediate=2 * hidden, vocab_size=len(vocab),
                   max_input=32)
     model = tr.build_model(
-        dot_cfg, vocab, dtype=np.float64, seed=seed,
-        pruning_config=enc.EncoderConfig(num_layers=layers, hidden=hidden,
-                                         seed=seed, **enc_kw),
-        task_config=enc.EncoderConfig(num_layers=layers, hidden=hidden,
-                                      seed=seed + 1, **enc_kw))
+        dot_cfg, vocab, dtype=np.float64,
+        pruning_config=enc.EncoderConfig(num_layers=layers, hidden=hidden, seed=0, **enc_kw),
+        task_config=enc.EncoderConfig(num_layers=layers, hidden=hidden, seed=1, **enc_kw))
     # spread the scores so the base point is interior to the hard selection
     model.pruning.head_w.data *= 30.0
     ex = data[0]
@@ -266,7 +265,8 @@ def run_equivalence_suite(cases: int = 100, seed: int = 0) -> dict:
 
 
 def run_parameter_suite(count_fn=None) -> dict:
-    """Formula vs shape-walk cross-check plus published reference values."""
+    """Formula vs shape-walk cross-check plus published reference values;
+    ``count_fn`` replaces the formula, so a test can show a wrong one fails."""
     from . import encoder as enc
 
     count = count_fn or enc.count_parameters
@@ -384,14 +384,14 @@ def _bucket_accuracy(examples, correct_flags, edges) -> dict[str, float]:
     return {label: float(np.mean(flags)) for label, flags in sorted(buckets.items())}
 
 
-def write_histogram(out_dir, gaps: list[float], bins: int = 20) -> str:
+def write_histogram(out_dir, gaps: list[float]) -> str:
     import numpy as np
 
     path = os.path.join(out_dir, "histogram.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count\n")
         if gaps:
-            counts, edges = np.histogram(np.asarray(gaps), bins=bins)
+            counts, edges = np.histogram(np.asarray(gaps), bins=20)
             for lo, hi, c in zip(edges[:-1], edges[1:], counts):
                 fh.write(f"{lo:.6g},{hi:.6g},{int(c)}\n")
     return path
@@ -454,8 +454,8 @@ def cmd_eval(args) -> int:
 
 
 def parse_model_spec(spec: str):
-    """Parse "TAPAS(size)@I" or "DoT(a->k->b)@I" (unicode arrows accepted);
-    I and k must be integers >= 1, and k at most I."""
+    """Parse "TAPAS(size)@I" or "DoT(a->k->b)@I", either name in any case
+    (unicode arrows accepted); I and k must be integers >= 1, and k at most I."""
 
     def count(text: str) -> int:
         if not (text.isdecimal() and int(text) >= 1):
@@ -470,7 +470,7 @@ def parse_model_spec(spec: str):
     if head.upper().startswith("TAPAS(") and head.endswith(")"):
         size = head[6:-1]
         return ("tapas", size, None, None, input_len)
-    if head.startswith("DoT(") and head.endswith(")"):
+    if head.upper().startswith("DOT(") and head.endswith(")"):
         inner = head[4:-1]
         parts = inner.split("->")
         if len(parts) != 3:

@@ -27,8 +27,8 @@ def _canon(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def save_tensors(path, named: dict[str, np.ndarray], header: dict | None = None) -> None:
-    header_bytes = _canon(header or {})
+def save_tensors(path, named: dict[str, np.ndarray], header: dict) -> None:
+    header_bytes = _canon(header)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))

@@ -44,7 +44,7 @@ type tables, a constant the segment table absorbs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .tables import TokenizedSequence
 
 BIAS_MODES = ("key", "query", "symmetric")
 STRUCT_ID_CAP = 255  # structural embedding tables have 256 rows; larger ids share the last
+INIT_STD = 0.02  # stddev of every weight matrix at init, BERT's initializer range
 
 # (num_layers, hidden, num_heads, intermediate)
 _PRESETS = {
@@ -160,16 +161,15 @@ def shape_walk_count(config: EncoderConfig, input_len: int) -> int:
     return sum(int(np.prod(shape)) for _, shape in parameter_inventory(config, input_len))
 
 
-def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02,
-                     dtype=np.float32) -> np.ndarray:
-    """Normal draws re-sampled until within two standard deviations."""
-    out = rng.normal(0.0, std, size=shape)
+def truncated_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal draws (stddev ``INIT_STD``) re-sampled until within 2 stddevs."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
     for _ in range(16):
-        bad = np.abs(out) > 2.0 * std
+        bad = np.abs(out) > 2.0 * INIT_STD
         if not bad.any():
             break
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-    return np.clip(out, -2.0 * std, 2.0 * std).astype(dtype)
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+    return np.clip(out, -2.0 * INIT_STD, 2.0 * INIT_STD).astype(dtype)
 
 
 @dataclass
@@ -205,9 +205,9 @@ class EncoderWeights:
     type_rank: T.Tensor
     emb_ln_gain: T.Tensor
     emb_ln_bias: T.Tensor
-    layers: list[LayerWeights] = field(default_factory=list)
-    pooler_w: T.Tensor | None = None
-    pooler_b: T.Tensor | None = None
+    pooler_w: T.Tensor
+    pooler_b: T.Tensor
+    layers: list[LayerWeights]
 
     def named_tensors(self) -> dict[str, T.Tensor]:
         out = {f.name: getattr(self, f.name) for f in fields(self)

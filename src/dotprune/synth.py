@@ -3,8 +3,9 @@
 Lookup examples name a key that occurs in exactly one cell of the key
 column; the answer is the same row's cell in the value column. Entailment
 examples assert a (key, value) pairing that is either taken from the table
-(label 1) or corrupted to another row's value (label 0). Distractor rows
-pad the tables so the linearized length comfortably exceeds the selection
+(label 1) or corrupted to another row's value (label 0). Every row but the
+answer's is a distractor; ``min_rows`` and ``max_rows`` set how many rows a
+table has, and so how far its linearized length exceeds the selection
 budget, which is what makes pruning matter.
 
 Every example derives its own RNG from (seed, index), so generation is
@@ -38,7 +39,6 @@ class GeneratorSpec:
     min_cell_tokens: int = 1
     max_cell_tokens: int = 2
     vocab_size: int = 60
-    distractor_ratio: float = 0.0
     task_type: str = "lookup"
 
     def __post_init__(self):
@@ -53,8 +53,6 @@ class GeneratorSpec:
             raise ConfigError("invalid cell token range")
         if self.vocab_size < 20:
             raise ConfigError("vocab_size must be >= 20")
-        if self.distractor_ratio < 0:
-            raise ConfigError("distractor_ratio must be >= 0")
         if self.task_type not in ("lookup", "entailment"):
             raise ConfigError(f"unknown task_type {self.task_type!r}")
 
@@ -66,8 +64,7 @@ def _example_rng(spec: GeneratorSpec, index: int) -> np.random.Generator:
 
 def _make_table(spec: GeneratorSpec, rng: np.random.Generator):
     words = [f"w{i}" for i in range(spec.vocab_size)]
-    base_rows = int(rng.integers(spec.min_rows, spec.max_rows + 1))
-    n_rows = base_rows + int(np.ceil(spec.distractor_ratio * base_rows))
+    n_rows = int(rng.integers(spec.min_rows, spec.max_rows + 1))
     n_cols = int(rng.integers(spec.min_cols, spec.max_cols + 1))
 
     # row-marker keys: unique within the table, and the key vocabulary is

@@ -69,6 +69,7 @@ _PHI_Q = (14954.526, 3900.3728, 449.39517, 28.8218)  # monic Q(t) = t^4 + ..., c
 # elements per pass of the blocked kernels (float32 GELU, AdamW), so their
 # work buffers and the slices they stream stay in L2
 _BLOCK = 1 << 16
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-6  # AdamW's published defaults (arXiv 1711.05101)
 
 _grad_enabled = True
 
@@ -203,9 +204,10 @@ def worker_map(fn: Callable, items) -> list:
 class Tensor:
     """A dense row-major array plus an optional position in a backward graph.
 
-    ``data`` is always a numpy array. Operation results record their
-    parents and a backward closure until ``backward`` walks them; leaves
-    record neither.
+    ``data`` is always a float32 or float64 numpy array; other data is
+    refused, as a cast would turn a float32 graph float64. Operation
+    results record their parents and a backward closure until
+    ``backward`` walks them; leaves record neither.
     """
 
     __slots__ = ("data", "requires_grad", "parents", "backward_fn")
@@ -213,7 +215,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
+            raise ContractError(f"tensor data must be float32 or float64, got {arr.dtype}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.parents: tuple[Tensor, ...] = tuple(parents)
@@ -540,16 +542,14 @@ def _gelu_f32(x: np.ndarray, want_slope: bool, out: np.ndarray):
     return out, slope
 
 
-def gelu_kernel(x: np.ndarray, want_slope: bool, out: np.ndarray | None = None):
-    """Array GELU of ``x`` into ``out`` (a new array when None, else a
-    C-contiguous array of ``x``'s shape, ``x`` itself allowed) and, when
-    ``want_slope``, its derivative as a new array.
+def gelu_kernel(x: np.ndarray, want_slope: bool, out: np.ndarray):
+    """Array GELU of ``x`` into ``out`` (a C-contiguous array of ``x``'s
+    shape, ``x`` itself allowed) and, when ``want_slope``, its derivative as
+    a new array.
 
     Exact in float64; in float32 Phi is the rational approximation above.
     """
     x = np.ascontiguousarray(x)
-    if out is None:
-        out = np.empty_like(x)
     kernel = _gelu_f32 if x.dtype == np.float32 else _gelu_f64
     return kernel(x, want_slope, out)
 
@@ -691,36 +691,37 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
 
 
 def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dict,
-               lr: float, weight_decay: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-6,
-               grad_scale: float = 1.0) -> Sequence[Tensor]:
+               lr: float, weight_decay: float, grad_scale: float = 1.0) -> Sequence[Tensor]:
     """One AdamW update from ``grads`` times ``grad_scale`` (the clip
     factor): bias-corrected moments, decoupled weight decay.
 
     ``state`` is mutated in place; pass ``{}`` on the first call. ``grads``
-    are only read. Each parameter is updated in blocks of ``_BLOCK``
-    elements through three work buffers per dtype (one holds the scaled
-    gradient block), with the whole-array formula's operations in its
-    order, so the result is bit-identical to that formula on the gradients
-    ``g * grad_scale``.
+    are only read; one per parameter, of its shape and dtype, and each
+    parameter C-contiguous, all checked before anything is written. Each
+    parameter is updated in place in blocks of ``_BLOCK`` elements through
+    three work buffers per dtype (one holds the scaled gradient block),
+    with the whole-array formula's operations in its order, so the result
+    is bit-identical to that formula on the gradients ``g * grad_scale``.
     """
-    b1, b2 = betas
-    step = state.get("step", 0) + 1
-    state["step"] = step
-    moments = state.setdefault("moments", {})
-    c1 = 1.0 - b1 ** step
-    c2 = 1.0 - b2 ** step
-    work: dict[np.dtype, np.ndarray] = {}
-    for i, (p, g) in enumerate(zip(params, grads)):
+    if len(grads) != len(params):
+        raise ContractError(f"adamw_step: {len(grads)} gradients for {len(params)} parameters")
+    for p, g in zip(params, grads):
         if g.shape != p.shape or g.dtype != p.dtype:
             raise ContractError(f"adamw_step: gradient {g.shape} {g.dtype} for a "
                                 f"parameter {p.shape} {p.dtype}")
+        # the blocks are slices of reshape(-1), a view only of a C-contiguous array
+        if not p.data.flags.c_contiguous:
+            raise ContractError(f"adamw_step: parameter {p.shape} is not C-contiguous")
+    step = state.get("step", 0) + 1
+    state["step"] = step
+    moments = state.setdefault("moments", {})
+    c1 = 1.0 - _BETA1 ** step
+    c2 = 1.0 - _BETA2 ** step
+    work: dict[np.dtype, np.ndarray] = {}
+    for i, (p, g) in enumerate(zip(params, grads)):
         if i not in moments:
             moments[i] = (np.zeros(p.shape, p.dtype), np.zeros(p.shape, p.dtype))
-        # reshape(-1) is a view only of a C-contiguous array: any other
-        # parameter is updated as a contiguous copy and written back
-        data = np.ascontiguousarray(p.data)
-        flat_p, flat_g = data.reshape(-1), g.reshape(-1)
+        flat_p, flat_g = p.data.reshape(-1), g.reshape(-1)
         flat_m, flat_v = (x.reshape(-1) for x in moments[i])
         if p.dtype not in work:
             work[p.dtype] = np.empty((3, _BLOCK), p.dtype)
@@ -730,16 +731,16 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dic
             ps, gs, ms, vs = flat_p[blk], flat_g[blk], flat_m[blk], flat_v[blk]
             tb, ub = t[:ps.size], u[:ps.size]
             gs = np.multiply(gs, grad_scale, out=s[:ps.size])
-            ms *= b1
-            np.multiply(gs, 1.0 - b1, out=tb)
+            ms *= _BETA1
+            np.multiply(gs, 1.0 - _BETA1, out=tb)
             ms += tb
-            vs *= b2
+            vs *= _BETA2
             np.square(gs, out=tb)
-            tb *= 1.0 - b2
+            tb *= 1.0 - _BETA2
             vs += tb
             np.divide(vs, c2, out=ub)
             np.sqrt(ub, out=ub)
-            ub += eps
+            ub += _ADAM_EPS
             np.divide(ms, c1, out=tb)
             np.divide(tb, ub, out=ub)
             ub *= lr
@@ -747,20 +748,17 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dic
                 np.multiply(ps, lr * weight_decay, out=tb)
                 ub += tb
             ps -= ub
-        if data is not p.data:
-            p.data[...] = data
     return params
 
 
 def gradient_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor],
-                   eps: float = 1e-5, max_entries_per_param: int | None = None,
-                   seed: int = 0) -> float:
+                   eps: float = 1e-5, max_entries_per_param: int | None = None) -> float:
     """Compare analytic gradients of ``f(params)`` to central differences.
 
     Returns the maximum over checked coordinates of
     ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``. When
     ``max_entries_per_param`` is set, coordinates are subsampled per tensor
-    with a deterministic RNG; small tensors are always checked in full.
+    with an RNG seeded 0; small tensors are always checked in full.
     """
     if eps <= 0:
         raise ContractError("gradient_check requires eps > 0")
@@ -768,7 +766,7 @@ def gradient_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Ten
     if not np.isfinite(loss.data).all():
         raise ContractError("gradient_check: loss is not finite")
     analytic = backward(loss, params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     for p, a in zip(params, analytic):
         n = p.data.size

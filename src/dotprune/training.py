@@ -185,12 +185,9 @@ def preselect(seq: TokenizedSequence, example: Example, config: DoTConfig
 
 
 def dot_forward(model: DoTModel, example: Example,
-                scores_override: Callable[[TokenizedSequence, Example],
-                                          np.ndarray] | None = None,
                 select: SelectHook | None = None) -> DotOutputs:
     """Full pipeline for one example: the batch-of-one ``dot_forward_batch``."""
-    return dot_forward_batch(model, [example], scores_override=scores_override,
-                             select=select)[0]
+    return dot_forward_batch(model, [example], select=select)[0]
 
 
 def dot_forward_batch(model: DoTModel, examples: list[Example],

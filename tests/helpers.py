@@ -69,7 +69,7 @@ def tiny_model(dataset, dot_config=None, dtype=np.float64, seed=0,
 
 def gelu(a):
     """Gaussian-error-linear unit, x Phi(x), as a tensor op over ``tensor.gelu_kernel``."""
-    out, slope = T.gelu_kernel(a.data, T.grad_needed((a,)))
+    out, slope = T.gelu_kernel(a.data, T.grad_needed((a,)), out=np.empty(a.shape, a.dtype))
     if slope is None:
         return T.Tensor(out)
     return T.Tensor(out, requires_grad=True, parents=(a,),

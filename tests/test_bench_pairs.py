@@ -15,19 +15,21 @@ BETTER = {"examples_per_s": {"better": "higher", "bound": 0.25},
           "step_p50_ms": {"better": "lower", "bound": 0.25}}
 
 
-def stub_stdout(examples_per_s, step_ms, ceiling=140.0, correct=True):
+def stub_stdout(examples_per_s, step_ms, ceiling=140.0, correct=True, digest="d1"):
     result = {"correct": correct, "attempted": 32, "failed": 0,
               "metrics": {"examples_per_s": {"value": examples_per_s, "unit": "examples/s"},
                           "step_p50_ms": {"value": step_ms, "unit": "ms"}}}
     return "\n".join(["env commit: unknown", "env source_sha256: ab12", "env blas_threads: 2",
                       f"env gemm_ceiling_gflops_per_s: {ceiling}", "check digest_repeats: PASS",
+                      "info ops_failed_share: 0.0 (0/32)", f"info digest: {digest}",
+                      "info digest_compared: True",
                       f"metric examples_per_s: {examples_per_s} examples/s",
                       json.dumps(result)]) + "\n"
 
 
 def test_parse_run_reads_the_result_line_and_the_environment():
-    run = bp.parse_run(stub_stdout(20.5, 780.0, ceiling=147.25))
-    assert run == {"correct": True, "attempted": 32, "failed": 0,
+    run = bp.parse_run(stub_stdout(20.5, 780.0, ceiling=147.25, digest="a22ae684"))
+    assert run == {"correct": True, "attempted": 32, "failed": 0, "digest": "a22ae684",
                    "metrics": {"examples_per_s": 20.5, "step_p50_ms": 780.0},
                    "source_sha256": "ab12", "blas_threads": 2,
                    "gemm_ceiling_gflops_per_s": 147.25}
@@ -80,6 +82,18 @@ def test_a_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_spread():
                          BETTER)
     assert clear["metrics"]["examples_per_s"]["wins"] == 9
     assert clear["metrics"]["examples_per_s"]["gain_holds"]
+
+
+def test_digests_are_compared_per_pair_and_per_workload():
+    pairs = _pairs([10.0, 11.0, 12.0], [10.0, 11.0, 12.0])
+    s = bp.summarize(pairs, BETTER)
+    assert [p["digests_equal"] for p in s["runs"]] == [True, True, True]
+    assert s["all_digests_equal"]
+    pairs[1]["change"]["digest"] = "d2"
+    s = bp.summarize(pairs, BETTER)
+    assert [p["digests_equal"] for p in s["runs"]] == [True, False, True]
+    assert not s["all_digests_equal"]
+    assert "digests_equal" not in pairs[0]  # the pairs passed in are not written
 
 
 def test_one_pair_has_degenerate_quartiles():
@@ -153,12 +167,16 @@ def test_main_writes_and_prints_the_speedup(tmp_path, monkeypatch, capsys):
             ("train_full", "parent"): 10.0, ("train_full", "change"): 10.0}
 
     def perfbench(checkout, workload, seed, seconds):
+        arm = Path(checkout).name
         result = json.loads(stub_stdout(1.0, 1.0).splitlines()[-1])
-        result["metrics"] = {name: {"value": rate[workload, Path(checkout).name], "unit": ""}
+        result["metrics"] = {name: {"value": rate[workload, arm], "unit": ""}
                              for name in ("setup_s", "examples_per_s", "step_p50_ms",
                                           "peak_rss_mb")}
+        # train_full's change arm prints another digest
+        digest = "moved" if (workload, arm) == ("train_full", "change") else "same"
         return bp.parse_run("env source_sha256: ab12\nenv blas_threads: 2\n"
-                            "env gemm_ceiling_gflops_per_s: 140\n" + json.dumps(result))
+                            f"env gemm_ceiling_gflops_per_s: 140\ninfo digest: {digest}\n"
+                            + json.dumps(result))
 
     monkeypatch.setattr(bp, "ROOT", str(tmp_path))
     monkeypatch.setattr(bp, "git", lambda *args: "")
@@ -176,6 +194,11 @@ def test_main_writes_and_prints_the_speedup(tmp_path, monkeypatch, capsys):
     assert "speedup train_dot/train_full examples_per_s: 1.800 -> 1.850" in out
     assert "train_dot examples_per_s: 18 -> 18.5, won 2/2, ratio q1/median/q3 " \
         "1.028/1.028/1.028, regression none" in out
+    assert record["workloads"]["train_dot"]["all_digests_equal"]
+    assert not record["workloads"]["train_full"]["all_digests_equal"]
+    assert [p["digests_equal"] for p in record["workloads"]["train_full"]["runs"]] == [False] * 2
+    assert "train_dot digests equal in 2/2 pairs, all_digests_equal True" in out
+    assert "train_full digests equal in 0/2 pairs, all_digests_equal False" in out
 
 
 def test_the_change_arm_is_a_copy_of_the_checkout_without_ignored_files(tmp_path):

@@ -105,7 +105,7 @@ def test_load_tensors_reads_every_shape_into_its_own_writable_array(tmp_path):
              "matrix": np.arange(6, dtype=np.float32).reshape(2, 3),
              "vector": np.linspace(-1.0, 1.0, 5),
              "scalar": np.array(2.5)}
-    container.save_tensors(path, named)
+    container.save_tensors(path, named, {})
     _, loaded = container.load_tensors(path)
     assert sorted(loaded) == sorted(named)
     for name, arr in named.items():
@@ -135,7 +135,7 @@ def test_load_tensors_refuses_a_length_beyond_the_end_of_the_file(tmp_path, fiel
 
 def test_load_tensors_rejects_unknown_descriptor_dtype(tmp_path):
     path = tmp_path / "t.ckpt"
-    container.save_tensors(path, {"a": np.arange(3, dtype=np.float32)})
+    container.save_tensors(path, {"a": np.arange(3, dtype=np.float32)}, {})
     blob = path.read_bytes()
     assert blob.count(b'"<f4"') == 1
     path.write_bytes(blob.replace(b'"<f4"', b'"<i4"'))
@@ -146,7 +146,8 @@ def test_load_tensors_rejects_unknown_descriptor_dtype(tmp_path):
 def test_load_tensors_refuses_a_repeated_name(tmp_path):
     # a later descriptor of the same name would silently replace the first
     path = tmp_path / "t.ckpt"
-    container.save_tensors(path, {"x": np.zeros(3, np.float32), "y": np.ones(3, np.float32)})
+    container.save_tensors(path, {"x": np.zeros(3, np.float32), "y": np.ones(3, np.float32)},
+                           {})
     blob = path.read_bytes()
     assert blob.count(b'"name":"y"') == 1
     path.write_bytes(blob.replace(b'"name":"y"', b'"name":"x"'))

@@ -96,6 +96,16 @@ def test_parse_model_spec_accepts_unicode_arrow():
         ("dot", "s", 256, "l", 1024)
 
 
+@pytest.mark.parametrize("spec,canonical", [
+    ("dot(mini->24->small)@256", "DoT(mini->24->small)@256"),
+    ("DOT(MINI->24->S)@256", "DoT(mini->24->small)@256"),
+    ("tapas(mini)@256", "TAPAS(mini)@256"),
+    ("Tapas(MINI)@256", "TAPAS(mini)@256"),
+])
+def test_model_spec_names_match_in_any_case(spec, canonical):
+    assert cli.count_for_spec(spec) == cli.count_for_spec(canonical)
+
+
 def test_parse_model_spec_errors():
     with pytest.raises(ConfigError):
         cli.parse_model_spec("TAPAS(mini)")
@@ -346,6 +356,23 @@ def run_eval(tmp_path, ckpt, data, cfg):
                    "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     return json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["learned", "oracle"])
+def test_cmd_eval_outputs_are_byte_identical_at_one_thread_count(tmp_path, eval_inputs,
+                                                                  oracle):
+    import helpers
+
+    ckpt, data, cfg, _ = eval_inputs
+    for out in ("a", "b"):
+        with helpers.workers(2):  # the batch is split across two workers
+            rc = cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                           "--config", str(cfg), "--out", str(tmp_path / out)]
+                          + ["--oracle"] * oracle)
+        assert rc == 0
+    assert len((tmp_path / "a" / "histogram.csv").read_text().splitlines()) > 1
+    for name in ("report.json", "histogram.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_eval_scores_every_example_once_in_chunks(tmp_path, monkeypatch, capsys):

@@ -51,14 +51,6 @@ def test_lookup_solvable_from_answer_row_alone():
         assert scan_answer(pruned) == frozenset({(0, col)})
 
 
-def test_distractor_ratio_pads_rows():
-    base = synth.GeneratorSpec(seed=6, n_examples=10, min_rows=4, max_rows=4)
-    padded = synth.GeneratorSpec(seed=6, n_examples=10, min_rows=4, max_rows=4,
-                                 distractor_ratio=1.0)
-    for a, b in zip(synth.generate(base), synth.generate(padded)):
-        assert b.table.n_rows == 2 * a.table.n_rows
-
-
 def test_entailment_labels_match_table_content():
     spec = synth.GeneratorSpec(seed=7, n_examples=60, task_type="entailment")
     labels = set()
@@ -100,8 +92,7 @@ def test_bucket_boundary_is_left_closed():
 
 
 def test_bucketize_counts_sum_to_total():
-    spec = synth.GeneratorSpec(seed=9, n_examples=40, max_rows=8,
-                               distractor_ratio=0.5)
+    spec = synth.GeneratorSpec(seed=9, n_examples=40, min_rows=5, max_rows=12)
     examples = synth.generate(spec)
     buckets = bucketize(examples, edges=(32, 48, 64))
     assert sum(len(v) for v in buckets.values()) == len(examples)
@@ -122,8 +113,8 @@ def test_generation_is_index_local(seed):
 
 
 def test_linearized_length_exceeds_budget_under_padding():
-    spec = synth.GeneratorSpec(seed=10, n_examples=10, min_rows=4, max_rows=6,
+    spec = synth.GeneratorSpec(seed=10, n_examples=10, min_rows=8, max_rows=12,
                                min_cols=4, max_cols=4, min_cell_tokens=2,
-                               max_cell_tokens=3, distractor_ratio=1.0)
+                               max_cell_tokens=3)
     for ex in synth.generate(spec):
         assert linearized_length(ex) >= 64

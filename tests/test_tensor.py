@@ -212,11 +212,10 @@ def test_adamw_single_step_decreases_weight():
     assert state["step"] == 1
 
 
-def _adamw_whole_array(params, grads, state, lr, weight_decay, betas=(0.9, 0.999),
-                       eps=1e-6):
+def _adamw_whole_array(params, grads, state, lr, weight_decay):
     """The whole-array AdamW formula that the blocked ``adamw_step`` must equal
     bit for bit."""
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-6
     step = state.get("step", 0) + 1
     state["step"] = step
     moments = state.setdefault("moments", {})
@@ -289,21 +288,37 @@ def test_adamw_grad_scale_equals_adamw_on_gradients_scaled_beforehand_bitwise(dt
                 assert mf.tobytes() == ms.tobytes()
 
 
+def _adamw_refusal_leaves_everything_unchanged(params, grads, match):
+    """Run one good AdamW step, then one that must be refused with ``match``:
+    no parameter, moment or step count may change."""
+    state = {}
+    T.adamw_step(params, [np.full(p.shape, 0.5, p.dtype) for p in params], state,
+                 lr=0.1, weight_decay=0.01)
+    before = [p.data.copy() for p in params]
+    moments = {i: tuple(m.copy() for m in mv) for i, mv in state["moments"].items()}
+    with pytest.raises(ContractError, match=match):
+        T.adamw_step(params, grads, state, lr=0.1, weight_decay=0.01)
+    assert state["step"] == 1
+    assert state["moments"].keys() == moments.keys()
+    for i, (m, v) in moments.items():
+        assert state["moments"][i][0].tobytes() == m.tobytes()
+        assert state["moments"][i][1].tobytes() == v.tobytes()
+    for p, b in zip(params, before):
+        assert p.data.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("view", [np.transpose, lambda a: a[:, :4]],
                          ids=["transposed", "column-sliced"])
-def test_adamw_updates_a_parameter_that_is_not_c_contiguous(view):
-    rng = np.random.default_rng(12)
-    data = view(rng.normal(size=(4, 6)))
+def test_adamw_refuses_a_parameter_that_is_not_c_contiguous(view):
+    # a parameter is updated in place through reshape(-1), which is a view
+    # only of a C-contiguous array
+    data = view(np.random.default_rng(12).normal(size=(4, 6)))
     assert not data.flags.c_contiguous
-    p = T.Tensor(data, requires_grad=True)
-    q = T.Tensor(np.ascontiguousarray(data), requires_grad=True)
-    before = data.copy()
-    g = rng.normal(size=data.shape)
-    T.adamw_step([p], [g], {}, lr=0.1, weight_decay=0.01)
-    _adamw_whole_array([q], [g], {}, lr=0.1, weight_decay=0.01)
-    assert p.data is data
-    assert not np.array_equal(p.data, before)
-    np.testing.assert_array_equal(p.data, q.data)
+    params = [T.Tensor(np.ones(3), requires_grad=True), T.Tensor(data, requires_grad=True)]
+    with pytest.raises(ContractError, match="not C-contiguous"):
+        T.adamw_step(params, [np.zeros(3), np.zeros(data.shape)], {}, lr=0.1,
+                     weight_decay=0.01)
+    assert params[0].data.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_adamw_refuses_a_gradient_of_another_shape_or_dtype():
@@ -311,6 +326,35 @@ def test_adamw_refuses_a_gradient_of_another_shape_or_dtype():
     for g in (np.zeros(1), np.zeros(3, dtype=np.float32)):
         with pytest.raises(ContractError, match="gradient"):
             T.adamw_step([p], [g], {}, lr=0.1, weight_decay=0.0)
+
+
+def test_adamw_checks_every_gradient_before_it_writes():
+    params = [T.Tensor(np.ones(3), requires_grad=True), T.Tensor(np.ones(2), requires_grad=True)]
+    # the gradient at index 1 is refused: parameter 0 must not move either
+    _adamw_refusal_leaves_everything_unchanged(params, [np.ones(3), np.ones(5)], "gradient")
+    fresh = {}
+    with pytest.raises(ContractError, match="gradient"):
+        T.adamw_step(params, [np.ones(3), np.ones(2, np.float32)], fresh, lr=0.1,
+                     weight_decay=0.0)
+    assert fresh == {}
+
+
+def test_adamw_refuses_a_gradient_list_of_another_length():
+    params = [T.Tensor(np.ones(3), requires_grad=True), T.Tensor(np.ones(2), requires_grad=True)]
+    # zip would have skipped the last parameter
+    _adamw_refusal_leaves_everything_unchanged(params, [np.ones(3)],
+                                               "1 gradients for 2 parameters")
+    _adamw_refusal_leaves_everything_unchanged(params, [np.ones(3), np.ones(2), np.ones(1)],
+                                               "3 gradients for 2 parameters")
+
+
+@pytest.mark.parametrize("data", [np.arange(3), np.array([True, False]),
+                                  np.ones(2, np.float16), 1],
+                         ids=["int64", "bool", "float16", "python-int"])
+def test_tensor_refuses_data_that_is_not_float32_or_float64(data):
+    # a silent cast to float64 would turn a float32 graph into float64
+    with pytest.raises(ContractError, match=f"float32 or float64, got {np.asarray(data).dtype}"):
+        T.Tensor(data)
 
 
 @pytest.mark.parametrize("case", ["add(a, a)", "add(a, b)", "concat", "reshape"])

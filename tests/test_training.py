@@ -24,9 +24,10 @@ def loss_of(model, out, ex, mode="J", beta=1.0):
 
 
 def forward_in(model, ex, mode, **kw):
-    """``dot_forward`` under the given loss mode; P mode detaches the bias."""
+    """``dot_forward_batch`` on one example under the given loss mode; P mode
+    detaches the bias."""
     model.config = dataclasses.replace(model.config, loss_mode=mode)
-    return tr.dot_forward(model, ex, **kw)
+    return tr.dot_forward_batch(model, [ex], **kw)[0]
 
 
 def lookup_data(n=8, seed=0, **kw):
@@ -86,8 +87,8 @@ def test_forward_with_zero_scores_matches_plain_task_model():
     cfg = tr.DoTConfig(pre_limit=48, k=48)
     model = tiny_model(data, cfg)
     ex = data[0]
-    out = tr.dot_forward(model, ex,
-                         scores_override=lambda s, _ex: pr.constant_scores(s, 0.0))
+    out = tr.dot_forward_batch(model, [ex],
+                               scores_override=lambda s, _ex: pr.constant_scores(s, 0.0))[0]
     with T.no_grad():
         from dotprune.tables import linearize
         pre = tr.preselect(linearize(ex, model.vocab), ex, cfg)
@@ -256,8 +257,8 @@ def test_answer_score_gap_uniform_scores_zero():
     data = lookup_data()
     model = tiny_model(data)
     ex = data[0]
-    out = tr.dot_forward(model, ex,
-                         scores_override=lambda s, _ex: pr.constant_scores(s, -0.3))
+    out = tr.dot_forward_batch(model, [ex],
+                               scores_override=lambda s, _ex: pr.constant_scores(s, -0.3))[0]
     assert tr.answer_score_gap(out.scores, out.selection, ex) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -265,8 +266,8 @@ def test_answer_score_gap_positive_when_answers_score_highest():
     data = lookup_data()
     model = tiny_model(data)
     ex = data[0]
-    out = tr.dot_forward(
-        model, ex, scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))
+    out = tr.dot_forward_batch(
+        model, [ex], scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))[0]
     assert tr.answer_score_gap(out.scores, out.selection, ex) > 0.0
 
 
@@ -463,8 +464,8 @@ def test_oracle_scores_match_plain_task_model_on_answer_rows():
     model = tiny_model(data, cfg)
     from dotprune.tables import linearize
     for ex in data:
-        out = tr.dot_forward(
-            model, ex, scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))
+        out = tr.dot_forward_batch(
+            model, [ex], scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))[0]
         # plain task model fed exactly question + answer-row tokens
         pre = tr.preselect(linearize(ex, model.vocab), ex, cfg)
         answer_rows = {r for r, _ in ex.answer_coords}
@@ -510,8 +511,8 @@ def test_evaluate_with_oracle_scores_is_perfect_when_task_sees_answers():
     cfg = tr.DoTConfig(pre_limit=48, k=24)
     model = tiny_model(data, cfg)
     for ex in data:
-        out = tr.dot_forward(
-            model, ex, scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))
+        out = tr.dot_forward_batch(
+            model, [ex], scores_override=lambda s, ex: pr.oracle_scores(s, ex.answer_coords))[0]
         assert not out.answer_pruned
         forced = np.zeros(len(out.compact_seq))
         for j in out.kept_table_slots:
@@ -527,11 +528,11 @@ def test_evaluate_with_oracle_scores_is_perfect_when_task_sees_answers():
 
 def per_example_evaluate(model, examples, scores_override=None):
     """The reference: ``evaluate``'s report fields, computed one example at a
-    time through ``dot_forward``, and each example's outputs."""
+    time through ``dot_forward_batch``, and each example's outputs."""
     outs, predictions, correct, gaps = [], [], [], []
     with T.no_grad():
         for ex in examples:
-            out = tr.dot_forward(model, ex, scores_override=scores_override)
+            (out,) = tr.dot_forward_batch(model, [ex], scores_override=scores_override)
             if model.config.task_type == "cell_selection":
                 pred = tr.predict_cells(out)
                 correct.append(pred == ex.answer_coords)
@@ -619,7 +620,7 @@ def summed_loss(model, examples, batched, scores_override=None):
     if batched:
         outs = tr.dot_forward_batch(model, examples, scores_override=scores_override)
     else:
-        outs = [tr.dot_forward(model, ex, scores_override=scores_override)
+        outs = [tr.dot_forward_batch(model, [ex], scores_override=scores_override)[0]
                 for ex in examples]
     losses = [tr.compute_loss(model, out, ex) for out, ex in zip(outs, examples)]
     total = losses[0]
@@ -693,8 +694,8 @@ def test_override_scores_that_are_not_a_float_array_per_token_are_refused():
     }
     for message, override in overrides.items():
         with pytest.raises(ContractError, match=f"override scores must be {message}$"):
-            tr.dot_forward(model, data[0], scores_override=override)
-    out = tr.dot_forward(model, data[0], scores_override=bad_at(-np.inf, table))
+            tr.dot_forward_batch(model, [data[0]], scores_override=override)
+    (out,) = tr.dot_forward_batch(model, [data[0]], scores_override=bad_at(-np.inf, table))
     assert out.scores.log_probs.data[table] == pr.SCORE_FLOOR
 
 
@@ -759,8 +760,8 @@ def test_train_records_the_global_gradient_norm():
 def test_override_scores_are_clipped_at_the_score_floor_in_the_model_dtype():
     data = lookup_data(n=1)
     model = tiny_model(data, dtype=np.float32)
-    out = tr.dot_forward(model, data[0],
-                         scores_override=lambda s, _ex: pr.constant_scores(s, -80.0))
+    out = tr.dot_forward_batch(model, [data[0]],
+                               scores_override=lambda s, _ex: pr.constant_scores(s, -80.0))[0]
     assert out.scores.log_probs.dtype == np.float32
     assert (out.scores.values == pr.SCORE_FLOOR).all()
 
