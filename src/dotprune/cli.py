@@ -24,6 +24,7 @@ import time
 from .errors import ConfigError, ContractError, field_kinds, open_input
 
 SCHEMA_VERSION = 2
+VERIFY_KEY = 1  # verify's cached encoders are synth.stream(seed, VERIFY_KEY, slot)
 
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -179,8 +180,8 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
                   max_input=32)
     model = tr.build_model(
         dot_cfg, vocab, dtype=np.float64,
-        pruning_config=enc.EncoderConfig(num_layers=layers, hidden=hidden, seed=0, **enc_kw),
-        task_config=enc.EncoderConfig(num_layers=layers, hidden=hidden, seed=1, **enc_kw))
+        pruning_config=enc.EncoderConfig(num_layers=layers, hidden=hidden, **enc_kw),
+        task_config=enc.EncoderConfig(num_layers=layers, hidden=hidden, **enc_kw))
     # spread the scores so the base point is interior to the hard selection
     model.pruning.head_w.data *= 30.0
     ex = data[0]
@@ -219,7 +220,9 @@ def run_equivalence_suite(cases: int = 100, seed: int = 0) -> dict:
 
     Symmetric masking must match to 1e-9. One constructed case demonstrates
     that the one-sided (query-row) application is not equivalent while the
-    per-key mask still is.
+    per-key mask still is. Case c runs the encoder of slot c % 4 (mini on
+    even slots, small on odd ones), drawn once from ``seed``'s stream
+    ``(VERIFY_KEY, slot)``.
     """
     import numpy as np
 
@@ -232,19 +235,18 @@ def run_equivalence_suite(cases: int = 100, seed: int = 0) -> dict:
     worst = 0.0
     weights_cache: dict = {}
     for case in range(cases):
-        preset_name = ("mini", "small")[case % 2]
         ex = synth.generate(synth.GeneratorSpec(
             seed=seed + case, n_examples=1, min_rows=1, max_rows=3,
             min_cols=2, max_cols=3, max_cell_tokens=2, vocab_size=30))[0]
         seq = tb.linearize(ex, tb.Vocabulary.from_examples([ex]))
         if len(seq) > 32:
             seq = tb.cc_select(seq, 32)
-        key = (preset_name, case % 4)
-        if key not in weights_cache:
-            cfg = enc.preset(preset_name, vocab_size=64, max_input=32,
-                             seed=seed + case)
-            weights_cache[key] = enc.init_weights(cfg, dtype=np.float64)
-        w = weights_cache[key]
+        slot = case % 4
+        if slot not in weights_cache:
+            cfg = enc.preset(("mini", "small")[slot % 2], vocab_size=64, max_input=32)
+            weights_cache[slot] = enc.init_weights(
+                cfg, synth.stream(seed, VERIFY_KEY, slot), np.float64)
+        w = weights_cache[slot]
         table_idx = list(seq.table_indices())
         max_drop = min(len(table_idx), len(seq) - 4)
         n_drop = int(rng.integers(1, max_drop + 1)) if max_drop >= 1 else 0
@@ -301,8 +303,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     suites = {
         "gradients": run_gradient_suite(),
-        "hard_drop_equivalence": run_equivalence_suite(cases=args.cases,
-                                                       seed=args.seed or 0),
+        "hard_drop_equivalence": run_equivalence_suite(cases=args.cases, seed=args.seed),
         "parameter_count": run_parameter_suite(),
     }
     report = {"suites": suites, "elapsed_seconds": time.perf_counter() - t0}

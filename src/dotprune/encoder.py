@@ -33,7 +33,8 @@ norm's output in the backward instead of saving it. Biased attention exists
 once, as the array kernel ``attention_probs``, which only ``layer`` calls.
 
 The scorer and the task model are both ``Tower``s: an encoder plus a
-one-unit linear head. Model-size presets and the closed-form parameter
+one-unit linear head. Init draws from a generator the caller passes, so
+no config holds a seed. Model-size presets and the closed-form parameter
 count mirror the standard compact BERT family the sizes are borrowed from.
 
 The runtime holds six embedding tables, while the counting inventory books
@@ -75,14 +76,13 @@ class EncoderConfig:
     intermediate: int
     vocab_size: int = DEFAULT_VOCAB_SIZE
     max_input: int = 1024
-    seed: int = 0
 
     def __post_init__(self):
         check_field_types(self)
         for f in fields(self):
-            value, least = getattr(self, f.name), 0 if f.name == "seed" else 1
-            if value < least:
-                raise ConfigError(f"{f.name} must be an int >= {least}, got {value!r}")
+            value = getattr(self, f.name)
+            if value < 1:
+                raise ConfigError(f"{f.name} must be an int >= 1, got {value!r}")
         if self.hidden % self.num_heads != 0:
             raise ConfigError(
                 f"hidden {self.hidden} not divisible by num_heads {self.num_heads}")
@@ -242,9 +242,10 @@ def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_arrays(config: EncoderConfig, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Fresh values: truncated normal (std 0.02) matrices, zero biases, unit gains."""
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+def init_arrays(config: EncoderConfig, rng: np.random.Generator,
+                dtype=np.float32) -> dict[str, np.ndarray]:
+    """Fresh values: truncated normal (std 0.02) matrices drawn from ``rng``
+    in ``tensor_shapes`` order, zero biases, unit gains."""
 
     def init(name, shape):
         if len(shape) == 2:
@@ -264,9 +265,10 @@ def weights_from_arrays(config: EncoderConfig, arrays: dict[str, np.ndarray]
                           **{k: v for k, v in t.items() if not k.startswith("layer")})
 
 
-def init_weights(config: EncoderConfig, dtype=np.float32) -> EncoderWeights:
-    """Fresh trainable weights, deterministic in ``config.seed``."""
-    return weights_from_arrays(config, init_arrays(config, dtype))
+def init_weights(config: EncoderConfig, rng: np.random.Generator,
+                 dtype=np.float32) -> EncoderWeights:
+    """Fresh trainable weights drawn from ``rng``."""
+    return weights_from_arrays(config, init_arrays(config, rng, dtype))
 
 
 @dataclass
@@ -296,10 +298,9 @@ class Tower:
                    head_b=T.Tensor(arrays["head_b"], requires_grad=True))
 
 
-def init_tower(config: EncoderConfig, head_seed: int, dtype=np.float32) -> Tower:
-    """Fresh tower; the head draws from its own stream seeded by ``head_seed``."""
-    rng = np.random.Generator(np.random.PCG64(head_seed))
-    arrays = init_arrays(config, dtype)
+def init_tower(config: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> Tower:
+    """Fresh tower drawn from ``rng``: the encoder first, then the head."""
+    arrays = init_arrays(config, rng, dtype)
     arrays["head_w"] = truncated_normal(rng, (config.hidden, 1), dtype=dtype)
     arrays["head_b"] = np.zeros(1, dtype=dtype)
     return Tower.from_arrays(config, arrays)
@@ -390,7 +391,7 @@ def embed(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int) -> T.T
     The word rows are gathered into a new buffer, the other five tables'
     rows are added into it in that order, and it is layer-normed in place:
     bit-identical to the sum composed from ``take_rows`` and ``add`` ops and
-    normalized by ``tensor.layer_norm``. Under ``no_grad`` nothing is saved;
+    normalized (the tests' reference). Under ``no_grad`` nothing is saved;
     otherwise one node, whose parents are the six tables and the two
     layer-norm parameters, saves only the index arrays, xhat and 1/std, and
     its backward scatters the layer-norm input's gradient into each table.

@@ -195,7 +195,8 @@ def hard_drop_equivalence(weights: enc.EncoderWeights, seq: TokenizedSequence,
     ``drop_set`` holds token indices in ``[0, len(seq))`` and must not touch
     the question span. Run in 64-bit weights for meaningful thresholds.
     """
-    drop = sorted(set(drop_set))
+    dropped = set(drop_set)
+    drop = sorted(dropped)
     if drop and (drop[0] < 0 or drop[-1] >= len(seq)):
         raise ContractError(f"drop_set indices must lie in [0, {len(seq)})")
     qspan = set(seq.question_span())
@@ -205,7 +206,7 @@ def hard_drop_equivalence(weights: enc.EncoderWeights, seq: TokenizedSequence,
         return 0.0
     bias = np.zeros(len(seq))
     bias[drop] = -np.inf
-    kept = [i for i in range(len(seq)) if i not in set(drop)]
+    kept = [i for i in range(len(seq)) if i not in dropped]
     with T.no_grad():
         full, _ = enc.forward(weights, seq, bias=bias, mode=mode)
         compacted, _ = enc.forward(weights, seq.subsequence(kept, keep_positions=True))

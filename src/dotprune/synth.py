@@ -9,7 +9,8 @@ table has, and so how far its linearized length exceeds the selection
 budget, which is what makes pruning matter.
 
 Every example derives its own RNG from (seed, index), so generation is
-order-independent and reproducible.
+order-independent and reproducible. ``stream`` is the one place in the
+package where a random stream derives from a seed.
 """
 
 from __future__ import annotations
@@ -57,9 +58,14 @@ class GeneratorSpec:
             raise ConfigError(f"unknown task_type {self.task_type!r}")
 
 
-def _example_rng(spec: GeneratorSpec, index: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under ``seed``; distinct keys give
+    independent streams. Example i of a dataset is key ``(i,)``. Every
+    other key has length 2: training's four purposes
+    (``training.SCORER_INIT`` ...) and verify's cached encoders
+    (``cli.VERIFY_KEY``)."""
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))))
+        np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _make_table(spec: GeneratorSpec, rng: np.random.Generator):
@@ -113,7 +119,7 @@ def _entailment_example(spec: GeneratorSpec, rng: np.random.Generator) -> Exampl
 def generate(spec: GeneratorSpec) -> list[Example]:
     """Materialize ``spec.n_examples`` examples; same spec, same dataset."""
     make = _lookup_example if spec.task_type == "lookup" else _entailment_example
-    return [make(spec, _example_rng(spec, i)) for i in range(spec.n_examples)]
+    return [make(spec, stream(spec.seed, i)) for i in range(spec.n_examples)]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ that share leaves can be walked on two threads at once.
 The softmax, layer-norm, GELU and row-scatter array kernels
 (``softmax_rows_inplace``, ``softmax_rows_grad_inplace``,
 ``layer_norm_inplace``, ``layer_norm_grad``, ``gelu_kernel``,
-``scatter_rows``) exist once: ``layer_norm`` and ``take_rows`` wrap theirs
-here, and ``encoder.embed`` and ``encoder.layer`` call them on buffers they
-own, each inside one op with its own backward. Such an op asks
+``scatter_rows``) exist once: ``take_rows`` wraps its own here, and
+``encoder.embed`` and ``encoder.layer`` call them on buffers they own, each
+inside one op with its own backward. Such an op asks
 ``grad_needed`` whether to save activations and record a node. ``matmul``
 is the one GEMM entry point: every matrix product, forward and backward,
 calls it, so a counter over it sees them all. ``scatter_rows``, the gradient
@@ -641,21 +641,6 @@ def layer_norm_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     dxhat -= xhat * m2
     dxhat *= inv_std
     return dxhat
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then affine."""
-    x = _as_tensor(x)
-    gain = _as_tensor(gain, x.dtype)
-    bias = _as_tensor(bias, x.dtype)
-    out, xhat, inv_std = layer_norm_inplace(x.data.copy(), gain.data, bias.data, eps,
-                                            keep_xhat=True)
-
-    def back(g):
-        gx = layer_norm_grad(g, gain.data, xhat, inv_std)
-        return gx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
-
-    return _node(out, (x, gain, bias), back)
 
 
 def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:

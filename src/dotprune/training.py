@@ -17,7 +17,10 @@ Three loss modes differ in how the scorer learns:
 * ``PJ``: both paths at once.
 
 The trainer is deterministic given (config, seed, thread count) and keeps
-no clock: a caller times steps from ``step_callback``.
+no clock: a caller times steps from ``step_callback``. Its four random
+streams, one per purpose (scorer init, task init, data order and
+exploration), are ``synth.stream(seed, *key)`` under the keys
+``SCORER_INIT``, ``TASK_INIT``, ``DATA_ORDER`` and ``EXPLORATION``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from . import pruning as pr
 from . import tensor as T
 from .container import load_tensors, save_tensors
 from .errors import ConfigError, ContractError, TrainingDivergedError, check_field_types
+from .synth import stream
 from .tables import (RESERVED_TOKENS, Example, TokenizedSequence, Vocabulary, cc_select,
                      hem_select, linearize)
 
@@ -43,6 +47,9 @@ SELECTION_MODES = ("token", "column")
 TASK_TYPES = ("cell_selection", "classification")
 
 SelectHook = Callable[[np.ndarray, TokenizedSequence], pr.Selection]
+
+# stream keys of the four purposes; length 2, which no synth example key has
+SCORER_INIT, TASK_INIT, DATA_ORDER, EXPLORATION = (0, 0), (0, 1), (0, 2), (0, 3)
 
 
 @dataclass(frozen=True)
@@ -149,17 +156,16 @@ def build_model(config: DoTConfig, vocab: Vocabulary, dtype=np.float32,
 
     The task encoder's position table spans pre_limit because compaction
     keeps original position ids. Explicit encoder configs override the
-    presets (hand-sized towers for verification suites).
+    presets (hand-sized towers for verification suites). The scorer draws
+    from ``seed``'s stream ``SCORER_INIT``, the task tower from ``TASK_INIT``.
     """
     pruning_cfg = pruning_config or enc.preset(
-        config.pruning_preset, vocab_size=len(vocab), max_input=config.pre_limit,
-        seed=seed)
+        config.pruning_preset, vocab_size=len(vocab), max_input=config.pre_limit)
     task_cfg = task_config or enc.preset(
-        config.task_preset, vocab_size=len(vocab), max_input=config.pre_limit,
-        seed=seed + 1)
+        config.task_preset, vocab_size=len(vocab), max_input=config.pre_limit)
     return DoTModel(config=config, vocab=vocab,
-                    pruning=enc.init_tower(pruning_cfg, pruning_cfg.seed + 101, dtype),
-                    task=enc.init_tower(task_cfg, seed + 202, dtype))
+                    pruning=enc.init_tower(pruning_cfg, stream(seed, *SCORER_INIT), dtype),
+                    task=enc.init_tower(task_cfg, stream(seed, *TASK_INIT), dtype))
 
 
 @dataclass
@@ -390,8 +396,8 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     else:
         override = lambda seq, _example: scores_override(seq)
     params = [p for g, _, _ in groups for p in g]
-    data_rng = np.random.Generator(np.random.PCG64(train_config.seed + 1))
-    explore_rng = np.random.Generator(np.random.PCG64(train_config.seed + 3))
+    data_rng = stream(train_config.seed, *DATA_ORDER)
+    explore_rng = stream(train_config.seed, *EXPLORATION)
     anneal_until = max(1.0, 0.6 * train_config.num_steps)
 
     order: list[int] = []

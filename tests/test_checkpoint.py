@@ -179,6 +179,18 @@ def test_a_bad_header_config_is_refused_naming_the_file(checkpoint, values):
     assert str(checkpoint) in str(info.value)
 
 
+def test_a_checkpoint_whose_encoder_configs_hold_a_seed_is_refused(checkpoint):
+    # encoder configs held a seed before every init drew from synth.stream;
+    # a checkpoint of that format stores one in both sections
+    header, tensors = container.load_tensors(checkpoint)
+    assert "seed" not in header["pruning_config"] and "seed" not in header["task_config"]
+    header["pruning_config"]["seed"], header["task_config"]["seed"] = 0, 1
+    container.save_tensors(checkpoint, tensors, header)
+    with pytest.raises(ContractError, match="malformed checkpoint header.*seed") as info:
+        tr.load_checkpoint(checkpoint)
+    assert str(checkpoint) in str(info.value)
+
+
 LOAD_UNDER_1GB = """
 import resource, sys
 from dotprune import training

@@ -136,6 +136,27 @@ def test_equivalence_suite_small_run():
     assert result["key_mask_diff"] < 1e-9
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_equivalence_suite_draws_one_encoder_per_slot_from_the_verify_stream(monkeypatch,
+                                                                            seed):
+    from dotprune import encoder as enc
+    from dotprune import synth
+
+    drawn = []
+    real = enc.init_weights
+
+    def spy(config, rng, dtype):
+        drawn.append((config.hidden, rng.bit_generator.state))
+        return real(config, rng, dtype)
+
+    monkeypatch.setattr(enc, "init_weights", spy)
+    assert cli.run_equivalence_suite(cases=8, seed=seed)["ok"]
+    assert drawn == [
+        (enc.preset(("mini", "small")[slot % 2]).hidden,
+         synth.stream(seed, cli.VERIFY_KEY, slot).bit_generator.state)
+        for slot in range(4)]
+
+
 def test_gradient_suite():
     result = cli.run_gradient_suite(entries_per_param=2)
     assert result["ok"], result

@@ -15,7 +15,7 @@ from dotprune.errors import ConfigError, ContractError, InputTooLongError
 
 def tiny_config(**kw):
     defaults = dict(num_layers=2, hidden=16, num_heads=2, intermediate=32,
-                    vocab_size=40, max_input=40, seed=0)
+                    vocab_size=40, max_input=40)
     defaults.update(kw)
     return enc.EncoderConfig(**defaults)
 
@@ -38,12 +38,9 @@ def test_zero_layer_config_rejected():
 
 
 @pytest.mark.parametrize("field", ["num_layers", "hidden", "num_heads", "intermediate",
-                                   "vocab_size", "max_input", "seed"])
+                                   "vocab_size", "max_input"])
 @pytest.mark.parametrize("value", [-1, 0, 1.5, True, "8", np.int64(8)])
 def test_integer_config_fields_refuse_non_ints_and_counts_below_one(field, value):
-    if field == "seed" and value == 0:
-        assert tiny_config(seed=0).seed == 0
-        return
     with pytest.raises(ConfigError, match=f"{field} must be an int"):
         tiny_config(**{field: value})
 
@@ -109,7 +106,7 @@ def test_biased_attention_symmetric_drop_equals_reduced_set():
 @pytest.mark.parametrize("bad", [0.1, np.nan, np.inf])
 def test_forward_refuses_a_positive_nan_or_inf_bias(bad):
     seq = helpers.random_sequence(np.random.default_rng(30))
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     bias = np.zeros(len(seq))
     bias[-1] = bad
     with pytest.raises(ContractError, match="must be <= 0"):
@@ -121,7 +118,7 @@ def test_forward_refuses_a_positive_nan_or_inf_bias(bad):
 
 def test_forward_refuses_a_bias_of_the_wrong_length():
     seq = helpers.random_sequence(np.random.default_rng(32))
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ContractError, match="key count"):
         enc.forward(w, seq, bias=np.zeros(len(seq) + 1))
     with pytest.raises(ContractError, match="key count"):
@@ -130,7 +127,7 @@ def test_forward_refuses_a_bias_of_the_wrong_length():
 
 def test_forward_accepts_minus_inf_and_negative_zero():
     seq = helpers.random_sequence(np.random.default_rng(33))
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     bias = np.zeros(len(seq))
     bias[-1], bias[-2] = -np.inf, -0.0
     with T.no_grad():
@@ -143,7 +140,7 @@ def test_forward_batch_refuses_a_bias_count_other_than_the_sequence_count(n_seqs
                                                                            n_biases):
     rng = np.random.default_rng(34)
     seqs = [helpers.random_sequence(rng) for _ in range(n_seqs)]
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     biases = [np.zeros(len(seqs[b % n_seqs])) for b in range(n_biases)]
     with pytest.raises(ContractError, match=f"{n_biases} biases for {n_seqs} sequences"):
         enc.forward_batch(w, seqs, biases)
@@ -153,24 +150,24 @@ def test_forward_batch_refuses_a_bias_count_other_than_the_sequence_count(n_seqs
 def test_forward_refuses_a_tensor_bias_of_another_dtype(padded):
     seq = helpers.random_sequence(np.random.default_rng(35))
     seqs = [seq, helpers.compacted(seq, [len(seq) - 1])] if padded else [seq]
-    w = enc.init_weights(tiny_config(), dtype=np.float32)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float32)
     biases = [T.Tensor(np.zeros(len(s))) for s in seqs]  # float64
     with pytest.raises(ContractError, match="bias dtype float64 != scores' dtype float32"):
         enc.forward_batch(w, seqs, biases)
 
 
 def test_forward_batch_refuses_an_empty_batch():
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ContractError, match="at least one sequence"):
         enc.forward_batch(w, [])
 
 
 def _forward_pair(seq, drop, mode, dtype=np.float64, preset_name=None, seed=0):
     if preset_name:
-        cfg = enc.preset(preset_name, vocab_size=40, max_input=64, seed=seed)
+        cfg = enc.preset(preset_name, vocab_size=40, max_input=64)
     else:
-        cfg = tiny_config(seed=seed)
-    w = enc.init_weights(cfg, dtype=dtype)
+        cfg = tiny_config()
+    w = enc.init_weights(cfg, np.random.default_rng(seed), dtype=dtype)
     with T.no_grad():
         full, _ = enc.forward(w, seq, bias=helpers.drop_bias(seq, drop), mode=mode)
         compact, _ = enc.forward(w, helpers.compacted(seq, drop))
@@ -215,7 +212,7 @@ def test_pad_tail_with_symmetric_mask_matches_unpadded():
         rank_ids=seq.rank_ids + (0, 0, 0),
     )
     cfg = tiny_config()
-    w = enc.init_weights(cfg, dtype=np.float64)
+    w = enc.init_weights(cfg, np.random.default_rng(0), dtype=np.float64)
     bias = np.zeros(n + 3)
     bias[n:] = -np.inf
     with T.no_grad():
@@ -228,7 +225,7 @@ def test_forward_rejects_too_long_sequence():
     rng = np.random.default_rng(6)
     seq = helpers.random_sequence(rng)
     cfg = tiny_config(max_input=4)
-    w = enc.init_weights(cfg)
+    w = enc.init_weights(cfg, np.random.default_rng(0))
     with pytest.raises(InputTooLongError):
         enc.forward(w, seq)
 
@@ -250,7 +247,7 @@ def record_attention(monkeypatch) -> list[np.ndarray]:
 def test_attention_rows_sum_to_one(monkeypatch):
     rng = np.random.default_rng(7)
     seq = helpers.random_sequence(rng)
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     captured = record_attention(monkeypatch)
     with T.no_grad():
         enc.forward(w, seq)
@@ -262,7 +259,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
 def test_lowering_key_bias_strictly_lowers_received_mass(monkeypatch):
     rng = np.random.default_rng(8)
     seq = helpers.random_sequence(rng)
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     t = len(seq) - 1
     captured = record_attention(monkeypatch)
     masses = []
@@ -279,9 +276,9 @@ def test_lowering_key_bias_strictly_lowers_received_mass(monkeypatch):
 def test_forward_precision_agreement():
     rng = np.random.default_rng(9)
     seq = helpers.random_sequence(rng)
-    cfg = enc.preset("mini", vocab_size=40, max_input=64, seed=1)
-    w64 = enc.init_weights(cfg, dtype=np.float64)
-    w32 = enc.init_weights(cfg, dtype=np.float32)
+    cfg = enc.preset("mini", vocab_size=40, max_input=64)
+    w64 = enc.init_weights(cfg, np.random.default_rng(1), dtype=np.float64)
+    w32 = enc.init_weights(cfg, np.random.default_rng(1), dtype=np.float32)
     with T.no_grad():
         h64, _ = enc.forward(w64, seq)
         h32, _ = enc.forward(w32, seq)
@@ -290,15 +287,38 @@ def test_forward_precision_agreement():
 
 
 def test_init_is_seed_deterministic():
-    a = enc.init_weights(tiny_config(seed=3))
-    b = enc.init_weights(tiny_config(seed=3))
+    a = enc.init_weights(tiny_config(), np.random.default_rng(3))
+    b = enc.init_weights(tiny_config(), np.random.default_rng(3))
     for (na, ta), (nb, tb_) in zip(a.named_tensors().items(), b.named_tensors().items()):
         assert na == nb
         assert (ta.data == tb_.data).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_tower_draws_the_encoder_then_the_head(dtype):
+    cfg = tiny_config()
+    tower = enc.init_tower(cfg, np.random.default_rng(5), dtype)
+    rng = np.random.default_rng(5)
+    arrays = enc.init_arrays(cfg, rng, dtype)
+    named = tower.encoder.named_tensors()
+    assert set(named) == set(arrays)
+    for name, t in named.items():
+        assert t.data.dtype == dtype and (t.data == arrays[name]).all(), name
+    assert (tower.head_w.data == enc.truncated_normal(rng, (cfg.hidden, 1), dtype)).all()
+    assert tower.head_b.data.dtype == dtype and (tower.head_b.data == 0).all()
+
+
+@pytest.mark.parametrize("make", [
+    tiny_config, lambda **kw: enc.preset("mini", vocab_size=40, max_input=40, **kw),
+], ids=["config", "preset"])
+def test_an_encoder_config_holds_no_seed(make):
+    # init draws from the generator its caller passes, so no config names a seed
+    with pytest.raises(TypeError, match="seed"):
+        make(seed=0)
+
+
 def test_checkpoint_round_trip_and_byte_stability(tmp_path):
-    w = enc.init_weights(tiny_config(seed=4))
+    w = enc.init_weights(tiny_config(), np.random.default_rng(4))
     named = {k: t.data for k, t in w.named_tensors().items()}
     header = {"kind": "encoder", "seed": 4}
     p1 = tmp_path / "a.ckpt"
@@ -316,7 +336,7 @@ def test_forward_batch_rows_match_each_sequence_forward():
     rng = np.random.default_rng(11)
     seqs = [helpers.random_sequence(rng) for _ in range(3)]
     assert len({len(s) for s in seqs}) > 1
-    w = enc.init_weights(tiny_config(), dtype=np.float64)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     biases = [-rng.random(len(s)) for s in seqs]
     biases[1][-1] = -np.inf
     with T.no_grad():
@@ -337,7 +357,7 @@ def _worker_case(dtype, with_bias):
     if with_bias:
         biases = [-rng.random(len(s)) for s in seqs]
         biases[3][1] = -np.inf
-    return enc.init_weights(tiny_config(), dtype=dtype), seqs, biases
+    return enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype), seqs, biases
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
@@ -395,7 +415,7 @@ def _layer_case(dtype, seed=12):
     rows (and in query or symmetric mode each masked query row) is all-zero.
     """
     rng = np.random.default_rng(seed)
-    w = enc.init_weights(tiny_config(), dtype=dtype)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype)
     lw = w.layers[0]
     for t in vars(lw).values():
         t.data = (t.data + rng.normal(0.0, 0.05, t.shape)).astype(dtype)
@@ -468,7 +488,7 @@ def _embed_case(dtype, seed=14):
     three sequences padded to 11 tokens: random ids with repeats, and
     column, row and rank ids past ``STRUCT_ID_CAP``, which share its row."""
     rng = np.random.default_rng(seed)
-    w = enc.init_weights(tiny_config(), dtype=dtype)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype)
     for t in w.parameters():
         t.data = (t.data + rng.normal(0.0, 0.05, t.shape)).astype(dtype)
 
@@ -556,7 +576,7 @@ def _retained_bytes(fn):
 def test_a_recording_embed_keeps_its_output_xhat_ids_and_inv_std_only():
     batch, n, hidden = 4, 32, 256
     w = enc.init_weights(tiny_config(hidden=hidden, num_heads=4, num_layers=1,
-                                     intermediate=16, max_input=64))
+                                     intermediate=16, max_input=64), np.random.default_rng(0))
     seqs = [helpers.random_sequence(np.random.default_rng(s), max_len=n) for s in range(batch)]
     block = batch * n * hidden * 4  # one (B*n, H) float32 array: 128 KiB
     budget = 2 * block + 6 * batch * n * 8 + batch * n * 4  # out, xhat; int64 ids; 1/std
@@ -566,7 +586,7 @@ def test_a_recording_embed_keeps_its_output_xhat_ids_and_inv_std_only():
 def test_a_recording_f32_layer_keeps_only_what_its_backward_reads():
     batch, n, hidden, heads, inter = 2, 64, 128, 2, 512
     w = enc.init_weights(tiny_config(hidden=hidden, num_heads=heads, intermediate=inter,
-                                     num_layers=1, max_input=n))
+                                     num_layers=1, max_input=n), np.random.default_rng(0))
     x = T.Tensor(np.random.default_rng(16).normal(size=(batch, n, hidden)).astype(np.float32),
                  requires_grad=True)
     bias = T.Tensor(np.zeros((batch, n), np.float32))

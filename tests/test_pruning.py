@@ -13,8 +13,8 @@ from dotprune.errors import BudgetError, ContractError
 
 def tiny_pruning(seed=0, dtype=np.float64):
     cfg = enc.EncoderConfig(num_layers=2, hidden=16, num_heads=2, intermediate=32,
-                            vocab_size=40, max_input=40, seed=seed)
-    return enc.init_tower(cfg, cfg.seed + 101, dtype)
+                            vocab_size=40, max_input=40)
+    return enc.init_tower(cfg, np.random.default_rng(seed), dtype)
 
 
 def seq_with_values(rng, **kw):
@@ -252,8 +252,8 @@ def test_hard_drop_equivalence_empty_drop_is_zero():
 
 def test_hard_drop_equivalence_random_case():
     rng = np.random.default_rng(16)
-    cfg = enc.preset("mini", vocab_size=40, max_input=64, seed=5)
-    w = enc.init_weights(cfg, dtype=np.float64)
+    cfg = enc.preset("mini", vocab_size=40, max_input=64)
+    w = enc.init_weights(cfg, np.random.default_rng(5), dtype=np.float64)
     seq = helpers.random_sequence(rng)
     table = seq.table_indices()
     drop = list(table[-3:])
@@ -263,8 +263,8 @@ def test_hard_drop_equivalence_random_case():
 def test_hard_drop_equivalence_query_mode_fails():
     rng = np.random.default_rng(17)
     cfg = enc.EncoderConfig(num_layers=2, hidden=16, num_heads=2, intermediate=32,
-                            vocab_size=40, max_input=40, seed=6)
-    w = enc.init_weights(cfg, dtype=np.float64)
+                            vocab_size=40, max_input=40)
+    w = enc.init_weights(cfg, np.random.default_rng(6), dtype=np.float64)
     seq = helpers.random_sequence(rng)
     drop = [seq.table_indices()[-1]]
     assert pr.hard_drop_equivalence(w, seq, drop, mode="query") > 1e-6
@@ -292,8 +292,8 @@ def test_full_keep_with_zero_scores_reproduces_unpruned_forward():
     rng = np.random.default_rng(19)
     seq = helpers.random_sequence(rng)
     cfg = enc.EncoderConfig(num_layers=2, hidden=16, num_heads=2, intermediate=32,
-                            vocab_size=40, max_input=40, seed=8)
-    w = enc.init_weights(cfg, dtype=np.float64)
+                            vocab_size=40, max_input=40)
+    w = enc.init_weights(cfg, np.random.default_rng(8), dtype=np.float64)
     scores = constant_pruning_scores(seq, pr.constant_scores(seq, 0.0))
     sel = pr.select_top_k_tokens(scores.values, seq, len(seq))
     bias = pr.build_bias(sel, scores)

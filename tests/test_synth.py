@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,20 @@ def test_generation_is_index_local(seed):
     long = synth.generate(synth.GeneratorSpec(seed=seed, n_examples=5))
     short = synth.generate(synth.GeneratorSpec(seed=seed, n_examples=3))
     assert long[:3] == short
+
+
+@pytest.mark.parametrize("spec,sha256", [
+    (synth.GeneratorSpec(seed=11, n_examples=40, min_rows=2, max_rows=9),
+     "7a415f5dd5df0f9bb88b7f727bf9cbbf772e3a3d7643d63de787ce9db722a964"),
+    (synth.GeneratorSpec(seed=12, n_examples=20, task_type="entailment"),
+     "4a0206d0fc8cf76ef2b509294de535580170f0f0a3ac445cfa290080aeda5804"),
+], ids=["lookup", "entailment"])
+def test_generated_jsonl_keeps_its_bytes(tmp_path, spec, sha256):
+    # pinned when every random stream moved to synth.stream: example i is
+    # the stream (seed, (i,)), as before, so every dataset kept its bytes
+    path = tmp_path / "data.jsonl"
+    tb.write_jsonl(path, synth.generate(spec))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_linearized_length_exceeds_budget_under_padding():

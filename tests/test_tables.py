@@ -332,7 +332,7 @@ def test_structural_ids_past_the_embedding_tables_stay_distinct():
 
     cfg = enc.EncoderConfig(num_layers=1, hidden=8, num_heads=2, intermediate=16,
                             vocab_size=len(vocab), max_input=len(seq))
-    x = enc.embed(enc.init_weights(cfg, np.float64), [seq], len(seq))
+    x = enc.embed(enc.init_weights(cfg, np.random.default_rng(0), np.float64), [seq], len(seq))
     assert x.shape == (len(seq), 8) and np.isfinite(x.data).all()
 
 

@@ -338,6 +338,50 @@ def test_exploration_training_is_still_deterministic():
     assert run() == run()
 
 
+def stream_state(generator):
+    state = generator.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def test_no_two_random_streams_of_a_run_start_alike(monkeypatch):
+    # the data order once restarted the task tower's init stream
+    data = lookup_data(n=4, seed=6)
+    states = []
+    real = np.random.Generator
+
+    def spy(bit_generator):
+        generator = real(bit_generator)
+        states.append(stream_state(generator))
+        return generator
+
+    monkeypatch.setattr(np.random, "Generator", spy)
+    model = tiny_model(data, seed=2)
+    tr.train(model.config, tr.TrainConfig(num_steps=1, batch_size=2, seed=2, precision="f64",
+                                          exploration_noise=1.0), data, model=model)
+    assert len(set(states)) == len(states)
+    assert len(states) == 4  # scorer init, task init, data order, exploration
+
+
+def test_the_streams_of_ten_seeds_are_pairwise_distinct():
+    keys = ([tr.SCORER_INIT, tr.TASK_INIT, tr.DATA_ORDER, tr.EXPLORATION]
+            + [(i,) for i in range(256)])  # synth's example streams
+    states = {stream_state(synth.stream(seed, *key)) for seed in range(10) for key in keys}
+    assert len(states) == 10 * len(keys)
+
+
+@pytest.mark.parametrize("tower, key", [("pruning", tr.SCORER_INIT), ("task", tr.TASK_INIT)],
+                         ids=["pruning", "task"])
+def test_build_model_draws_each_tower_from_its_purpose_stream(tower, key):
+    built = getattr(tiny_model(lookup_data(n=4, seed=6), seed=7), tower)
+    config = built.encoder.config
+    expected = enc.init_tower(config, synth.stream(7, *key), np.float64)
+    named = built.encoder.named_tensors()
+    for name, t in expected.encoder.named_tensors().items():
+        assert (named[name].data == t.data).all(), name
+    assert (built.head_w.data == expected.head_w.data).all()
+    assert (built.head_b.data == expected.head_b.data).all()
+
+
 def test_train_same_seed_bit_identical_metrics():
     data = lookup_data(n=12, seed=5)
 
