@@ -1,18 +1,12 @@
 """Transformer encoder with an additive per-token attention bias.
 
 The attention scores of every layer can be shifted by a per-token bias
-vector of nonpositive log-probabilities. Three application modes exist:
-
-* ``key``: bias[t] is added to column t of the score matrix, so lowering a
-  token's bias reduces how much information other tokens read from it.
-  This is the mode the scoring model trains through, and in the -inf limit
-  it removes the token exactly.
-* ``query``: bias[t] is added to row t instead. For finite biases this is a
-  softmax no-op; at -inf it silences the token's own reads but leaves the
-  token readable by everyone else, which is why one-sided masking is only
-  an approximation of dropping the token.
-* ``symmetric``: both. This realizes exact hard-drop equivalence and is
-  what the verification harness uses.
+vector of nonpositive log-probabilities, added to the key columns: bias[t]
+is added to column t of the score matrix, so lowering a token's bias
+reduces how much information other tokens read from it. This is the one
+bias the scoring model trains through, and in the -inf limit, applied in
+every layer, it removes the token exactly: the surviving positions equal a
+forward on the compacted sequence.
 
 A batch of sequences runs as one padded stack (``forward_batch``); padded
 keys carry a -inf bias in every layer, which removes them exactly.
@@ -53,7 +47,6 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, InputTooLongError, check_field_types
 from .tables import TokenizedSequence
 
-BIAS_MODES = ("key", "query", "symmetric")
 STRUCT_ID_CAP = 255  # structural embedding tables have 256 rows; larger ids share the last
 INIT_STD = 0.02  # stddev of every weight matrix at init, BERT's initializer range
 
@@ -306,9 +299,9 @@ def init_tower(config: EncoderConfig, rng: np.random.Generator, dtype=np.float32
     return Tower.from_arrays(config, arrays)
 
 
-def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tensor:
-    """The one bias check, run once per forward: ``mode`` and each example's
-    bias, then one (B, n) bias for the batch padded to ``n`` tokens.
+def _padded_bias(biases, lengths: list[int], n: int, dtype) -> T.Tensor:
+    """The one bias check, run once per forward: each example's bias, then
+    one (B, n) bias for the batch padded to ``n`` tokens.
 
     ``biases`` is None or one entry per example: None, or a vector of
     ``lengths[b]`` values in (-inf, 0]. NumPy biases are converted to
@@ -316,10 +309,8 @@ def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tens
     it, and pass through unchanged so gradients reach whatever built them.
     Row b holds example b's bias (zeros when it has none) followed by -inf
     on its padded positions, so padding is removed exactly: the -inf key
-    bias equals compaction. Only ``forward_batch`` pads, and only in key mode.
+    bias equals compaction.
     """
-    if mode not in BIAS_MODES:
-        raise ContractError(f"unknown bias mode {mode!r}")
     if biases is None:
         biases = [None] * len(lengths)
     elif len(biases) != len(lengths):
@@ -341,42 +332,32 @@ def _padded_bias(biases, lengths: list[int], n: int, dtype, mode: str) -> T.Tens
     return T.reshape(T.concat(pieces), (len(lengths), n))
 
 
-def attention_probs(q: np.ndarray, k: np.ndarray, bias: np.ndarray,
-                    mode: str) -> np.ndarray:
+def attention_probs(q: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Softmax of the scaled, biased scores QK^T / sqrt(d): the one attention
     kernel, which only ``layer`` calls.
 
     ``q`` and ``k`` are (B, heads, n, d) arrays, and ``bias`` is the (B, n)
-    values of ``_padded_bias``, added to every key column (key
-    mode), query row (query mode) or both (symmetric). Rows that end up
-    fully masked become all-zero rows rather than an error, which is the
-    convention that makes a symmetric -inf bias equal to deleting tokens.
+    values of ``_padded_bias``, added to every key column. Rows that end up
+    fully masked (every key -inf) become all-zero rows rather than an error.
     The scores are scaled, biased and normalized in place in the buffer the
     QK^T product returns.
     """
     probs = T.matmul(q, np.swapaxes(k, -1, -2)).data
     probs *= 1.0 / math.sqrt(q.shape[-1])
     batch, n = bias.shape
-    if mode in ("key", "symmetric"):
-        probs += bias.reshape(batch, 1, 1, n)
-    if mode in ("query", "symmetric"):
-        probs += bias.reshape(batch, 1, n, 1)
+    probs += bias.reshape(batch, 1, 1, n)
     return T.softmax_rows_inplace(probs)
 
 
 def _attention_grads(g: np.ndarray, probs: np.ndarray, q: np.ndarray, k: np.ndarray,
-                     bias: T.Tensor, mode: str, scale: float):
+                     bias: T.Tensor, scale: float):
     """Gradients of ``attention_probs``'s q, k and (B, n) bias (None when the
     bias needs none) from the (B, heads, n, n) probabilities'
     gradient ``g``, which is overwritten."""
     ds = T.softmax_rows_grad_inplace(probs, g)
     gbias = None
-    if bias.requires_grad:
-        per_query_key = ds.sum(axis=1, keepdims=True)  # over the heads
-        # a key bias sums over queries, a query bias over keys
-        parts = [per_query_key.sum(axis=axis).reshape(bias.shape)
-                 for axis, used in ((-2, mode != "query"), (-1, mode != "key")) if used]
-        gbias = sum(parts[1:], parts[0])
+    if bias.requires_grad:  # over the heads, then over the queries
+        gbias = ds.sum(axis=1, keepdims=True).sum(axis=-2).reshape(bias.shape)
     ds *= scale
     gq = T.matmul(ds, k).data
     gk = T.matmul(np.swapaxes(ds, -1, -2), q).data
@@ -428,42 +409,22 @@ def embed(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int) -> T.T
 
 
 def forward(weights: EncoderWeights, seq: TokenizedSequence,
-            bias: T.Tensor | np.ndarray | None = None, mode: str = "key"
-            ) -> tuple[T.Tensor, T.Tensor]:
+            bias: T.Tensor | np.ndarray | None = None) -> tuple[T.Tensor, T.Tensor]:
     """Run the encoder stack on one sequence; returns (hidden states (n, H),
-    pooled CLS (1, H)). ``bias`` applies in every layer.
-
-    In key mode this is the batch-of-one case of ``forward_batch``.
-    """
-    return _forward_padded(weights, [seq], [bias], mode)
+    pooled CLS (1, H)). ``bias`` applies in every layer. This is the
+    batch-of-one ``forward_batch``."""
+    return forward_batch(weights, [seq], [bias])
 
 
 def forward_batch(weights: EncoderWeights, seqs: list[TokenizedSequence],
                   biases: list | None = None) -> tuple[T.Tensor, T.Tensor]:
-    """Run the encoder stack once on a batch padded to its longest sequence.
+    """Run the encoder stack once on a batch padded to its longest sequence,
+    then the pooler.
 
     Returns hidden states (B*n, H), of which ``batch_rows(seqs)[b]`` are
-    example b's, and pooled CLS vectors (B, H). ``biases[b]``
-    applies to example b as in ``forward``'s key mode; padded keys get a -inf
-    bias, so every example's rows equal its own unpadded forward up to rounding.
-    """
-    if len(seqs) == 1 and (biases is None or len(biases) == 1):
-        # through ``forward``, so wrappers of the one-sequence entry point
-        # (the benchmark's tracer) see batches of one
-        return forward(weights, seqs[0], None if biases is None else biases[0])
-    return _forward_padded(weights, seqs, biases, "key")
-
-
-def batch_rows(seqs: list[TokenizedSequence]) -> list[np.ndarray]:
-    """Each sequence's rows of the stack ``forward_batch`` returns: rows b*n
-    to b*n + len(seqs[b]) - 1 for example b, where n is the longest length."""
-    n = max(len(s) for s in seqs)
-    return [b * n + np.arange(len(s)) for b, s in enumerate(seqs)]
-
-
-def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
-                    biases: list | None, mode: str) -> tuple[T.Tensor, T.Tensor]:
-    """The stack on a padded batch, then the pooler.
+    example b's, and pooled CLS vectors (B, H). ``biases[b]`` applies to
+    example b's keys; padded keys get a -inf bias, so every example's rows
+    equal its own unpadded forward up to rounding.
 
     The batch runs as contiguous groups of examples through
     ``tensor.worker_map``, and the groups' outputs are joined in order. A
@@ -479,7 +440,7 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     if n > cfg.max_input:
         raise InputTooLongError(f"sequence length {n} exceeds max_input {cfg.max_input}")
     batch = len(seqs)
-    bias_t = _padded_bias(biases, lengths, n, weights.word.dtype, mode)
+    bias_t = _padded_bias(biases, lengths, n, weights.word.dtype)
 
     parents = weights.parameters() + [bias_t]
     groups = 1 if T.grad_needed(parents) else min(batch, T.worker_count())
@@ -488,7 +449,7 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     def run_group(span: tuple[int, int]) -> T.Tensor:
         lo, hi = span
         rows = bias_t if groups == 1 else T.Tensor(bias_t.data[lo:hi])
-        return _layer_stack(weights, seqs[lo:hi], n, rows, mode)
+        return _layer_stack(weights, seqs[lo:hi], n, rows)
 
     x = T.concat(T.worker_map(run_group, zip(bounds[:-1], bounds[1:])))
     x = T.reshape(x, (batch * n, cfg.hidden))
@@ -498,13 +459,20 @@ def _forward_padded(weights: EncoderWeights, seqs: list[TokenizedSequence],
     return x, pooled
 
 
+def batch_rows(seqs: list[TokenizedSequence]) -> list[np.ndarray]:
+    """Each sequence's rows of the stack ``forward_batch`` returns: rows b*n
+    to b*n + len(seqs[b]) - 1 for example b, where n is the longest length."""
+    n = max(len(s) for s in seqs)
+    return [b * n + np.arange(len(s)) for b, s in enumerate(seqs)]
+
+
 def _layer_stack(weights: EncoderWeights, seqs: list[TokenizedSequence], n: int,
-                 bias: T.Tensor, mode: str) -> T.Tensor:
+                 bias: T.Tensor) -> T.Tensor:
     """Embeddings and every layer on ``seqs`` padded to ``n`` tokens: (B, n, H)."""
     cfg = weights.config
     x = T.reshape(embed(weights, seqs, n), (len(seqs), n, cfg.hidden))
     for lw in weights.layers:
-        x = layer(x, lw, bias, mode, cfg.num_heads)
+        x = layer(x, lw, bias, cfg.num_heads)
     return x
 
 
@@ -515,13 +483,12 @@ def _linear(x: np.ndarray, w: T.Tensor, b: T.Tensor) -> np.ndarray:
     return out
 
 
-def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
-          num_heads: int) -> T.Tensor:
+def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, num_heads: int) -> T.Tensor:
     """One encoder layer on a (B, n, H) stack as a single tensor op.
 
     Biased multi-head self-attention, residual and layer norm, then the GELU
     feed-forward, residual and layer norm, post-norm as in BERT. ``bias`` is
-    ``_padded_bias``'s (B, n) matrix, applied as ``mode`` says.
+    ``_padded_bias``'s (B, n) matrix, added to the key columns.
 
     The forward runs in numpy buffers it owns: each bias is added into its
     product, the scores are scaled, biased and normalized in place, and each
@@ -552,7 +519,7 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
     x_in = x.data.reshape(rows, hidden)
     q, k, v = (_linear(x_in, w, b) for w, b in ((lw.wq, lw.bq), (lw.wk, lw.bk),
                                                 (lw.wv, lw.bv)))
-    probs = attention_probs(split_heads(q), split_heads(k), bias.data, mode)
+    probs = attention_probs(split_heads(q), split_heads(k), bias.data)
     ctx = merge_heads(T.matmul(probs, split_heads(v)).data)
     s1 = _linear(ctx, lw.wo, lw.bo)
     s1 += x_in
@@ -586,7 +553,7 @@ def layer(x: T.Tensor, lw: LayerWeights, bias: T.Tensor, mode: str,
         d_probs = T.matmul(d_ctx, np.swapaxes(split_heads(v), -1, -2)).data
         dv = merge_heads(T.matmul(np.swapaxes(probs, -1, -2), d_ctx).data)
         dq, dk, gbias = _attention_grads(d_probs, probs, split_heads(q), split_heads(k),
-                                         bias, mode, 1.0 / math.sqrt(d))
+                                         bias, 1.0 / math.sqrt(d))
         dq, dk = merge_heads(dq), merge_heads(dk)
         gx = d1  # the residual's share; d1 is not read again
         for name, dy in (("q", dq), ("k", dk), ("v", dv)):

@@ -13,7 +13,7 @@ encoder (``build_bias``), the one path along which the task loss reaches
 the scorer.
 
 ``hard_drop_equivalence`` is the verification harness: it compares a
-forward pass under a -inf bias against a forward pass on the compacted
+forward pass under a -inf key bias against a forward pass on the compacted
 sequence and reports the largest deviation at surviving positions.
 """
 
@@ -189,8 +189,9 @@ def build_bias(selection: Selection, scores: PruningScores) -> T.Tensor:
 
 
 def hard_drop_equivalence(weights: enc.EncoderWeights, seq: TokenizedSequence,
-                          drop_set, mode: str = "symmetric") -> float:
-    """Max |masked forward - compacted forward| over surviving positions.
+                          drop_set) -> float:
+    """Max |masked forward - compacted forward| over surviving positions,
+    the masked forward carrying a -inf key bias on every dropped token.
 
     ``drop_set`` holds token indices in ``[0, len(seq))`` and must not touch
     the question span. Run in 64-bit weights for meaningful thresholds.
@@ -208,6 +209,6 @@ def hard_drop_equivalence(weights: enc.EncoderWeights, seq: TokenizedSequence,
     bias[drop] = -np.inf
     kept = [i for i in range(len(seq)) if i not in dropped]
     with T.no_grad():
-        full, _ = enc.forward(weights, seq, bias=bias, mode=mode)
+        full, _ = enc.forward(weights, seq, bias=bias)
         compacted, _ = enc.forward(weights, seq.subsequence(kept, keep_positions=True))
     return float(np.max(np.abs(full.data[kept] - compacted.data)))

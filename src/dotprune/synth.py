@@ -62,8 +62,8 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     """The generator of stream ``key`` under ``seed``; distinct keys give
     independent streams. Example i of a dataset is key ``(i,)``. Every
     other key has length 2: training's four purposes
-    (``training.SCORER_INIT`` ...) and verify's cached encoders
-    (``cli.VERIFY_KEY``)."""
+    (``training.SCORER_INIT`` ...) and verify's cached encoders and drop
+    sets (``cli.VERIFY_KEY``)."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=key)))
 

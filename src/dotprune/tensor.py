@@ -229,9 +229,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         """Return a leaf sharing this tensor's values, cut from the graph."""
         return Tensor(self.data)

@@ -166,6 +166,30 @@ def composed_embed(weights, seqs, n):
     return layer_norm(x, weights.emb_ln_gain, weights.emb_ln_bias)
 
 
+def composed_forward(weights, seq, bias, mode):
+    """``enc.forward``'s hidden states (n, H) composed from the references:
+    ``composed_embed``, then ``composed_layer`` per layer with ``bias`` (an
+    (n,) array) applied as ``mode`` says. In key mode it equals the engine
+    bit for bit; the query and symmetric modes live only here, to show that
+    a -inf bias on a token's query rows does not drop it."""
+    n, hidden = len(seq), weights.config.hidden
+    bias = T.Tensor(np.asarray(bias, dtype=weights.word.dtype).reshape(1, n))
+    x = T.reshape(composed_embed(weights, [seq], n), (1, n, hidden))
+    for lw in weights.layers:
+        x = composed_layer(x, lw, bias, mode, weights.config.num_heads)
+    return T.reshape(x, (n, hidden))
+
+
+def reference_drop_diff(weights, seq, drop, mode):
+    """``pruning.hard_drop_equivalence`` with the masked forward composed in
+    ``mode``: max |masked - compacted| over the surviving positions."""
+    kept = [i for i in range(len(seq)) if i not in set(drop)]
+    with T.no_grad():
+        full = composed_forward(weights, seq, drop_bias(seq, drop), mode)
+        compact, _ = enc.forward(weights, compacted(seq, drop))
+    return float(np.max(np.abs(full.data[kept] - compact.data)))
+
+
 def scan_answer(example):
     """Brute-force oracle: find the question's key and return its value cell."""
     key = example.question.split()[-1]

@@ -131,9 +131,55 @@ def test_parameter_suite_passes_and_detects_injected_error():
 def test_equivalence_suite_small_run():
     result = cli.run_equivalence_suite(cases=4, seed=3)
     assert result["ok"]
-    assert result["symmetric_max_abs_diff"] < 1e-9
-    assert result["one_sided_query_diff"] > 1e-6
-    assert result["key_mask_diff"] < 1e-9
+    assert result["max_abs_diff"] < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_equivalence_suite_generates_its_cases_as_one_dataset_of_its_seed(monkeypatch,
+                                                                          seed):
+    from dotprune import synth
+
+    specs = []
+    real = synth.generate
+    monkeypatch.setattr(synth, "generate", lambda spec: specs.append(spec) or real(spec))
+    assert cli.run_equivalence_suite(cases=5, seed=seed)["ok"]
+    assert [(spec.seed, spec.n_examples) for spec in specs] == [(seed, 5)]
+
+
+def test_verify_runs_of_neighbouring_seeds_share_no_case_example(monkeypatch):
+    from dotprune import tables
+
+    seen = []
+    real = tables.linearize
+    monkeypatch.setattr(tables, "linearize", lambda ex, vocab: seen.append(ex) or real(ex, vocab))
+    examples = []
+    for seed in (0, 1):
+        seen.clear()
+        assert cli.run_equivalence_suite(cases=8, seed=seed)["ok"]
+        examples.append(set(seen))
+    assert len(examples[0]) == len(examples[1]) == 8
+    assert not examples[0] & examples[1]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_equivalence_suite_draws_its_drop_sets_from_the_verify_stream(monkeypatch, seed):
+    from dotprune import pruning as pr
+    from dotprune import synth
+
+    cases = []
+    real = pr.hard_drop_equivalence
+
+    def spy(weights, seq, drop, **kwargs):
+        cases.append((seq, drop))
+        return real(weights, seq, drop, **kwargs)
+
+    monkeypatch.setattr(pr, "hard_drop_equivalence", spy)
+    assert cli.run_equivalence_suite(cases=6, seed=seed)["ok"]
+    rng = synth.stream(seed, cli.VERIFY_KEY, 4)  # slots 0-3 are the encoders
+    for seq, drop in cases:
+        table = list(seq.table_indices())
+        n_drop = int(rng.integers(1, min(len(table), len(seq) - 4) + 1))
+        assert drop == list(rng.choice(table, size=n_drop, replace=False))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -287,6 +333,7 @@ def test_cmd_verify_small(tmp_path, capsys):
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     assert set(report["suites"]) == {"gradients", "hard_drop_equivalence",
                                      "parameter_count"}
+    assert set(report["suites"]["hard_drop_equivalence"]) == {"ok", "cases", "max_abs_diff"}
 
 
 def test_config_reaches_every_dataclass_field(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from dotprune import encoder as enc
+from dotprune import pruning as pr
 from dotprune import tables as tb
 from dotprune import tensor as T
 from dotprune.container import load_tensors, save_tensors
@@ -72,11 +73,11 @@ def _plain_attention(q, k, v):
     return (ex / ex.sum(axis=-1, keepdims=True)) @ v
 
 
-def _probs(q, k, bias, mode="key"):
+def _probs(q, k, bias):
     """The attention kernel on one single-head sequence: (n, d) inputs and an
     (n,) bias run as (1, 1, n, d) and (1, n); returns the (n, n) weights."""
     b = np.asarray(bias, dtype=q.dtype)[None]
-    return enc.attention_probs(q[None, None], k[None, None], b, mode)[0, 0]
+    return enc.attention_probs(q[None, None], k[None, None], b)[0, 0]
 
 
 def test_biased_attention_zero_bias_is_unbiased():
@@ -92,12 +93,12 @@ def test_biased_attention_single_query_weights():
     np.testing.assert_allclose(weights, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
-def test_biased_attention_symmetric_drop_equals_reduced_set():
+def test_biased_attention_key_drop_equals_reduced_set():
     rng = np.random.default_rng(1)
     q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
     bias = np.zeros(5)
     bias[2] = -np.inf
-    full = _probs(q, k, bias, mode="symmetric") @ v
+    full = _probs(q, k, bias) @ v
     keep = [0, 1, 3, 4]
     reduced = _plain_attention(q[keep], k[keep], v[keep])
     assert np.max(np.abs(full[keep] - reduced)) < 1e-9
@@ -131,7 +132,7 @@ def test_forward_accepts_minus_inf_and_negative_zero():
     bias = np.zeros(len(seq))
     bias[-1], bias[-2] = -np.inf, -0.0
     with T.no_grad():
-        hidden, _ = enc.forward(w, seq, bias=bias, mode="symmetric")
+        hidden, _ = enc.forward(w, seq, bias=bias)
     assert np.isfinite(hidden.data).all()
 
 
@@ -162,24 +163,58 @@ def test_forward_batch_refuses_an_empty_batch():
         enc.forward_batch(w, [])
 
 
-def _forward_pair(seq, drop, mode, dtype=np.float64, preset_name=None, seed=0):
-    if preset_name:
-        cfg = enc.preset(preset_name, vocab_size=40, max_input=64)
-    else:
-        cfg = tiny_config()
-    w = enc.init_weights(cfg, np.random.default_rng(seed), dtype=dtype)
+def _drop_diff(seq, drop, mode):
+    """The reference's masked forward in ``mode`` against the engine's
+    compacted forward, on tiny_config weights."""
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    return helpers.reference_drop_diff(w, seq, drop, mode)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True], ids=["zero", "masked"])
+def test_the_composed_key_forward_is_the_engine_bit_for_bit(dtype, masked):
+    rng = np.random.default_rng(2)
+    seq = helpers.random_sequence(rng)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype)
+    bias = np.zeros(len(seq))
+    if masked:
+        bias = -rng.random(len(seq))
+        bias[[1, -1]] = -np.inf
     with T.no_grad():
-        full, _ = enc.forward(w, seq, bias=helpers.drop_bias(seq, drop), mode=mode)
-        compact, _ = enc.forward(w, helpers.compacted(seq, drop))
-    kept = [i for i in range(len(seq)) if i not in set(drop)]
-    return np.max(np.abs(full.data[kept] - compact.data))
+        hidden, _ = enc.forward(w, seq, bias=bias)
+        reference = helpers.composed_forward(w, seq, bias, "key")
+    assert hidden.data.dtype == dtype
+    assert np.array_equal(hidden.data, reference.data)
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_forward_is_the_batch_of_one_forward_batch(monkeypatch, with_bias):
+    rng = np.random.default_rng(36)
+    seq = helpers.random_sequence(rng)
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    bias = -rng.random(len(seq)) if with_bias else None
+    forward, forward_batch, calls = enc.forward, enc.forward_batch, []
+
+    def spy(name, fn):
+        return lambda *args: calls.append((name, *args)) or fn(*args)
+
+    monkeypatch.setattr(enc, "forward", spy("forward", forward))
+    monkeypatch.setattr(enc, "forward_batch", spy("forward_batch", forward_batch))
+    with T.no_grad():
+        hidden, pooled = forward(w, seq, bias)
+        assert calls == [("forward_batch", w, [seq], [bias])]
+        calls.clear()
+        batch_hidden, batch_pooled = forward_batch(w, [seq], [bias])
+    assert calls == []  # a batch of one takes no detour through ``forward``
+    assert np.array_equal(hidden.data, batch_hidden.data)
+    assert np.array_equal(pooled.data, batch_pooled.data)
 
 
 def test_symmetric_drop_matches_compacted_forward():
     rng = np.random.default_rng(2)
     seq = helpers.random_sequence(rng)
     drop = [len(seq) - 1, len(seq) - 3]
-    assert _forward_pair(seq, drop, "symmetric") < 1e-9
+    assert _drop_diff(seq, drop, "symmetric") < 1e-9
 
 
 def test_key_only_drop_is_also_exact_when_applied_in_all_layers():
@@ -188,7 +223,9 @@ def test_key_only_drop_is_also_exact_when_applied_in_all_layers():
     rng = np.random.default_rng(3)
     seq = helpers.random_sequence(rng)
     drop = [len(seq) - 2]
-    assert _forward_pair(seq, drop, "key") < 1e-9
+    assert _drop_diff(seq, drop, "key") < 1e-9
+    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    assert pr.hard_drop_equivalence(w, seq, drop) < 1e-9
 
 
 def test_query_only_drop_is_not_equivalent():
@@ -197,10 +234,10 @@ def test_query_only_drop_is_not_equivalent():
     rng = np.random.default_rng(4)
     seq = helpers.random_sequence(rng)
     drop = [len(seq) - 1]
-    assert _forward_pair(seq, drop, "query") > 1e-6
+    assert _drop_diff(seq, drop, "query") > 1e-6
 
 
-def test_pad_tail_with_symmetric_mask_matches_unpadded():
+def test_pad_tail_with_key_mask_matches_unpadded():
     rng = np.random.default_rng(5)
     seq = helpers.random_sequence(rng)
     n = len(seq)
@@ -216,7 +253,7 @@ def test_pad_tail_with_symmetric_mask_matches_unpadded():
     bias = np.zeros(n + 3)
     bias[n:] = -np.inf
     with T.no_grad():
-        padded_h, _ = enc.forward(w, padded, bias=bias, mode="symmetric")
+        padded_h, _ = enc.forward(w, padded, bias=bias)
         plain_h, _ = enc.forward(w, seq)
     assert np.max(np.abs(padded_h.data[:n] - plain_h.data)) < 1e-9
 
@@ -268,7 +305,7 @@ def test_lowering_key_bias_strictly_lowers_received_mass(monkeypatch):
         bias[t] = s_t
         captured.clear()
         with T.no_grad():
-            enc.forward(w, seq, bias=bias, mode="key")
+            enc.forward(w, seq, bias=bias)
         masses.append(captured[0][..., t].sum())
     assert masses[0] > masses[1] > masses[2]
 
@@ -343,7 +380,7 @@ def test_forward_batch_rows_match_each_sequence_forward():
         hidden, pooled = enc.forward_batch(w, seqs, biases)
         all_rows = enc.batch_rows(seqs)
         for b, (seq, bias) in enumerate(zip(seqs, biases)):
-            own_h, own_p = enc.forward(w, seq, bias=bias, mode="key")
+            own_h, own_p = enc.forward(w, seq, bias=bias)
             rows = hidden.data[all_rows[b]]
             assert np.max(np.abs(rows - own_h.data)) < 1e-12
             assert np.max(np.abs(pooled.data[b] - own_p.data[0])) < 1e-12
@@ -399,12 +436,9 @@ def test_recording_forwards_and_batches_of_one_never_reach_the_pool(monkeypatch)
         assert hidden.requires_grad
         with T.no_grad():
             enc.forward_batch(w, seqs[:1], biases[:1])
-            enc.forward(w, seqs[0], bias=biases[0], mode="symmetric")
+            enc.forward(w, seqs[0], bias=biases[0])
             with pytest.raises(AssertionError, match="pool was reached"):
                 enc.forward_batch(w, seqs, biases)
-
-
-MODES = ("key", "query", "symmetric")
 
 
 def _layer_case(dtype, seed=12):
@@ -412,7 +446,7 @@ def _layer_case(dtype, seed=12):
 
     The bias is a padded batch's: example 0 is two tokens shorter, so its
     last two keys carry -inf, and example 2 masks every key, so each of its
-    rows (and in query or symmetric mode each masked query row) is all-zero.
+    rows is all-zero.
     """
     rng = np.random.default_rng(seed)
     w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype)
@@ -427,58 +461,55 @@ def _layer_case(dtype, seed=12):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", MODES)
-def test_layer_is_bit_identical_to_the_composed_graph(dtype, mode):
+def test_layer_is_bit_identical_to_the_composed_graph(dtype):
     x, lw, bias = _layer_case(dtype)
     heads = tiny_config().num_heads
     with T.no_grad():
-        fused = enc.layer(x, lw, bias, mode, heads)
-        reference = helpers.composed_layer(x, lw, bias, mode, heads)
-        unbiased = enc.layer(x, lw, T.Tensor(np.zeros(bias.shape, dtype)), mode, heads)
-        unbiased_reference = helpers.composed_layer(x, lw, None, mode, heads)
+        fused = enc.layer(x, lw, bias, heads)
+        reference = helpers.composed_layer(x, lw, bias, "key", heads)
+        unbiased = enc.layer(x, lw, T.Tensor(np.zeros(bias.shape, dtype)), heads)
+        unbiased_reference = helpers.composed_layer(x, lw, None, "key", heads)
     assert fused.data.dtype == dtype
     assert np.array_equal(fused.data, reference.data)
     assert np.array_equal(unbiased.data, unbiased_reference.data)
     assert fused.parents == () and fused.backward_fn is None
     # the op recording a node computes the same bits
-    recorded = enc.layer(x, lw, bias, mode, heads)
+    recorded = enc.layer(x, lw, bias, heads)
     assert np.array_equal(recorded.data, fused.data)
     assert recorded.parents == (x, bias, *vars(lw).values())
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_layer_f64_gradients_match_the_composed_graph(mode):
+def test_layer_f64_gradients_match_the_composed_graph():
     x, lw, bias = _layer_case(np.float64)
     heads = tiny_config().num_heads
     params = [x, bias, *vars(lw).values()]
     names = ["x", "bias", *vars(lw)]
     weight = np.random.default_rng(13).normal(size=x.shape)
 
-    def grads(layer_fn):
-        loss = T.tensor_sum(T.mul(layer_fn(x, lw, bias, mode, heads), weight))
+    def grads(out):
+        loss = T.tensor_sum(T.mul(out, weight))
         return dict(zip(names, T.backward(loss, params)))
 
-    fused, reference = grads(enc.layer), grads(helpers.composed_layer)
+    fused = grads(enc.layer(x, lw, bias, heads))
+    reference = grads(helpers.composed_layer(x, lw, bias, "key", heads))
     largest = max(np.abs(g).max() for g in reference.values())
-    # softmax ignores a per-row shift, so the key projection's bias and a
-    # query-mode attention bias have an exact gradient of zero
-    zero_exact = {"bk"} | ({"bias"} if mode == "query" else set())
+    # softmax ignores a per-row shift, so the key projection's bias has an
+    # exact gradient of zero
     for name in names:
         scale = np.abs(reference[name]).max()
-        tol = 1e-12 * largest if name in zero_exact else 1e-9 * scale
+        tol = 1e-12 * largest if name == "bk" else 1e-9 * scale
         assert np.abs(fused[name] - reference[name]).max() <= tol, name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", MODES)
-def test_layer_never_writes_its_inputs(dtype, mode):
+def test_layer_never_writes_its_inputs(dtype):
     x, lw, bias = _layer_case(dtype)
     heads = tiny_config().num_heads
     params = [x, bias, *vars(lw).values()]
     before = [p.data.copy() for p in params]
     with T.no_grad():
-        enc.layer(x, lw, bias, mode, heads)
-    T.backward(T.tensor_sum(enc.layer(x, lw, bias, mode, heads)), params)
+        enc.layer(x, lw, bias, heads)
+    T.backward(T.tensor_sum(enc.layer(x, lw, bias, heads)), params)
     for p, b in zip(params, before):
         assert np.array_equal(p.data, b)
 
@@ -595,5 +626,5 @@ def test_a_recording_f32_layer_keeps_only_what_its_backward_reads():
               + batch * heads * n * n * 4  # the probabilities
               + 2 * batch * n * inter * 4  # the GELU output and slope
               + 2 * batch * n * 4)  # both layer norms' 1/std
-    retained = _retained_bytes(lambda: enc.layer(x, w.layers[0], bias, "key", heads))
+    retained = _retained_bytes(lambda: enc.layer(x, w.layers[0], bias, heads))
     assert retained <= budget + ALLOWANCE

@@ -39,24 +39,30 @@ def test_tracer_wraps_the_pipeline_and_flops_match_matmuls(perfbench):
                                                   max_rows=2, max_cell_tokens=1,
                                                   vocab_size=20))
     model = helpers.tiny_model(examples, dtype=np.float32, hidden=8, layers=1)
+    seq = training.preselect(tables.linearize(examples[0], model.vocab), examples[0],
+                             model.config)
     tracer = tracer_mod.Tracer()
     tracer.install_pipeline(MODULES, per_example_ops=False)
     try:
         tracer.register_model(model)
         out = training.dot_forward(model, examples[0])
         training.compute_loss(model, out, examples[0])
+        pipeline_spans = len(tracer.spans)
+        flops_seen = [flops.matmul_flops_seen(tensor, encoder, weights, seq)
+                      for weights in (model.pruning.encoder, model.task.encoder)]
     finally:
         tracer.uninstall()
     assert tracer_mod.unwrapped(MODULES)
-    names = {s.name for s in tracer.spans}
-    assert {"training.dot_forward", "encoder.scorer.forward", "encoder.task.forward",
-            "pruning.score_tokens", "pruning.build_bias",
+    names = {s.name for s in tracer.spans[:pipeline_spans]}
+    assert {"training.dot_forward", "pruning.score_tokens", "pruning.build_bias",
             "training.compute_loss"} <= names
+    assert not any(name.startswith("encoder.") for name in names)
+    # the pipeline runs the batched forward; the encoder spans come from the
+    # FLOP cross-check's one-sequence ``encoder.forward`` calls
+    assert [(s.name, s.attrs["tokens"]) for s in tracer.spans[pipeline_spans:]] == [
+        ("encoder.scorer.forward", len(seq)), ("encoder.task.forward", len(seq))]
 
-    seq = training.preselect(tables.linearize(examples[0], model.vocab), examples[0],
-                             model.config)
-    for weights in (model.pruning.encoder, model.task.encoder):
-        seen = flops.matmul_flops_seen(tensor, encoder, weights, seq)
+    for weights, seen in zip((model.pruning.encoder, model.task.encoder), flops_seen):
         assert seen == flops.encoder_forward_flops(weights.config, len(seq))
 
 
@@ -88,7 +94,7 @@ def test_a_matmul_counter_sees_every_gemm_of_a_layer_forward_and_backward(
     x = tensor.Tensor(rng.normal(size=(batch, n, cfg.hidden)), requires_grad=True)
     bias = tensor.Tensor(-rng.random((batch, n)), requires_grad=True)
     seen = count_matmul_flops(monkeypatch)
-    out = encoder.layer(x, lw, bias, "symmetric", cfg.num_heads)
+    out = encoder.layer(x, lw, bias, cfg.num_heads)
     assert sum(seen) == batch * per_layer
     seen.clear()
     tensor.backward(tensor.tensor_sum(out), [x, bias] + list(vars(lw).values()))

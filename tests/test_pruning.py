@@ -267,7 +267,9 @@ def test_hard_drop_equivalence_query_mode_fails():
     w = enc.init_weights(cfg, np.random.default_rng(6), dtype=np.float64)
     seq = helpers.random_sequence(rng)
     drop = [seq.table_indices()[-1]]
-    assert pr.hard_drop_equivalence(w, seq, drop, mode="query") > 1e-6
+    # the engine applies the key bias only; the query-row mask lives on the reference
+    assert helpers.reference_drop_diff(w, seq, drop, "query") > 1e-6
+    assert pr.hard_drop_equivalence(w, seq, drop) < 1e-9
 
 
 def test_hard_drop_equivalence_rejects_question_drop():

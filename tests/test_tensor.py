@@ -487,7 +487,7 @@ def test_bce_pos_weight_value_and_gradient():
     loss = T.bce_with_logits(x, y, pos_weight=pw)
     s = 1 / (1 + np.exp(-x.data))
     direct = -(pw * y * np.log(s) + (1 - y) * np.log(1 - s)).mean()
-    assert abs(loss.item() - direct) < 1e-10
+    assert abs(float(loss.data) - direct) < 1e-10
 
     def f(params):
         return T.bce_with_logits(params[0], y, pos_weight=pw)

@@ -127,7 +127,7 @@ def test_loss_j_perfect_logits_near_zero():
     for j, v in zip(out.kept_table_slots, forced):
         logits[j] = v
     out.logits = T.Tensor(logits)
-    assert loss_of(model, out, ex).item() < 1e-12
+    assert float(loss_of(model, out, ex).data) < 1e-12
 
 
 def test_loss_j_gradient_reaches_pruning_weights():
@@ -147,7 +147,7 @@ def test_loss_j_beta_zero_gives_zero_loss_and_grads():
     ex = data[0]
     out = tr.dot_forward(model, ex)
     loss = loss_of(model, out, ex, beta=0.0)
-    assert loss.item() == 0.0
+    assert float(loss.data) == 0.0
     assert all(np.all(g == 0) for g in T.backward(loss, model.parameters()))
 
 
@@ -195,7 +195,7 @@ def test_pruning_term_zero_at_perfect_scores():
                         for i in range(len(pre))])
     out.scores = pr.PruningScores(seq=pre, log_probs=T.Tensor(perfect),
                                   logits=T.Tensor(perfect))
-    assert tr._pruning_scalar_loss(out, ex).item() < 1e-12
+    assert float(tr._pruning_scalar_loss(out, ex).data) < 1e-12
 
 
 def test_p_equals_pj_value_when_bias_zero_everywhere():
@@ -205,8 +205,8 @@ def test_p_equals_pj_value_when_bias_zero_everywhere():
     override = lambda s, _ex: pr.constant_scores(s, 0.0)
     detached = forward_in(model, ex, "P", scores_override=override)
     attached = forward_in(model, ex, "PJ", scores_override=override)
-    p = loss_of(model, detached, ex, "P", 0.7).item()
-    pj = loss_of(model, attached, ex, "PJ", 0.7).item()
+    p = float(loss_of(model, detached, ex, "P", 0.7).data)
+    pj = float(loss_of(model, attached, ex, "PJ", 0.7).data)
     assert abs(p - pj) < 1e-12
 
 
@@ -235,9 +235,9 @@ def test_pj_is_j_plus_beta_times_pruning_term():
     model = tiny_model(data)
     ex = data[0]
     out = tr.dot_forward(model, ex)
-    pj = loss_of(model, out, ex, "PJ", 1.3).item()
-    j = loss_of(model, out, ex, "J", 1.3).item()
-    aux = tr._pruning_scalar_loss(out, ex).item()
+    pj = float(loss_of(model, out, ex, "PJ", 1.3).data)
+    j = float(loss_of(model, out, ex, "J", 1.3).data)
+    aux = float(tr._pruning_scalar_loss(out, ex).data)
     assert aux > 0.0
     assert abs(pj - (j + 1.3 * aux)) < 1e-12
 
@@ -250,7 +250,7 @@ def test_pj_loss_finite_at_score_floor():
     ex = data[0]
     out = tr.dot_forward(model, ex)
     assert (out.scores.values >= pr.SCORE_FLOOR).all()
-    assert np.isfinite(loss_of(model, out, ex, "PJ").item())
+    assert np.isfinite(float(loss_of(model, out, ex, "PJ").data))
 
 
 def test_answer_score_gap_uniform_scores_zero():
