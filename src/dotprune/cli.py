@@ -146,12 +146,14 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
     """Gradient checks: composed ops and a hand-sized end-to-end loss
     (``dotprune verify`` runs the defaults, the acceptance battery more).
 
-    The end-to-end check runs at an interior point of the hard top-k
-    selection (the score margin at the budget boundary is asserted first,
-    since the selection itself is a step function) and uses a difference
-    step sized for the loss scale: smaller steps sit below the cancellation
-    noise floor of 64-bit central differences, larger ones cross the
-    selection boundary.
+    The end-to-end check runs on whichever generated example sits furthest
+    from the hard top-k selection boundary, with that example's kept set
+    frozen: the selection is a step function of the scores, and the
+    frozen-selection gradient is the true gradient only at an interior
+    point, so the example's score margin at the budget boundary must exceed
+    1e-4. The difference step is sized for the loss scale: smaller steps sit
+    below the cancellation noise floor of 64-bit central differences, larger
+    ones raise the central difference's truncation error.
     """
     import numpy as np
 
@@ -184,13 +186,10 @@ def run_gradient_suite(entries_per_param: int = 4, hidden: int = 16,
         task_config=enc.EncoderConfig(num_layers=layers, hidden=hidden, **enc_kw))
     # spread the scores so the base point is interior to the hard selection
     model.pruning.head_w.data *= 30.0
-    ex = data[0]
-    out = tr.dot_forward(model, ex)
-    margin = selection_margin(out)
-    # freeze the kept set: the loss is a step function of the scores at the
-    # selection boundary, and the frozen-selection gradient equals the true
-    # gradient at any interior point
-    frozen = out.selection
+    outs = [tr.dot_forward(model, ex) for ex in data]
+    margins = [selection_margin(out) for out in outs]
+    best = int(np.argmax(margins))
+    ex, frozen, margin = data[best], outs[best].selection, margins[best]
 
     def dot_loss(params):
         out = tr.dot_forward(model, ex, select=lambda _values, _seq: frozen)
@@ -219,7 +218,10 @@ def run_equivalence_suite(cases: int = 100, seed: int = 0) -> dict:
     """Randomized masked-vs-compacted forwards in 64-bit: a -inf key bias
     in every layer must match the compacted forward to 1e-9.
 
-    The cases are one generated dataset under ``seed``. Case c runs the
+    The cases are one generated dataset under ``seed``, of at most 23
+    tokens each, so every case fits the encoders' 32 positions whole; two
+    or three body rows keep the 100 default cases distinct under each of
+    seeds 0-9. Case c runs the
     encoder of slot c % 4 (mini on even slots, small on odd ones), drawn
     once from ``seed``'s stream ``(VERIFY_KEY, slot)``; the drop sets come
     from stream ``(VERIFY_KEY, 4)``.
@@ -232,20 +234,18 @@ def run_equivalence_suite(cases: int = 100, seed: int = 0) -> dict:
     from . import synth
 
     examples = synth.generate(synth.GeneratorSpec(
-        seed=seed, n_examples=cases, min_rows=1, max_rows=3,
+        seed=seed, n_examples=cases, min_rows=2, max_rows=3,
         min_cols=2, max_cols=3, max_cell_tokens=2, vocab_size=30))
     rng = synth.stream(seed, VERIFY_KEY, 4)
     worst = 0.0
     weights_cache: dict = {}
     for case, ex in enumerate(examples):
         seq = tb.linearize(ex, tb.Vocabulary.from_examples([ex]))
-        if len(seq) > 32:
-            seq = tb.cc_select(seq, 32)
         slot = case % 4
         if slot not in weights_cache:
             cfg = enc.preset(("mini", "small")[slot % 2], vocab_size=64, max_input=32)
-            weights_cache[slot] = enc.init_weights(
-                cfg, synth.stream(seed, VERIFY_KEY, slot), np.float64)
+            weights_cache[slot] = enc.init_tower(
+                cfg, synth.stream(seed, VERIFY_KEY, slot), np.float64).encoder
         w = weights_cache[slot]
         table_idx = list(seq.table_indices())
         max_drop = min(len(table_idx), len(seq) - 4)

@@ -214,56 +214,6 @@ class EncoderWeights:
         return list(self.named_tensors().values())
 
 
-def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every runtime tensor, in the order ``init_weights``
-    draws them; checkpoints are checked against the same table."""
-    h, hi = config.hidden, config.intermediate
-    layer = {
-        "wq": (h, h), "bq": (h,), "wk": (h, h), "bk": (h,), "wv": (h, h), "bv": (h,),
-        "wo": (h, h), "bo": (h,), "ln1_gain": (h,), "ln1_bias": (h,),
-        "w_inter": (h, hi), "b_inter": (hi,), "w_out": (hi, h), "b_out": (h,),
-        "ln2_gain": (h,), "ln2_bias": (h,),
-    }
-    shapes = {f"layer{i}.{name}": shape
-              for i in range(config.num_layers) for name, shape in layer.items()}
-    shapes.update(
-        word=(config.vocab_size, h), position=(config.max_input, h),
-        type_segment=(3, h), type_column=(256, h), type_row=(256, h),
-        type_rank=(256, h), emb_ln_gain=(h,), emb_ln_bias=(h,),
-        pooler_w=(h, h), pooler_b=(h,),
-    )
-    return shapes
-
-
-def init_arrays(config: EncoderConfig, rng: np.random.Generator,
-                dtype=np.float32) -> dict[str, np.ndarray]:
-    """Fresh values: truncated normal (std 0.02) matrices drawn from ``rng``
-    in ``tensor_shapes`` order, zero biases, unit gains."""
-
-    def init(name, shape):
-        if len(shape) == 2:
-            return truncated_normal(rng, shape, dtype=dtype)
-        return np.full(shape, 1.0 if name.endswith("gain") else 0.0, dtype=dtype)
-
-    return {name: init(name, shape) for name, shape in tensor_shapes(config).items()}
-
-
-def weights_from_arrays(config: EncoderConfig, arrays: dict[str, np.ndarray]
-                        ) -> EncoderWeights:
-    """Trainable weights over ``arrays``, keyed as in ``tensor_shapes``."""
-    t = {name: T.Tensor(arrays[name], requires_grad=True) for name in tensor_shapes(config)}
-    layers = [LayerWeights(**{f.name: t[f"layer{i}.{f.name}"] for f in fields(LayerWeights)})
-              for i in range(config.num_layers)]
-    return EncoderWeights(config=config, layers=layers,
-                          **{k: v for k, v in t.items() if not k.startswith("layer")})
-
-
-def init_weights(config: EncoderConfig, rng: np.random.Generator,
-                 dtype=np.float32) -> EncoderWeights:
-    """Fresh trainable weights drawn from ``rng``."""
-    return weights_from_arrays(config, init_arrays(config, rng, dtype))
-
-
 @dataclass
 class Tower:
     """An encoder plus a one-unit linear head, read per token or on the pooled
@@ -273,8 +223,12 @@ class Tower:
     head_w: T.Tensor
     head_b: T.Tensor
 
+    def named_tensors(self) -> dict[str, T.Tensor]:
+        """The encoder's tensors, then the head's: the parameter and checkpoint order."""
+        return self.encoder.named_tensors() | {"head_w": self.head_w, "head_b": self.head_b}
+
     def parameters(self) -> list[T.Tensor]:
-        return self.encoder.parameters() + [self.head_w, self.head_b]
+        return list(self.named_tensors().values())
 
     def head(self, x: T.Tensor) -> T.Tensor:
         """One logit per row of ``x``: hidden states or pooled vectors."""
@@ -282,21 +236,51 @@ class Tower:
 
     @staticmethod
     def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-        return tensor_shapes(config) | {"head_w": (config.hidden, 1), "head_b": (1,)}
+        """Name and shape of every tensor of a tower, in the order ``init_tower``
+        draws them: the encoder's, then the head's. Checkpoints are checked
+        against the same table."""
+        h, hi = config.hidden, config.intermediate
+        layer = {
+            "wq": (h, h), "bq": (h,), "wk": (h, h), "bk": (h,), "wv": (h, h), "bv": (h,),
+            "wo": (h, h), "bo": (h,), "ln1_gain": (h,), "ln1_bias": (h,),
+            "w_inter": (h, hi), "b_inter": (hi,), "w_out": (hi, h), "b_out": (h,),
+            "ln2_gain": (h,), "ln2_bias": (h,),
+        }
+        shapes = {f"layer{i}.{name}": shape
+                  for i in range(config.num_layers) for name, shape in layer.items()}
+        shapes.update(
+            word=(config.vocab_size, h), position=(config.max_input, h),
+            type_segment=(3, h), type_column=(256, h), type_row=(256, h),
+            type_rank=(256, h), emb_ln_gain=(h,), emb_ln_bias=(h,),
+            pooler_w=(h, h), pooler_b=(h,), head_w=(h, 1), head_b=(1,),
+        )
+        return shapes
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray]) -> "Tower":
-        return cls(encoder=weights_from_arrays(config, arrays),
-                   head_w=T.Tensor(arrays["head_w"], requires_grad=True),
-                   head_b=T.Tensor(arrays["head_b"], requires_grad=True))
+        """Trainable tower over ``arrays``, keyed as in ``tensor_shapes``."""
+        t = {name: T.Tensor(arrays[name], requires_grad=True)
+             for name in cls.tensor_shapes(config)}
+        layers = [LayerWeights(**{f.name: t.pop(f"layer{i}.{f.name}")
+                                  for f in fields(LayerWeights)})
+                  for i in range(config.num_layers)]
+        head_w, head_b = t.pop("head_w"), t.pop("head_b")
+        return cls(encoder=EncoderWeights(config=config, layers=layers, **t),
+                   head_w=head_w, head_b=head_b)
 
 
 def init_tower(config: EncoderConfig, rng: np.random.Generator, dtype=np.float32) -> Tower:
-    """Fresh tower drawn from ``rng``: the encoder first, then the head."""
-    arrays = init_arrays(config, rng, dtype)
-    arrays["head_w"] = truncated_normal(rng, (config.hidden, 1), dtype=dtype)
-    arrays["head_b"] = np.zeros(1, dtype=dtype)
-    return Tower.from_arrays(config, arrays)
+    """Fresh tower drawn from ``rng`` in ``Tower.tensor_shapes`` order, so the
+    encoder first: truncated normal (std 0.02) matrices, unit gains, zero
+    biases."""
+
+    def init(name, shape):
+        if len(shape) == 2:
+            return truncated_normal(rng, shape, dtype=dtype)
+        return np.full(shape, 1.0 if name.endswith("gain") else 0.0, dtype=dtype)
+
+    return Tower.from_arrays(config, {name: init(name, shape) for name, shape
+                                      in Tower.tensor_shapes(config).items()})
 
 
 def _padded_bias(biases, lengths: list[int], n: int, dtype) -> T.Tensor:

@@ -122,13 +122,9 @@ class Vocabulary:
         for ex in examples:
             for tok in tokenize(ex.question):
                 vocab.add(tok)
-            for name in ex.table.header:
-                for tok in tokenize(name):
+            for _, _, toks in _table_cells_reading_order(ex.table):
+                for tok in toks:
                     vocab.add(tok)
-            for row in ex.table.rows:
-                for cell in row:
-                    for tok in tokenize(cell):
-                        vocab.add(tok)
         return vocab
 
 

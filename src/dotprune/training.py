@@ -563,10 +563,8 @@ def evaluate(model: DoTModel, examples: list[Example],
 def save_checkpoint(path, model: DoTModel) -> None:
     named: dict[str, np.ndarray] = {}
     for prefix, tower in (("pruning", model.pruning), ("task", model.task)):
-        for k, t in tower.encoder.named_tensors().items():
+        for k, t in tower.named_tensors().items():
             named[f"{prefix}.{k}"] = t.data
-        named[f"{prefix}.head_w"] = tower.head_w.data
-        named[f"{prefix}.head_b"] = tower.head_b.data
     header = {
         "kind": "dot_model",
         "config": vars(model.config),

@@ -56,6 +56,11 @@ def drop_bias(seq, drop):
     return bias
 
 
+def init_encoder(config, rng, dtype=np.float32):
+    """Fresh encoder weights: the encoder of a tower drawn from ``rng``."""
+    return enc.init_tower(config, rng, dtype).encoder
+
+
 def tiny_model(dataset, dot_config=None, dtype=np.float64, seed=0,
                hidden=16, layers=2):
     """A DoTModel with hand-sized towers, bypassing the published presets."""

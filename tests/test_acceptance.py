@@ -60,7 +60,7 @@ def test_criterion_2_one_sided_masking_counterexample():
     rng = np.random.default_rng(42)
     seq = helpers.random_sequence(rng, max_len=16)
     cfg = enc.preset("mini", vocab_size=40, max_input=32)
-    weights = enc.init_weights(cfg, np.random.default_rng(9), dtype=np.float64)
+    weights = helpers.init_encoder(cfg, np.random.default_rng(9), dtype=np.float64)
     table_idx = seq.table_indices()
     drop = list(table_idx[-3:])
 

@@ -161,6 +161,19 @@ def test_verify_runs_of_neighbouring_seeds_share_no_case_example(monkeypatch):
     assert not examples[0] & examples[1]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_equivalence_suite_runs_no_example_twice(monkeypatch, seed):
+    from dotprune import pruning as pr
+    from dotprune import tables
+
+    seen = []
+    real = tables.linearize
+    monkeypatch.setattr(tables, "linearize", lambda ex, vocab: seen.append(ex) or real(ex, vocab))
+    monkeypatch.setattr(pr, "hard_drop_equivalence", lambda weights, seq, drop: 0.0)
+    assert cli.run_equivalence_suite(cases=100, seed=seed)["ok"]
+    assert len(seen) == len(set(seen)) == 100
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_equivalence_suite_draws_its_drop_sets_from_the_verify_stream(monkeypatch, seed):
     from dotprune import pruning as pr
@@ -189,13 +202,13 @@ def test_equivalence_suite_draws_one_encoder_per_slot_from_the_verify_stream(mon
     from dotprune import synth
 
     drawn = []
-    real = enc.init_weights
+    real = enc.init_tower
 
     def spy(config, rng, dtype):
         drawn.append((config.hidden, rng.bit_generator.state))
         return real(config, rng, dtype)
 
-    monkeypatch.setattr(enc, "init_weights", spy)
+    monkeypatch.setattr(enc, "init_tower", spy)
     assert cli.run_equivalence_suite(cases=8, seed=seed)["ok"]
     assert drawn == [
         (enc.preset(("mini", "small")[slot % 2]).hidden,
@@ -206,6 +219,17 @@ def test_equivalence_suite_draws_one_encoder_per_slot_from_the_verify_stream(mon
 def test_gradient_suite():
     result = cli.run_gradient_suite(entries_per_param=2)
     assert result["ok"], result
+
+
+def test_gradient_suite_freezes_the_example_furthest_from_the_selection_boundary(
+        monkeypatch):
+    margins = []
+    real = cli.selection_margin
+    monkeypatch.setattr(cli, "selection_margin",
+                        lambda out: margins.append(real(out)) or margins[-1])
+    result = cli.run_gradient_suite(entries_per_param=1)
+    assert len(margins) == 2  # one per generated example
+    assert result["selection_margin"] == max(margins)
 
 
 def test_cmd_gen_writes_jsonl(tmp_path, capsys):

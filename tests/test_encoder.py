@@ -107,7 +107,7 @@ def test_biased_attention_key_drop_equals_reduced_set():
 @pytest.mark.parametrize("bad", [0.1, np.nan, np.inf])
 def test_forward_refuses_a_positive_nan_or_inf_bias(bad):
     seq = helpers.random_sequence(np.random.default_rng(30))
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     bias = np.zeros(len(seq))
     bias[-1] = bad
     with pytest.raises(ContractError, match="must be <= 0"):
@@ -119,7 +119,7 @@ def test_forward_refuses_a_positive_nan_or_inf_bias(bad):
 
 def test_forward_refuses_a_bias_of_the_wrong_length():
     seq = helpers.random_sequence(np.random.default_rng(32))
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ContractError, match="key count"):
         enc.forward(w, seq, bias=np.zeros(len(seq) + 1))
     with pytest.raises(ContractError, match="key count"):
@@ -128,7 +128,7 @@ def test_forward_refuses_a_bias_of_the_wrong_length():
 
 def test_forward_accepts_minus_inf_and_negative_zero():
     seq = helpers.random_sequence(np.random.default_rng(33))
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     bias = np.zeros(len(seq))
     bias[-1], bias[-2] = -np.inf, -0.0
     with T.no_grad():
@@ -141,7 +141,7 @@ def test_forward_batch_refuses_a_bias_count_other_than_the_sequence_count(n_seqs
                                                                            n_biases):
     rng = np.random.default_rng(34)
     seqs = [helpers.random_sequence(rng) for _ in range(n_seqs)]
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     biases = [np.zeros(len(seqs[b % n_seqs])) for b in range(n_biases)]
     with pytest.raises(ContractError, match=f"{n_biases} biases for {n_seqs} sequences"):
         enc.forward_batch(w, seqs, biases)
@@ -151,14 +151,14 @@ def test_forward_batch_refuses_a_bias_count_other_than_the_sequence_count(n_seqs
 def test_forward_refuses_a_tensor_bias_of_another_dtype(padded):
     seq = helpers.random_sequence(np.random.default_rng(35))
     seqs = [seq, helpers.compacted(seq, [len(seq) - 1])] if padded else [seq]
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float32)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float32)
     biases = [T.Tensor(np.zeros(len(s))) for s in seqs]  # float64
     with pytest.raises(ContractError, match="bias dtype float64 != scores' dtype float32"):
         enc.forward_batch(w, seqs, biases)
 
 
 def test_forward_batch_refuses_an_empty_batch():
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ContractError, match="at least one sequence"):
         enc.forward_batch(w, [])
 
@@ -166,7 +166,7 @@ def test_forward_batch_refuses_an_empty_batch():
 def _drop_diff(seq, drop, mode):
     """The reference's masked forward in ``mode`` against the engine's
     compacted forward, on tiny_config weights."""
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     return helpers.reference_drop_diff(w, seq, drop, mode)
 
 
@@ -175,7 +175,7 @@ def _drop_diff(seq, drop, mode):
 def test_the_composed_key_forward_is_the_engine_bit_for_bit(dtype, masked):
     rng = np.random.default_rng(2)
     seq = helpers.random_sequence(rng)
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=dtype)
     bias = np.zeros(len(seq))
     if masked:
         bias = -rng.random(len(seq))
@@ -191,7 +191,7 @@ def test_the_composed_key_forward_is_the_engine_bit_for_bit(dtype, masked):
 def test_forward_is_the_batch_of_one_forward_batch(monkeypatch, with_bias):
     rng = np.random.default_rng(36)
     seq = helpers.random_sequence(rng)
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     bias = -rng.random(len(seq)) if with_bias else None
     forward, forward_batch, calls = enc.forward, enc.forward_batch, []
 
@@ -224,7 +224,7 @@ def test_key_only_drop_is_also_exact_when_applied_in_all_layers():
     seq = helpers.random_sequence(rng)
     drop = [len(seq) - 2]
     assert _drop_diff(seq, drop, "key") < 1e-9
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     assert pr.hard_drop_equivalence(w, seq, drop) < 1e-9
 
 
@@ -249,7 +249,7 @@ def test_pad_tail_with_key_mask_matches_unpadded():
         rank_ids=seq.rank_ids + (0, 0, 0),
     )
     cfg = tiny_config()
-    w = enc.init_weights(cfg, np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(cfg, np.random.default_rng(0), dtype=np.float64)
     bias = np.zeros(n + 3)
     bias[n:] = -np.inf
     with T.no_grad():
@@ -262,7 +262,7 @@ def test_forward_rejects_too_long_sequence():
     rng = np.random.default_rng(6)
     seq = helpers.random_sequence(rng)
     cfg = tiny_config(max_input=4)
-    w = enc.init_weights(cfg, np.random.default_rng(0))
+    w = helpers.init_encoder(cfg, np.random.default_rng(0))
     with pytest.raises(InputTooLongError):
         enc.forward(w, seq)
 
@@ -284,7 +284,7 @@ def record_attention(monkeypatch) -> list[np.ndarray]:
 def test_attention_rows_sum_to_one(monkeypatch):
     rng = np.random.default_rng(7)
     seq = helpers.random_sequence(rng)
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     captured = record_attention(monkeypatch)
     with T.no_grad():
         enc.forward(w, seq)
@@ -296,7 +296,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
 def test_lowering_key_bias_strictly_lowers_received_mass(monkeypatch):
     rng = np.random.default_rng(8)
     seq = helpers.random_sequence(rng)
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     t = len(seq) - 1
     captured = record_attention(monkeypatch)
     masses = []
@@ -314,8 +314,8 @@ def test_forward_precision_agreement():
     rng = np.random.default_rng(9)
     seq = helpers.random_sequence(rng)
     cfg = enc.preset("mini", vocab_size=40, max_input=64)
-    w64 = enc.init_weights(cfg, np.random.default_rng(1), dtype=np.float64)
-    w32 = enc.init_weights(cfg, np.random.default_rng(1), dtype=np.float32)
+    w64 = helpers.init_encoder(cfg, np.random.default_rng(1), dtype=np.float64)
+    w32 = helpers.init_encoder(cfg, np.random.default_rng(1), dtype=np.float32)
     with T.no_grad():
         h64, _ = enc.forward(w64, seq)
         h32, _ = enc.forward(w32, seq)
@@ -324,8 +324,8 @@ def test_forward_precision_agreement():
 
 
 def test_init_is_seed_deterministic():
-    a = enc.init_weights(tiny_config(), np.random.default_rng(3))
-    b = enc.init_weights(tiny_config(), np.random.default_rng(3))
+    a = helpers.init_encoder(tiny_config(), np.random.default_rng(3))
+    b = helpers.init_encoder(tiny_config(), np.random.default_rng(3))
     for (na, ta), (nb, tb_) in zip(a.named_tensors().items(), b.named_tensors().items()):
         assert na == nb
         assert (ta.data == tb_.data).all()
@@ -333,16 +333,33 @@ def test_init_is_seed_deterministic():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_init_tower_draws_the_encoder_then_the_head(dtype):
+    # one rule over Tower.tensor_shapes, in its order: truncated normal
+    # matrices, unit gains, zero biases; the head comes after the encoder
     cfg = tiny_config()
-    tower = enc.init_tower(cfg, np.random.default_rng(5), dtype)
+    shapes = enc.Tower.tensor_shapes(cfg)
+    assert list(shapes)[-2:] == ["head_w", "head_b"]
+    assert shapes["head_w"] == (cfg.hidden, 1) and shapes["head_b"] == (1,)
+    drawn = np.random.default_rng(5)
+    named = enc.init_tower(cfg, drawn, dtype).named_tensors()
+    assert set(named) == set(shapes)
     rng = np.random.default_rng(5)
-    arrays = enc.init_arrays(cfg, rng, dtype)
-    named = tower.encoder.named_tensors()
-    assert set(named) == set(arrays)
-    for name, t in named.items():
-        assert t.data.dtype == dtype and (t.data == arrays[name]).all(), name
-    assert (tower.head_w.data == enc.truncated_normal(rng, (cfg.hidden, 1), dtype)).all()
-    assert tower.head_b.data.dtype == dtype and (tower.head_b.data == 0).all()
+    for name, shape in shapes.items():
+        t = named[name].data
+        assert t.dtype == dtype and t.shape == shape, name
+        if len(shape) == 2:
+            expected = enc.truncated_normal(rng, shape, dtype)
+        else:
+            expected = np.full(shape, 1.0 if name.endswith("gain") else 0.0)
+        assert (t == expected).all(), name
+    assert drawn.bit_generator.state == rng.bit_generator.state  # nothing else is drawn
+
+
+def test_tower_parameters_are_the_encoder_then_the_head():
+    # AdamW's moment keys and the order of the grad-norm sum follow this order
+    tower = enc.init_tower(tiny_config(), np.random.default_rng(5))
+    expected = tower.encoder.parameters() + [tower.head_w, tower.head_b]
+    assert [id(p) for p in tower.parameters()] == [id(p) for p in expected]
+    assert list(tower.named_tensors())[-2:] == ["head_w", "head_b"]
 
 
 @pytest.mark.parametrize("make", [
@@ -355,7 +372,7 @@ def test_an_encoder_config_holds_no_seed(make):
 
 
 def test_checkpoint_round_trip_and_byte_stability(tmp_path):
-    w = enc.init_weights(tiny_config(), np.random.default_rng(4))
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(4))
     named = {k: t.data for k, t in w.named_tensors().items()}
     header = {"kind": "encoder", "seed": 4}
     p1 = tmp_path / "a.ckpt"
@@ -373,7 +390,7 @@ def test_forward_batch_rows_match_each_sequence_forward():
     rng = np.random.default_rng(11)
     seqs = [helpers.random_sequence(rng) for _ in range(3)]
     assert len({len(s) for s in seqs}) > 1
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=np.float64)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=np.float64)
     biases = [-rng.random(len(s)) for s in seqs]
     biases[1][-1] = -np.inf
     with T.no_grad():
@@ -394,7 +411,7 @@ def _worker_case(dtype, with_bias):
     if with_bias:
         biases = [-rng.random(len(s)) for s in seqs]
         biases[3][1] = -np.inf
-    return enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype), seqs, biases
+    return helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=dtype), seqs, biases
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
@@ -449,7 +466,7 @@ def _layer_case(dtype, seed=12):
     rows is all-zero.
     """
     rng = np.random.default_rng(seed)
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=dtype)
     lw = w.layers[0]
     for t in vars(lw).values():
         t.data = (t.data + rng.normal(0.0, 0.05, t.shape)).astype(dtype)
@@ -519,7 +536,7 @@ def _embed_case(dtype, seed=14):
     three sequences padded to 11 tokens: random ids with repeats, and
     column, row and rank ids past ``STRUCT_ID_CAP``, which share its row."""
     rng = np.random.default_rng(seed)
-    w = enc.init_weights(tiny_config(), np.random.default_rng(0), dtype=dtype)
+    w = helpers.init_encoder(tiny_config(), np.random.default_rng(0), dtype=dtype)
     for t in w.parameters():
         t.data = (t.data + rng.normal(0.0, 0.05, t.shape)).astype(dtype)
 
@@ -606,7 +623,7 @@ def _retained_bytes(fn):
 
 def test_a_recording_embed_keeps_its_output_xhat_ids_and_inv_std_only():
     batch, n, hidden = 4, 32, 256
-    w = enc.init_weights(tiny_config(hidden=hidden, num_heads=4, num_layers=1,
+    w = helpers.init_encoder(tiny_config(hidden=hidden, num_heads=4, num_layers=1,
                                      intermediate=16, max_input=64), np.random.default_rng(0))
     seqs = [helpers.random_sequence(np.random.default_rng(s), max_len=n) for s in range(batch)]
     block = batch * n * hidden * 4  # one (B*n, H) float32 array: 128 KiB
@@ -616,7 +633,7 @@ def test_a_recording_embed_keeps_its_output_xhat_ids_and_inv_std_only():
 
 def test_a_recording_f32_layer_keeps_only_what_its_backward_reads():
     batch, n, hidden, heads, inter = 2, 64, 128, 2, 512
-    w = enc.init_weights(tiny_config(hidden=hidden, num_heads=heads, intermediate=inter,
+    w = helpers.init_encoder(tiny_config(hidden=hidden, num_heads=heads, intermediate=inter,
                                      num_layers=1, max_input=n), np.random.default_rng(0))
     x = T.Tensor(np.random.default_rng(16).normal(size=(batch, n, hidden)).astype(np.float32),
                  requires_grad=True)

@@ -89,7 +89,9 @@ def test_a_matmul_counter_sees_every_gemm_of_a_layer_forward_and_backward(
                                 vocab_size=20)
     per_layer = (flops.encoder_forward_flops(dataclasses.replace(cfg, num_layers=2), n)
                  - flops.encoder_forward_flops(cfg, n))
-    lw = encoder.init_weights(cfg, np.random.default_rng(0), dtype=np.float64).layers[0]
+    import helpers
+
+    lw = helpers.init_encoder(cfg, np.random.default_rng(0), dtype=np.float64).layers[0]
     rng = np.random.default_rng(0)
     x = tensor.Tensor(rng.normal(size=(batch, n, cfg.hidden)), requires_grad=True)
     bias = tensor.Tensor(-rng.random((batch, n)), requires_grad=True)
