@@ -79,8 +79,8 @@ def _read_json(fh, n: int, path):
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Inverse of ``save_tensors``; a missing, malformed or truncated file
-    raises ``ContractError``."""
+    """Inverse of ``save_tensors``; a missing, malformed or truncated file,
+    or one with bytes after its last tensor, raises ``ContractError``."""
     with open_input(path, ContractError, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ContractError(f"{path} is not a tensor container")
@@ -110,4 +110,7 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ContractError(f"{path}: tensor {name!r} has {blen} bytes "
                                     f"for shape {list(shape)}")
             tensors[name] = _read_array(fh, blen, dtype, shape, path)
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
+        if extra:
+            raise ContractError(f"{path}: {extra} bytes follow the last tensor")
     return header, tensors

@@ -640,12 +640,8 @@ def layer_norm_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     return dxhat
 
 
-def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
-    """Mean binary cross-entropy against 0/1 targets, stable in the logits.
-
-    ``pos_weight`` scales the positive-class term (class-imbalance lever);
-    the mean is over element count either way.
-    """
+def bce_with_logits(logits: Tensor, targets) -> Tensor:
+    """Mean binary cross-entropy against 0/1 targets, stable in the logits."""
     logits = _as_tensor(logits)
     y = np.asarray(targets, dtype=logits.dtype)
     if logits.shape != y.shape:
@@ -654,14 +650,14 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
         raise ContractError("bce_with_logits on an empty tensor")
     x = logits.data
     softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    # (1-y) softplus(x) + pos_weight * y * softplus(-x)
-    loss = (1.0 - y) * softplus + pos_weight * y * (softplus - x)
+    # (1-y) softplus(x) + y softplus(-x)
+    loss = (1.0 - y) * softplus + y * (softplus - x)
     n = x.size
     out = np.asarray(loss.sum() / n, dtype=logits.dtype)
 
     def back(g):
         s = _sigmoid(x)
-        grad = (1.0 - y) * s - pos_weight * y * (1.0 - s)
+        grad = (1.0 - y) * s - y * (1.0 - s)
         return (grad * (g / n),)
 
     return _node(out, (logits,), back)
@@ -673,7 +669,7 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
 
 
 def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dict,
-               lr: float, weight_decay: float, grad_scale: float = 1.0) -> Sequence[Tensor]:
+               lr: float, weight_decay: float, grad_scale: float = 1.0) -> None:
     """One AdamW update from ``grads`` times ``grad_scale`` (the clip
     factor): bias-corrected moments, decoupled weight decay.
 
@@ -730,7 +726,6 @@ def adamw_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: dic
                 np.multiply(ps, lr * weight_decay, out=tb)
                 ub += tb
             ps -= ub
-    return params
 
 
 def gradient_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor],

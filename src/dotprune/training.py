@@ -63,10 +63,6 @@ class DoTConfig:
     loss_mode: str = "J"
     beta: float = 1.0
     task_type: str = "cell_selection"
-    # positive-class weight for the per-token cell loss: kept sets hold few
-    # answer tokens, and from-scratch training saturates on the all-negative
-    # majority without it
-    positive_weight: float = 1.0
 
     def __post_init__(self):
         check_field_types(self)
@@ -76,8 +72,6 @@ class DoTConfig:
             raise ConfigError(f"k={self.k} exceeds pre_limit={self.pre_limit}")
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
-        if self.positive_weight <= 0:
-            raise ConfigError("positive_weight must be > 0")
         if self.preselector not in PRESELECTORS:
             raise ConfigError(f"unknown preselector {self.preselector!r}")
         if self.selection_mode not in SELECTION_MODES:
@@ -97,9 +91,6 @@ class TrainConfig:
     seed: int = 0
     precision: str = "f32"
     weight_decay: float = 0.01
-    # learning-rate multiplier for the scoring tower; < 1 keeps early score
-    # dynamics slow enough for the task head to learn answer detection first
-    pruning_lr_scale: float = 1.0
     # stddev of selection-only score noise at step 1, annealed linearly to
     # zero by 60% of the run. Hard top-k freezes once scores stop moving;
     # training from scratch needs the kept set to keep rotating until the
@@ -119,8 +110,6 @@ class TrainConfig:
             raise ConfigError("warmup_ratio must be in [0, 1]")
         if self.precision not in ("f32", "f64"):
             raise ConfigError("precision must be f32 or f64")
-        if self.pruning_lr_scale < 0:
-            raise ConfigError("pruning_lr_scale must be >= 0")
         if self.exploration_noise < 0:
             raise ConfigError("exploration_noise must be >= 0")
         if self.learning_rate < 0:
@@ -256,8 +245,7 @@ def check_supervision(example: Example, task_type: str) -> None:
         raise ContractError("cell selection needs answer coordinates, not a label")
 
 
-def _task_scalar_loss(outputs: DotOutputs, example: Example, task_type: str,
-                      pos_weight: float = 1.0) -> T.Tensor:
+def _task_scalar_loss(outputs: DotOutputs, example: Example, task_type: str) -> T.Tensor:
     """Binary cross-entropy head loss, over kept table tokens or the CLS logit."""
     check_supervision(example, task_type)
     if task_type == "classification":
@@ -265,23 +253,19 @@ def _task_scalar_loss(outputs: DotOutputs, example: Example, task_type: str,
     if not outputs.kept_table_slots:
         return T.Tensor(np.asarray(0.0, dtype=outputs.scores.log_probs.dtype))
     kept_logits = T.take_rows(outputs.logits, outputs.kept_table_slots)
-    return T.bce_with_logits(kept_logits, outputs.kept_table_targets,
-                             pos_weight=pos_weight)
+    return T.bce_with_logits(kept_logits, outputs.kept_table_targets)
 
 
-def _pruning_scalar_loss(outputs: DotOutputs, example: Example,
-                         pos_weight: float = 1.0) -> T.Tensor:
+def _pruning_scalar_loss(outputs: DotOutputs, example: Example) -> T.Tensor:
     """Per-token relevance BCE over all preselected tokens.
 
     Targets are answer-cell membership; without answer coordinates there is
-    no per-token supervision and the term is zero. The positive-class
-    weight applies here too: answer tokens are as rare for the scorer as
-    they are for the task head.
+    no per-token supervision and the term is zero.
     """
     if example.answer_coords is None:
         return T.Tensor(np.asarray(0.0, dtype=outputs.scores.logits.dtype))
     targets = outputs.pre_seq.answer_mask(example.answer_coords).astype(np.float64)
-    return T.bce_with_logits(outputs.scores.logits, targets, pos_weight=pos_weight)
+    return T.bce_with_logits(outputs.scores.logits, targets)
 
 
 def compute_loss(model: DoTModel, outputs: DotOutputs, example: Example) -> T.Tensor:
@@ -295,9 +279,9 @@ def compute_loss(model: DoTModel, outputs: DotOutputs, example: Example) -> T.Te
     if cfg.loss_mode == "P" and not outputs.bias_detached:
         raise ContractError("P loss needs outputs of a P-mode forward, whose bias "
                             "is detached; the loss mode changed after the forward")
-    loss = _task_scalar_loss(outputs, example, cfg.task_type, cfg.positive_weight)
+    loss = _task_scalar_loss(outputs, example, cfg.task_type)
     if cfg.loss_mode != "J":
-        loss = T.add(loss, _pruning_scalar_loss(outputs, example, cfg.positive_weight))
+        loss = T.add(loss, _pruning_scalar_loss(outputs, example))
     return T.mul(loss, float(cfg.beta))
 
 
@@ -360,9 +344,10 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     """Run the optimization loop; deterministic given configs and seed.
 
     Each step runs both towers once on the padded batch, then backward,
-    which returns the gradients, and AdamW per optimizer group, which
-    applies the clip factor. Per-step metrics records carry no timing
-    (``grad_norm`` is the global gradient norm before clipping).
+    which returns the gradients, and one AdamW call over every trained
+    parameter, which applies the clip factor. Per-step metrics records
+    carry no timing (``grad_norm`` is the global gradient norm before
+    clipping).
     ``stop_condition`` may end the run early (checked after
     ``step_callback``, every step). A non-finite loss or gradient norm
     raises ``TrainingDivergedError`` before AdamW touches a parameter.
@@ -389,13 +374,12 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
     if any(p.dtype != train_config.dtype for p in model.parameters()):
         raise ContractError(f"precision {train_config.precision!r} needs a "
                             f"{np.dtype(train_config.dtype)} model")
-    groups = [(model.task.parameters(), 1.0, {})]
     if scores_override is None:
-        groups.insert(0, (model.pruning.parameters(), train_config.pruning_lr_scale, {}))
-        override = None
+        params, override = model.parameters(), None
     else:
+        params = model.task.parameters()
         override = lambda seq, _example: scores_override(seq)
-    params = [p for g, _, _ in groups for p in g]
+    opt_state: dict = {}
     data_rng = stream(train_config.seed, *DATA_ORDER)
     explore_rng = stream(train_config.seed, *EXPLORATION)
     anneal_until = max(1.0, 0.6 * train_config.num_steps)
@@ -434,11 +418,8 @@ def train(dot_config: DoTConfig, train_config: TrainConfig, dataset: list[Exampl
         if not math.isfinite(grad_norm):
             raise TrainingDivergedError(
                 f"gradient norm became {grad_norm} at step {step} (lr={lr})")
-        start = 0
-        for group, scale, opt_state in groups:
-            T.adamw_step(group, grads[start:start + len(group)], opt_state, lr * scale,
-                         train_config.weight_decay, grad_scale=grad_scale)
-            start += len(group)
+        T.adamw_step(params, grads, opt_state, lr, train_config.weight_decay,
+                     grad_scale=grad_scale)
 
         metrics.append({
             "step": step,

@@ -1,14 +1,22 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package has a caller, and
+so does every field a config file can set.
 
 A def or class in ``src/dotprune/`` counts as used when its name appears
 in ``src/``, ``scripts/`` or ``perfbench/`` outside its own body: as a
 name, an attribute, or a string (``perfbench/tracer.py`` wraps functions
 by name). Tests do not count; a def only they reach moves to
-``tests/helpers.py`` or goes.
+``tests/helpers.py`` or goes. A config-file field's caller is the user's
+config, so it counts as used when README.md documents it.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
+
+from dotprune import synth
+from dotprune import training as tr
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dotprune"
@@ -46,3 +54,17 @@ def test_every_top_level_def_in_the_package_is_referenced_outside_its_body():
                     if not any(p != path or not first <= line <= last
                                for p, line in used.get(name, ()))]
     assert not unreferenced, unreferenced
+
+
+# the dataclasses a config file's sections build: task, train, data, eval
+# and the generator spec of data and eval
+CONFIG_FILE_CLASSES = (tr.DoTConfig, tr.TrainConfig, synth.GeneratorSpec, synth.DataConfig,
+                       synth.EvalConfig)
+
+
+@pytest.mark.parametrize("cls", CONFIG_FILE_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_config_file_field_is_documented_in_the_readme(cls):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    undocumented = [f.name for f in dataclasses.fields(cls)
+                    if f"`{f.name}`" not in readme and f'"{f.name}"' not in readme]
+    assert not undocumented, undocumented

@@ -191,6 +191,29 @@ def test_a_checkpoint_whose_encoder_configs_hold_a_seed_is_refused(checkpoint):
     assert str(checkpoint) in str(info.value)
 
 
+def test_a_checkpoint_whose_config_holds_positive_weight_is_refused(checkpoint):
+    # DoTConfig held a positive-class loss weight until it was dropped as a
+    # setting with no caller; a checkpoint of that format stores it
+    header, tensors = container.load_tensors(checkpoint)
+    assert "positive_weight" not in header["config"]
+    header["config"]["positive_weight"] = 1.0
+    container.save_tensors(checkpoint, tensors, header)
+    with pytest.raises(ContractError,
+                       match="malformed checkpoint header.*positive_weight") as info:
+        tr.load_checkpoint(checkpoint)
+    assert str(checkpoint) in str(info.value)
+
+
+@pytest.mark.parametrize("extra", [b"\x00", bytes(29)], ids=["1_byte", "29_bytes"])
+def test_a_checkpoint_with_bytes_after_its_last_tensor_is_refused(checkpoint, extra):
+    with open(checkpoint, "ab") as fh:
+        fh.write(extra)
+    with pytest.raises(ContractError,
+                       match=f"{len(extra)} bytes follow the last tensor") as info:
+        tr.load_checkpoint(checkpoint)
+    assert str(checkpoint) in str(info.value)
+
+
 LOAD_UNDER_1GB = """
 import resource, sys
 from dotprune import training

@@ -36,6 +36,18 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         cli.load_config(path)
 
 
+@pytest.mark.parametrize("section,key", [("task", "positive_weight"),
+                                         ("train", "pruning_lr_scale")])
+def test_load_config_refuses_a_removed_loss_knob_by_name(tmp_path, section, key):
+    # both were set by no caller and left the loss and the update unchanged
+    # at their one value; a config naming one is now an unknown key
+    sections = {"task": dict(TINY_TASK), "train": dict(TINY_TRAIN)}
+    sections[section][key] = 1.0
+    path = write_config(tmp_path / "c.json", **sections)
+    with pytest.raises(ConfigError, match=rf"unknown config keys in {section}: \['{key}'\]"):
+        cli.load_config(path)
+
+
 def test_load_config_names_a_file_it_cannot_open(tmp_path):
     for path in (tmp_path / "missing.json", tmp_path):
         with pytest.raises(ConfigError, match=f"cannot open {path}"):
@@ -363,9 +375,8 @@ def test_cmd_verify_small(tmp_path, capsys):
 def test_config_reaches_every_dataclass_field(tmp_path, monkeypatch):
     from dotprune import training as tr
 
-    task = dict(TINY_TASK, positive_weight=3.0)
-    train = dict(TINY_TRAIN, pruning_lr_scale=0.5, exploration_noise=0.2, grad_clip=None)
-    cfg = write_config(tmp_path / "train.json", task=task, train=train, data=TINY_DATA)
+    train = dict(TINY_TRAIN, exploration_noise=0.2, grad_clip=None)
+    cfg = write_config(tmp_path / "train.json", task=TINY_TASK, train=train, data=TINY_DATA)
     seen = {}
 
     class Captured(Exception):
@@ -378,8 +389,6 @@ def test_config_reaches_every_dataclass_field(tmp_path, monkeypatch):
     monkeypatch.setattr(tr, "train", capture)
     with pytest.raises(Captured):
         cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    assert seen["dot"].positive_weight == 3.0
-    assert seen["train"].pruning_lr_scale == 0.5
     assert seen["train"].exploration_noise == 0.2
     assert seen["train"].grad_clip is None
 

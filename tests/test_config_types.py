@@ -53,7 +53,7 @@ def test_a_config_dataclass_refuses_a_value_of_the_wrong_kind(cls, field, value)
 
 
 def test_every_field_is_tried_and_each_class_takes_its_valid_values():
-    assert len(wrong_kind_cases(VALID)) == 222
+    assert len(wrong_kind_cases(VALID)) == 212
     for cls, kwargs in VALID.items():
         cls(**kwargs)
     assert tr.TrainConfig(grad_clip=None, learning_rate=1).learning_rate == 1
@@ -73,7 +73,7 @@ FLOAT_FIELDS = [(cls, f.name) for cls in VALID for f in dataclasses.fields(cls)
 
 def test_every_config_class_with_a_float_field_is_tried():
     assert {cls for cls, _ in FLOAT_FIELDS} == {tr.DoTConfig, tr.TrainConfig}
-    assert len(FLOAT_FIELDS) == 8
+    assert len(FLOAT_FIELDS) == 6
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=repr)

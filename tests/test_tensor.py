@@ -478,21 +478,17 @@ def test_log_sigmoid_stability_and_limits():
     assert out[0] == pytest.approx(-50.0, abs=1e-9)
 
 
-def test_bce_pos_weight_value_and_gradient():
+def test_bce_with_logits_value_and_gradient():
     rng = np.random.default_rng(7)
     x = T.Tensor(rng.normal(size=6), requires_grad=True)
     y = np.array([1.0, 0, 1, 0, 0, 1])
-    # value matches the weighted definition computed directly
-    pw = 5.0
-    loss = T.bce_with_logits(x, y, pos_weight=pw)
+    # value matches the definition computed directly
+    loss = T.bce_with_logits(x, y)
     s = 1 / (1 + np.exp(-x.data))
-    direct = -(pw * y * np.log(s) + (1 - y) * np.log(1 - s)).mean()
+    direct = -(y * np.log(s) + (1 - y) * np.log(1 - s)).mean()
     assert abs(float(loss.data) - direct) < 1e-10
-
-    def f(params):
-        return T.bce_with_logits(params[0], y, pos_weight=pw)
-
-    assert T.gradient_check(f, [x], eps=1e-6) < 1e-7
+    assert T.gradient_check(lambda params: T.bce_with_logits(params[0], y), [x],
+                            eps=1e-6) < 1e-7
 
 
 def test_take_rows_gradient_scatters():

@@ -960,3 +960,25 @@ def test_train_under_a_scores_override_trains_only_in_loss_mode_j(mode):
     changed = [not np.array_equal(b, p.data) for b, p in zip(before, model.parameters())]
     n_scorer = len(model.pruning_parameters())
     assert not any(changed[:n_scorer]) and any(changed[n_scorer:])
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["both_towers", "task_only"])
+def test_train_makes_one_adamw_call_per_step_over_every_trained_parameter(
+        monkeypatch, override):
+    # AdamW is element-wise per parameter, so one call over the whole list
+    # updates each parameter as a call per tower would
+    data = lookup_data(n=4, seed=6)
+    model = tiny_model(data)
+    adamw_step = T.adamw_step
+    calls = []
+
+    def spy(params, grads, state, lr, weight_decay, grad_scale=1.0):
+        calls.append([id(p) for p in params])
+        adamw_step(params, grads, state, lr, weight_decay, grad_scale=grad_scale)
+
+    monkeypatch.setattr(T, "adamw_step", spy)
+    tr.train(model.config, tr.TrainConfig(num_steps=3, batch_size=2, precision="f64"),
+             data, model=model,
+             scores_override=(lambda seq: pr.constant_scores(seq, 0.0)) if override else None)
+    trained = model.task.parameters() if override else model.parameters()
+    assert calls == [[id(p) for p in trained]] * 3
