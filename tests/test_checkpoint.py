@@ -133,6 +133,19 @@ def test_load_tensors_refuses_a_length_beyond_the_end_of_the_file(tmp_path, fiel
         container.load_tensors(path)
 
 
+@pytest.mark.parametrize("named", [{}, {"a": np.arange(3, dtype=np.float32),
+                                         "b": np.ones((2, 2))}],
+                         ids=["no_tensors", "two_tensors"])
+def test_load_tensors_refuses_bytes_after_the_last_tensor(tmp_path, named):
+    path = tmp_path / "t.ckpt"
+    container.save_tensors(path, named, {"kind": "test"})
+    assert sorted(container.load_tensors(path)[1]) == sorted(named)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00\x01")
+    with pytest.raises(ContractError, match=f"{path}: 2 bytes follow the last tensor"):
+        container.load_tensors(path)
+
+
 def test_load_tensors_rejects_unknown_descriptor_dtype(tmp_path):
     path = tmp_path / "t.ckpt"
     container.save_tensors(path, {"a": np.arange(3, dtype=np.float32)}, {})

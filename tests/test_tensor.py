@@ -288,6 +288,26 @@ def test_adamw_grad_scale_equals_adamw_on_gradients_scaled_beforehand_bitwise(dt
                 assert mf.tobytes() == ms.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_adamw_call_over_a_list_equals_a_call_per_part_of_it_bitwise(dtype):
+    # the update is element-wise per parameter, so training's one call over
+    # both towers equals a call per tower with its own state
+    rng = np.random.default_rng(17)
+    init = [rng.normal(size=shape).astype(dtype) for shape in ADAMW_SHAPES]
+    whole = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+    parts = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+    cut = 2
+    whole_state, part_states = {}, ({}, {})
+    for step, grad_scale in enumerate((1.0, 0.37, 0.9), start=1):
+        grads = [rng.normal(size=shape).astype(dtype) for shape in ADAMW_SHAPES]
+        lr = 1e-3 * step
+        assert T.adamw_step(whole, grads, whole_state, lr, 0.01, grad_scale=grad_scale) is None
+        for state, sl in zip(part_states, (slice(None, cut), slice(cut, None))):
+            T.adamw_step(parts[sl], grads[sl], state, lr, 0.01, grad_scale=grad_scale)
+        assert [w.data.tobytes() for w in whole] == [p.data.tobytes() for p in parts]
+    assert all(not np.array_equal(w.data, a) for w, a in zip(whole, init))
+
+
 def _adamw_refusal_leaves_everything_unchanged(params, grads, match):
     """Run one good AdamW step, then one that must be refused with ``match``:
     no parameter, moment or step count may change."""
